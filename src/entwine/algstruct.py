@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import DimensionMismatch, InvalidParameter
-from .exactlin import FieldSpec, Matrix, compose, kron
+from .exactlin import FieldSpec, Matrix, compose, expect_shapes, kron
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,8 @@ class Algebra:
 
     def __post_init__(self):
         n = self.dim
-        if self.mult.shape != (n, n * n) or self.unit.shape != (n, 1):
-            raise DimensionMismatch(
-                f"algebra of dim {n}: mult {self.mult.shape}, "
-                f"unit {self.unit.shape}")
+        expect_shapes(self, f"algebra of dim {n}", mult=(n, n * n),
+                      unit=(n, 1))
 
     @property
     def field(self) -> FieldSpec:
@@ -101,10 +99,8 @@ class Coalgebra:
 
     def __post_init__(self):
         n = self.dim
-        if self.comult.shape != (n * n, n) or self.counit.shape != (1, n):
-            raise DimensionMismatch(
-                f"coalgebra of dim {n}: comult {self.comult.shape}, "
-                f"counit {self.counit.shape}")
+        expect_shapes(self, f"coalgebra of dim {n}", comult=(n * n, n),
+                      counit=(1, n))
 
     @property
     def field(self) -> FieldSpec:
@@ -123,10 +119,8 @@ class Bimodule:
 
     def __post_init__(self):
         m, b, a = self.dim, self.left.dim, self.right.dim
-        if self.lact.shape != (m, b * m) or self.ract.shape != (m, m * a):
-            raise DimensionMismatch(
-                f"bimodule of dim {m}: lact {self.lact.shape}, "
-                f"ract {self.ract.shape}")
+        expect_shapes(self, f"bimodule of dim {m}", lact=(m, b * m),
+                      ract=(m, m * a))
 
     @property
     def field(self) -> FieldSpec:

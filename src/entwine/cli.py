@@ -2,7 +2,8 @@
 
 A workspace is one UTF-8 JSON document holding named algebras,
 coalgebras, entwinings, 1-cells and 2-cells (plus derived corings and
-coring cells) over a single field.  Scalars are strings ("3", "-1/2",
+coring cells) over a single field; the table ``_CHECKERS`` gives each
+section's keys and checker.  Scalars are strings ("3", "-1/2",
 or decimal residues mod p), matrices are arrays of row arrays under the
 row-major Kronecker convention of :mod:`entwine.exactlin`.  Output is
 canonical JSON (sorted keys, two-space indent, trailing newline), so
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partialmethod
 
 from .algstruct import (Algebra, Bimodule, Coalgebra, CheckReport,
                         check_algebra, check_coalgebra, cyclic_group_bialgebra,
@@ -37,83 +39,85 @@ from .entwcat import (EntwObj, EntwOneCell, EntwTwoCell, bialgebra_entwining,
                       morphism_one_cell, vcomp)
 from .errors import EntwineError
 from .exactlin import FieldSpec, Matrix
-from .qtensor import tensor_over
+
+
+# -- the schema ------------------------------------------------------------
+
+# One row per workspace section, a section only referencing earlier ones:
+# (section, report kind, checker, reference keys -> the section they name,
+#  integer keys -> attribute path, matrix keys -> attribute path, builder
+#  called with every key of the entry as a keyword argument).
+_CHECKERS = [
+    ("algebras", "ALGEBRA", check_algebra, {}, {"dim": "dim"},
+     {"mult": "mult", "unit": "unit"}, Algebra),
+    ("coalgebras", "COALGEBRA", check_coalgebra, {}, {"dim": "dim"},
+     {"comult": "comult", "counit": "counit"}, Coalgebra),
+    ("entwinings", "ENTWINING", check_obj,
+     {"algebra": "algebras", "coalgebra": "coalgebras"}, {}, {"psi": "psi"},
+     EntwObj),
+    ("one_cells", "ONECELL", check_one_cell,
+     {"dom": "entwinings", "cod": "entwinings"}, {"dimM": "dimM"},
+     {"alpha": "alpha", "gamma": "gamma"}, EntwOneCell),
+    ("two_cells", "TWOCELL", check_two_cell,
+     {"dom": "one_cells", "cod": "one_cells"}, {}, {"theta": "theta"},
+     EntwTwoCell),
+    ("corings", "CORING", check_coring, {"base": "algebras"},
+     {"dim": "carrier.dim"},
+     {"lact": "carrier.lact", "ract": "carrier.ract", "comult": "comult",
+      "counit": "counit"},
+     lambda base, dim, lact, ract, comult, counit: Coring(
+         base, Bimodule(base, base, dim, lact, ract), comult, counit)),
+    ("cor_one_cells", "CORONECELL", check_cor_one_cell,
+     {"dom": "corings", "cod": "corings"}, {"dim": "carrier.dim"},
+     {"lact": "carrier.lact", "ract": "carrier.ract", "zeta": "zeta"},
+     lambda dom, cod, dim, lact, ract, zeta: CorOneCell(
+         dom, cod, Bimodule(cod.base, dom.base, dim, lact, ract), zeta)),
+    ("cor_two_cells", "CORTWOCELL", check_cor_two_cell,
+     {"dom": "cor_one_cells", "cod": "cor_one_cells"}, {}, {"map": "map"},
+     CorTwoCell),
+]
 
 
 # -- workspace -------------------------------------------------------------
 
 
 class Workspace:
-    """Named entries over one field, with the references between them."""
+    """Named entries over one field, with the references between them.
+
+    Every section of ``_CHECKERS`` is a dict attribute, name -> object;
+    ``refs[section, name]`` holds the names an entry references, in the
+    order of its section's reference keys.
+    """
 
     def __init__(self, field: FieldSpec):
         self.field = field
-        self.algebras = {}
-        self.coalgebras = {}
-        self.entwinings = {}
-        self.entw_refs = {}     # entwining name -> (algebra, coalgebra)
-        self.one_cells = {}
-        self.one_refs = {}      # 1-cell name -> (dom, cod) entwining names
-        self.two_cells = {}
-        self.two_refs = {}      # 2-cell name -> (dom, cod) 1-cell names
-        self.corings = {}
-        self.cor_refs = {}      # coring name -> base algebra name
-        self.cor_one_cells = {}
-        self.cor_one_refs = {}  # name -> (dom, cod) coring names
-        self.cor_two_cells = {}
-        self.cor_two_refs = {}  # name -> (dom, cod) coring 1-cell names
+        for section, *_ in _CHECKERS:
+            setattr(self, section, {})
+        self.refs = {}
         self.provenance = {}    # any name -> free-form string
 
-    # construction helpers keep both the object and its reference names
-
-    def add_algebra(self, name: str, a: Algebra):
-        self.algebras[name] = a
-
-    def add_coalgebra(self, name: str, c: Coalgebra):
-        self.coalgebras[name] = c
-
-    def add_entwining(self, name: str, alg_name: str, coalg_name: str,
-                      e: EntwObj):
-        self.entwinings[name] = e
-        self.entw_refs[name] = (alg_name, coalg_name)
-
-    def add_one_cell(self, name: str, dom: str, cod: str, f: EntwOneCell):
-        self.one_cells[name] = f
-        self.one_refs[name] = (dom, cod)
-
-    def add_two_cell(self, name: str, dom: str, cod: str, t: EntwTwoCell):
-        self.two_cells[name] = t
-        self.two_refs[name] = (dom, cod)
-
-    def add_coring(self, name: str, base: str, c: Coring, origin=None):
-        self.corings[name] = c
-        self.cor_refs[name] = base
+    def add(self, section: str, name: str, *refs_and_obj, origin=None):
+        """``add(section, name, *reference names, obj)``."""
+        *refs, obj = refs_and_obj
+        getattr(self, section)[name] = obj
+        self.refs[section, name] = tuple(refs)
         if origin:
             self.provenance[name] = origin
 
-    def add_cor_one_cell(self, name: str, dom: str, cod: str, f: CorOneCell,
-                         origin=None):
-        self.cor_one_cells[name] = f
-        self.cor_one_refs[name] = (dom, cod)
-        if origin:
-            self.provenance[name] = origin
-
-    def add_cor_two_cell(self, name: str, dom: str, cod: str, t: CorTwoCell,
-                         origin=None):
-        self.cor_two_cells[name] = t
-        self.cor_two_refs[name] = (dom, cod)
-        if origin:
-            self.provenance[name] = origin
+    add_algebra = partialmethod(add, "algebras")
+    add_coalgebra = partialmethod(add, "coalgebras")
+    add_entwining = partialmethod(add, "entwinings")
+    add_one_cell = partialmethod(add, "one_cells")
+    add_two_cell = partialmethod(add, "two_cells")
 
 
-def _mat_to_json(m: Matrix):
-    return [[m.field.fmt(x) for x in row] for row in m.entries]
-
-
-def _mat_from_json(field: FieldSpec, data, rows: int, cols: int) -> Matrix:
-    if not isinstance(data, list) or len(data) != rows:
-        raise EntwineError(f"matrix has {len(data)} rows, expected {rows}")
-    return Matrix(field, data, cols=cols)
+def _copy(src: Workspace, dst: Workspace, section: str, name: str):
+    """Copy one entry, and first every entry it references, into dst."""
+    ref_keys = next(row[3] for row in _CHECKERS if row[0] == section)
+    refs = src.refs[section, name]
+    for target, ref in zip(ref_keys.values(), refs):
+        _copy(src, dst, target, ref)
+    dst.add(section, name, *refs, getattr(src, section)[name])
 
 
 def field_to_json(field: FieldSpec):
@@ -145,135 +149,72 @@ def parse_field_flag(text: str) -> FieldSpec:
     raise EntwineError(f"malformed field flag {text!r}")
 
 
+def _to_json(obj, path: str):
+    for name in path.split("."):
+        obj = getattr(obj, name)
+    if isinstance(obj, Matrix):
+        return [[obj.field.fmt(x) for x in row] for row in obj.entries]
+    return obj
+
+
 def serialize(ws: Workspace) -> str:
     doc = {"field": field_to_json(ws.field)}
-    if ws.algebras:
-        doc["algebras"] = {
-            name: {"dim": a.dim, "mult": _mat_to_json(a.mult),
-                   "unit": _mat_to_json(a.unit)}
-            for name, a in ws.algebras.items()}
-    if ws.coalgebras:
-        doc["coalgebras"] = {
-            name: {"dim": c.dim, "comult": _mat_to_json(c.comult),
-                   "counit": _mat_to_json(c.counit)}
-            for name, c in ws.coalgebras.items()}
-    if ws.entwinings:
-        doc["entwinings"] = {
-            name: {"algebra": ws.entw_refs[name][0],
-                   "coalgebra": ws.entw_refs[name][1],
-                   "psi": _mat_to_json(e.psi)}
-            for name, e in ws.entwinings.items()}
-    if ws.one_cells:
-        doc["one_cells"] = {
-            name: {"dom": ws.one_refs[name][0], "cod": ws.one_refs[name][1],
-                   "dimM": f.dimM, "alpha": _mat_to_json(f.alpha),
-                   "gamma": _mat_to_json(f.gamma)}
-            for name, f in ws.one_cells.items()}
-    if ws.two_cells:
-        doc["two_cells"] = {
-            name: {"dom": ws.two_refs[name][0], "cod": ws.two_refs[name][1],
-                   "theta": _mat_to_json(t.theta)}
-            for name, t in ws.two_cells.items()}
-    if ws.corings:
-        doc["corings"] = {
-            name: {"base": ws.cor_refs[name], "dim": c.carrier.dim,
-                   "lact": _mat_to_json(c.carrier.lact),
-                   "ract": _mat_to_json(c.carrier.ract),
-                   "comult": _mat_to_json(c.comult),
-                   "counit": _mat_to_json(c.counit)}
-            for name, c in ws.corings.items()}
-    if ws.cor_one_cells:
-        doc["cor_one_cells"] = {
-            name: {"dom": ws.cor_one_refs[name][0],
-                   "cod": ws.cor_one_refs[name][1],
-                   "dim": f.carrier.dim,
-                   "lact": _mat_to_json(f.carrier.lact),
-                   "ract": _mat_to_json(f.carrier.ract),
-                   "zeta": _mat_to_json(f.zeta)}
-            for name, f in ws.cor_one_cells.items()}
-    if ws.cor_two_cells:
-        doc["cor_two_cells"] = {
-            name: {"dom": ws.cor_two_refs[name][0],
-                   "cod": ws.cor_two_refs[name][1],
-                   "map": _mat_to_json(t.map)}
-            for name, t in ws.cor_two_cells.items()}
+    for section, _, _, ref_keys, ints, mats, _ in _CHECKERS:
+        entries = getattr(ws, section)
+        if entries:
+            doc[section] = {name: {
+                **dict(zip(ref_keys, ws.refs[section, name])),
+                **{key: _to_json(obj, path)
+                   for key, path in {**ints, **mats}.items()}}
+                for name, obj in entries.items()}
     if ws.provenance:
         doc["provenance"] = dict(ws.provenance)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise EntwineError(f"{what} must be a JSON object")
+    return data
+
+
+def _parse_entry(ws: Workspace, row, d: dict) -> tuple:
+    """(reference names, keyword arguments of the builder) of one entry."""
+    _, _, _, ref_keys, ints, mats, _ = row
+    missing = [k for k in (*ref_keys, *ints, *mats) if k not in d]
+    if missing:
+        raise EntwineError(f"missing {', '.join(missing)}")
+    kwargs = {}
+    for key, target in ref_keys.items():
+        entries = getattr(ws, target)
+        if not isinstance(d[key], str) or d[key] not in entries:
+            raise EntwineError(f"{key} {d[key]!r} names no entry of {target}")
+        kwargs[key] = entries[d[key]]
+    for key in ints:
+        if type(d[key]) is not int or d[key] < 0:
+            raise EntwineError(f"{key} must be a non-negative integer")
+        kwargs[key] = d[key]
+    for key in mats:
+        if not (isinstance(d[key], list)
+                and all(isinstance(r, list) for r in d[key])):
+            raise EntwineError(f"{key} must be a list of row lists")
+        kwargs[key] = Matrix(ws.field, d[key])
+    return tuple(d[key] for key in ref_keys), kwargs
+
+
 def deserialize(text: str) -> Workspace:
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise EntwineError("workspace document must be a JSON object")
-    field = field_from_json(doc.get("field"))
-    ws = Workspace(field)
-    for name, d in sorted(doc.get("algebras", {}).items()):
-        n = d["dim"]
-        ws.add_algebra(name, Algebra(
-            n, _mat_from_json(field, d["mult"], n, n * n),
-            _mat_from_json(field, d["unit"], n, 1)))
-    for name, d in sorted(doc.get("coalgebras", {}).items()):
-        n = d["dim"]
-        ws.add_coalgebra(name, Coalgebra(
-            n, _mat_from_json(field, d["comult"], n * n, n),
-            _mat_from_json(field, d["counit"], 1, n)))
-    for name, d in sorted(doc.get("entwinings", {}).items()):
-        a = ws.algebras[d["algebra"]]
-        c = ws.coalgebras[d["coalgebra"]]
-        psi = _mat_from_json(field, d["psi"], a.dim * c.dim, c.dim * a.dim)
-        ws.add_entwining(name, d["algebra"], d["coalgebra"],
-                         EntwObj(a, c, psi))
-    for name, d in sorted(doc.get("one_cells", {}).items()):
-        dom = ws.entwinings[d["dom"]]
-        cod = ws.entwinings[d["cod"]]
-        m = d["dimM"]
-        a, c = dom.algebra.dim, dom.coalgebra.dim
-        b, dd = cod.algebra.dim, cod.coalgebra.dim
-        ws.add_one_cell(name, d["dom"], d["cod"], EntwOneCell(
-            dom, cod, m,
-            _mat_from_json(field, d["alpha"], m * a, b * m),
-            _mat_from_json(field, d["gamma"], m * c, dd * m)))
-    for name, d in sorted(doc.get("two_cells", {}).items()):
-        dom = ws.one_cells[d["dom"]]
-        cod = ws.one_cells[d["cod"]]
-        ws.add_two_cell(name, d["dom"], d["cod"], EntwTwoCell(
-            dom, cod,
-            _mat_from_json(field, d["theta"], cod.dimM, dom.dimM)))
-    for name, d in sorted(doc.get("corings", {}).items()):
-        base = ws.algebras[d["base"]]
-        n = d["dim"]
-        carrier = Bimodule(
-            base, base, n,
-            _mat_from_json(field, d["lact"], n, base.dim * n),
-            _mat_from_json(field, d["ract"], n, n * base.dim))
-        w2 = tensor_over(carrier.ract, carrier.lact, n, base.dim, n)
-        comult = _mat_from_json(field, d["comult"], w2.quotient_dim, n)
-        counit = _mat_from_json(field, d["counit"], base.dim, n)
-        ws.add_coring(name, d["base"], Coring(base, carrier, comult, counit))
-    for name, d in sorted(doc.get("cor_one_cells", {}).items()):
-        dom = ws.corings[d["dom"]]
-        cod = ws.corings[d["cod"]]
-        n = d["dim"]
-        carrier = Bimodule(
-            cod.base, dom.base, n,
-            _mat_from_json(field, d["lact"], n, cod.base.dim * n),
-            _mat_from_json(field, d["ract"], n, n * dom.base.dim))
-        src = tensor_over(cod.carrier.ract, carrier.lact,
-                          cod.carrier.dim, cod.base.dim, n)
-        tgt = tensor_over(carrier.ract, dom.carrier.lact,
-                          n, dom.base.dim, dom.carrier.dim)
-        zeta = _mat_from_json(field, d["zeta"],
-                              tgt.quotient_dim, src.quotient_dim)
-        ws.add_cor_one_cell(name, d["dom"], d["cod"],
-                            CorOneCell(dom, cod, carrier, zeta))
-    for name, d in sorted(doc.get("cor_two_cells", {}).items()):
-        dom = ws.cor_one_cells[d["dom"]]
-        cod = ws.cor_one_cells[d["cod"]]
-        ws.add_cor_two_cell(name, d["dom"], d["cod"], CorTwoCell(
-            dom, cod, _mat_from_json(field, d["map"],
-                                     cod.carrier.dim, dom.carrier.dim)))
-    ws.provenance = dict(doc.get("provenance", {}))
+    """Parse a workspace: JSON types are checked here, shapes by the cells."""
+    doc = _object(json.loads(text), "workspace document")
+    ws = Workspace(field_from_json(doc.get("field")))
+    for row in _CHECKERS:
+        section, build = row[0], row[-1]
+        for name, d in sorted(_object(doc.get(section, {}), section).items()):
+            try:
+                refs, kwargs = _parse_entry(ws, row, _object(d, "entry"))
+                ws.add(section, name, *refs, build(**kwargs))
+            except (EntwineError, ValueError) as exc:
+                raise EntwineError(f"{section} {name}: {exc}") from None
+    ws.provenance = dict(_object(doc.get("provenance", {}), "provenance"))
     return ws
 
 
@@ -358,7 +299,7 @@ class Report:
         self.ok = True
 
     def add(self, kind: str, name: str, rep: CheckReport):
-        failed = {str(f).split(" at ")[0]: f for f in rep.failures}
+        failed = {f.axiom: f for f in rep.failures}
         axioms = rep.axioms or tuple(failed)
         for axiom in axioms:
             if axiom in failed:
@@ -404,22 +345,10 @@ def _selected(entries: dict, selector: str, kind: str, matched=None):
     return [(name, entries[name]) for name in wanted]
 
 
-_CHECKERS = [
-    ("algebras", "ALGEBRA", check_algebra),
-    ("coalgebras", "COALGEBRA", check_coalgebra),
-    ("entwinings", "ENTWINING", check_obj),
-    ("one_cells", "ONECELL", check_one_cell),
-    ("two_cells", "TWOCELL", check_two_cell),
-    ("corings", "CORING", check_coring),
-    ("cor_one_cells", "CORONECELL", check_cor_one_cell),
-    ("cor_two_cells", "CORTWOCELL", check_cor_two_cell),
-]
-
-
 def run_checks(ws: Workspace, selector: str, report: Report):
     matched = set()
-    for attr, kind, checker in _CHECKERS:
-        for name, obj in _selected(getattr(ws, attr), selector, kind,
+    for section, kind, checker, *_ in _CHECKERS:
+        for name, obj in _selected(getattr(ws, section), selector, kind,
                                    matched):
             report.add(kind, name, checker(obj))
     if selector != "all":
@@ -509,16 +438,14 @@ def laws_pseudofunctor(ws: Workspace, report: Report):
         report.add("CORTWOCELL", f"unitor({name})", check_cor_two_cell(u))
     for name, f in ws.one_cells.items():
         cf = images[name]
-        dom_name = ws.one_refs[name][0]
-        cod_name = ws.one_refs[name][1]
         right = vcomp_cor(
             cor_right_unitor(cf),
             vcomp_cor(hcomp_cor(identity_cor_two_cell(cf),
-                                unitor_comparison(ws.entwinings[dom_name])),
+                                unitor_comparison(f.dom)),
                       compositor(f, identity_one_cell(f.dom))))
         left = vcomp_cor(
             cor_left_unitor(cf),
-            vcomp_cor(hcomp_cor(unitor_comparison(ws.entwinings[cod_name]),
+            vcomp_cor(hcomp_cor(unitor_comparison(f.cod),
                                 identity_cor_two_cell(cf)),
                       compositor(identity_one_cell(f.cod), f)))
         ident = Matrix.identity(ws.field, cf.carrier.dim)
@@ -559,11 +486,14 @@ _LEVELS = {"cells": (laws_cells,),
 
 # -- commands --------------------------------------------------------------
 
+# unreadable, undecodable, too deeply nested or malformed input
+_INPUT_ERRORS = (OSError, ValueError, RecursionError, KeyError, EntwineError)
+
 
 def cmd_check(path: str, selector: str = "all", out=None) -> int:
     try:
         ws = load_workspace(path)
-    except (OSError, ValueError, KeyError, EntwineError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=out or sys.stderr)
         return 2
     report = Report(out)
@@ -583,7 +513,7 @@ def cmd_compose(path: str, selector: str, out_path: str, out=None) -> int:
             raise EntwineError("compose needs --selector outer,inner")
         pn, mn = names
         p, m = ws.one_cells[pn], ws.one_cells[mn]
-    except (OSError, ValueError, KeyError, EntwineError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=out or sys.stderr)
         return 2
     report = Report(out)
@@ -596,14 +526,12 @@ def cmd_compose(path: str, selector: str, out_path: str, out=None) -> int:
     if not report.ok:
         return 1
     sub = Workspace(ws.field)
-    dom_name, cod_name = ws.one_refs[mn][0], ws.one_refs[pn][1]
-    for en in {dom_name, cod_name}:
-        an, cn = ws.entw_refs[en]
-        sub.add_algebra(an, ws.algebras[an])
-        sub.add_coalgebra(cn, ws.coalgebras[cn])
-        sub.add_entwining(en, an, cn, ws.entwinings[en])
-    sub.add_one_cell("composite", dom_name, cod_name, comp)
-    sub.provenance["composite"] = f"compose({pn},{mn})"
+    dom_name = ws.refs["one_cells", mn][0]
+    cod_name = ws.refs["one_cells", pn][1]
+    for en in (dom_name, cod_name):
+        _copy(ws, sub, "entwinings", en)
+    sub.add_one_cell("composite", dom_name, cod_name, comp,
+                     origin=f"compose({pn},{mn})")
     save_workspace(sub, out_path)
     return 0
 
@@ -615,7 +543,7 @@ def cmd_comc(path: str, selector: str, out_path: str, out=None) -> int:
         if name not in (ws.entwinings.keys() | ws.one_cells.keys()
                         | ws.two_cells.keys()):
             raise EntwineError(f"no entwining entry named {name!r}")
-    except (OSError, ValueError, KeyError, EntwineError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=out or sys.stderr)
         return 2
     report = Report(out)
@@ -623,19 +551,19 @@ def cmd_comc(path: str, selector: str, out_path: str, out=None) -> int:
 
     def emit_coring(ename):
         cor = comc_obj(ws.entwinings[ename])
-        base = ws.entw_refs[ename][0]
-        sub.add_algebra(base, ws.algebras[base])
-        sub.add_coring(f"comc_{ename}", base, cor, f"comc({ename})")
+        base = ws.refs["entwinings", ename][0]
+        _copy(ws, sub, "algebras", base)
+        sub.add("corings", f"comc_{ename}", base, cor,
+                origin=f"comc({ename})")
         report.add("CORING", f"comc_{ename}", check_coring(cor))
         return f"comc_{ename}"
 
     def emit_cell(cname):
         f = ws.one_cells[cname]
         cell = comc_one_cell(f)
-        dn = emit_coring(ws.one_refs[cname][0])
-        cn = emit_coring(ws.one_refs[cname][1])
-        sub.add_cor_one_cell(f"comc_{cname}", dn, cn, cell,
-                             f"comc({cname})")
+        dn, cn = map(emit_coring, ws.refs["one_cells", cname])
+        sub.add("cor_one_cells", f"comc_{cname}", dn, cn, cell,
+                origin=f"comc({cname})")
         report.add("CORONECELL", f"comc_{cname}",
                    check_cor_one_cell(cell))
         return f"comc_{cname}"
@@ -648,10 +576,9 @@ def cmd_comc(path: str, selector: str, out_path: str, out=None) -> int:
         else:
             t = ws.two_cells[name]
             ct = comc_two_cell(t)
-            dn = emit_cell(ws.two_refs[name][0])
-            cn = emit_cell(ws.two_refs[name][1])
-            sub.add_cor_two_cell(f"comc_{name}", dn, cn, ct,
-                                 f"comc({name})")
+            dn, cn = map(emit_cell, ws.refs["two_cells", name])
+            sub.add("cor_two_cells", f"comc_{name}", dn, cn, ct,
+                    origin=f"comc({name})")
             report.add("CORTWOCELL", f"comc_{name}",
                        check_cor_two_cell(ct))
     except EntwineError as exc:
@@ -669,7 +596,7 @@ def cmd_laws(path: str, level: str = "pseudofunctor", out=None) -> int:
         return 2
     try:
         ws = load_workspace(path)
-    except (OSError, ValueError, KeyError, EntwineError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=out or sys.stderr)
         return 2
     report = Report(out)

@@ -18,10 +18,10 @@ from .algstruct import (Algebra, Bimodule, CheckReport, Failure, _Checker,
                         regular_bimodule)
 from .errors import (DimensionMismatch, DoesNotFactor, NotComposable,
                      NotInvertible, NotParallel)
-from .exactlin import Matrix, compose, inverse, kron
-from .qtensor import (QuotientPresentation, descend, pres_compose,
-                      pres_kron, tensor_over, trivial_presentation,
-                      unit_coherence)
+from .exactlin import Matrix, compose, expect_shapes, inverse, kron
+from .qtensor import (QuotientPresentation, assoc_coherence, descend,
+                      pres_compose, pres_kron, tensor_over,
+                      trivial_presentation, unit_coherence)
 
 
 # -- tensor words ---------------------------------------------------------
@@ -74,12 +74,11 @@ def word_iso(src: TensorWord, dst: TensorWord) -> Matrix:
     if src.flat_dims != dst.flat_dims:
         raise DimensionMismatch(
             f"flat shapes differ: {src.flat_dims} vs {dst.flat_dims}")
-    iso = descend(Matrix.identity(src.full.projection.field,
-                                  src.full.ambient_dim),
-                  src.full, dst.full)
-    if iso.rows != iso.cols or inverse(iso) is None:
-        raise NotInvertible("bracketings do not present the same module")
-    return iso
+    try:
+        return assoc_coherence(src.full, dst.full)
+    except NotInvertible:
+        raise NotInvertible(
+            "bracketings do not present the same module") from None
 
 
 # -- cells ----------------------------------------------------------------
@@ -102,15 +101,9 @@ class Coring:
     def __post_init__(self):
         if self.carrier.left != self.base or self.carrier.right != self.base:
             raise DimensionMismatch("carrier is not an A-A-bimodule")
-        q2 = self.square_word()
-        if self.comult.shape != (q2.module.dim, self.carrier.dim):
-            raise DimensionMismatch(
-                f"comult {self.comult.shape}, expected "
-                f"{(q2.module.dim, self.carrier.dim)}")
-        if self.counit.shape != (self.base.dim, self.carrier.dim):
-            raise DimensionMismatch(
-                f"counit {self.counit.shape}, expected "
-                f"{(self.base.dim, self.carrier.dim)}")
+        n, q2 = self.carrier.dim, self.square_word().module.dim
+        expect_shapes(self, "coring", comult=(q2, n),
+                      counit=(self.base.dim, n))
 
     @property
     def field(self):
@@ -141,10 +134,8 @@ class CorOneCell:
             raise DimensionMismatch("carrier sides do not match the corings")
         src = wtensor(leaf(self.cod.carrier), leaf(self.carrier))
         tgt = wtensor(leaf(self.carrier), leaf(self.dom.carrier))
-        if self.zeta.shape != (tgt.module.dim, src.module.dim):
-            raise DimensionMismatch(
-                f"zeta {self.zeta.shape}, expected "
-                f"{(tgt.module.dim, src.module.dim)}")
+        expect_shapes(self, "coring 1-cell",
+                      zeta=(tgt.module.dim, src.module.dim))
 
 
 @dataclass(frozen=True)
@@ -158,10 +149,8 @@ class CorTwoCell:
     def __post_init__(self):
         if self.dom.dom != self.cod.dom or self.dom.cod != self.cod.cod:
             raise NotParallel("2-cell endpoints are not parallel")
-        if self.map.shape != (self.cod.carrier.dim, self.dom.carrier.dim):
-            raise DimensionMismatch(
-                f"map {self.map.shape}, expected "
-                f"{(self.cod.carrier.dim, self.dom.carrier.dim)}")
+        expect_shapes(self, "coring 2-cell",
+                      map=(self.cod.carrier.dim, self.dom.carrier.dim))
 
 
 # -- checkers -------------------------------------------------------------

@@ -16,7 +16,8 @@ from .algstruct import (Algebra, Coalgebra, CheckReport, _Checker,
                         check_coalgebra)
 from .errors import (DimensionMismatch, NotABialgebra, NotAMorphism,
                      NotComposable, NotParallel)
-from .exactlin import FieldSpec, Matrix, compose, flip, kron
+from .exactlin import (FieldSpec, Matrix, compose, expect_shapes, flip,
+                       kron)
 
 
 @dataclass(frozen=True)
@@ -29,9 +30,7 @@ class EntwObj:
 
     def __post_init__(self):
         a, c = self.algebra.dim, self.coalgebra.dim
-        if self.psi.shape != (a * c, c * a):
-            raise DimensionMismatch(
-                f"psi {self.psi.shape}, expected {(a * c, c * a)}")
+        expect_shapes(self, "entwining", psi=(a * c, c * a))
         if self.algebra.field != self.coalgebra.field:
             raise DimensionMismatch("algebra and coalgebra fields differ")
 
@@ -58,12 +57,8 @@ class EntwOneCell:
         a, c = self.dom.algebra.dim, self.dom.coalgebra.dim
         b, d = self.cod.algebra.dim, self.cod.coalgebra.dim
         m = self.dimM
-        if self.alpha.shape != (m * a, b * m):
-            raise DimensionMismatch(
-                f"alpha {self.alpha.shape}, expected {(m * a, b * m)}")
-        if self.gamma.shape != (m * c, d * m):
-            raise DimensionMismatch(
-                f"gamma {self.gamma.shape}, expected {(m * c, d * m)}")
+        expect_shapes(self, "1-cell", alpha=(m * a, b * m),
+                      gamma=(m * c, d * m))
 
     @property
     def field(self) -> FieldSpec:
@@ -81,10 +76,7 @@ class EntwTwoCell:
     def __post_init__(self):
         if self.dom.dom != self.cod.dom or self.dom.cod != self.cod.cod:
             raise NotParallel("2-cell endpoints are not parallel")
-        if self.theta.shape != (self.cod.dimM, self.dom.dimM):
-            raise DimensionMismatch(
-                f"theta {self.theta.shape}, expected "
-                f"{(self.cod.dimM, self.dom.dimM)}")
+        expect_shapes(self, "2-cell", theta=(self.cod.dimM, self.dom.dimM))
 
 
 # -- checkers -------------------------------------------------------------

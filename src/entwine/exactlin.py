@@ -18,14 +18,32 @@ from typing import Iterable, Optional, Sequence
 from .errors import DimensionMismatch, InvalidParameter
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson & Webster, Math. Comp. 86 (2017), the value of psi_13).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality for ``n`` below ``_PRIME_BOUND``."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -39,7 +57,11 @@ class FieldSpec:
             if p is not None:
                 raise InvalidParameter("rational field takes no modulus")
         elif kind == "prime":
-            if p is None or not _is_prime(p):
+            if type(p) is int and p >= _PRIME_BOUND:
+                raise InvalidParameter(
+                    f"modulus {p} is past {_PRIME_BOUND}, the bound of "
+                    f"the exact primality test")
+            if type(p) is not int or not _is_prime(p):
                 raise InvalidParameter(f"{p!r} is not a prime")
         else:
             raise InvalidParameter(f"unknown field kind {kind!r}")
@@ -75,28 +97,31 @@ class FieldSpec:
         return Fraction(1) if self.kind == "rational" else 1
 
     def coerce(self, x):
-        """Canonical scalar from an int, Fraction or string."""
+        """Canonical scalar from an int, Fraction or string.
+
+        A zero denominator, or over GF(p) a reduced denominator that p
+        divides, is an ``InvalidParameter``.
+        """
+        if isinstance(x, str):
+            num, slash, den = x.partition("/")
+            try:
+                x = (Fraction(x) if self.kind == "rational"
+                     else Fraction(int(num), int(den)) if slash else int(x))
+            except ZeroDivisionError:
+                raise InvalidParameter(f"zero denominator in {x!r}") from None
         if self.kind == "rational":
             if isinstance(x, Fraction):
                 return x
             if isinstance(x, int):
                 return Fraction(x)
-            if isinstance(x, str):
-                return Fraction(x)
             raise InvalidParameter(f"cannot coerce {x!r} to a rational")
-        if isinstance(x, Fraction):
-            if x.denominator == 1:
-                x = x.numerator
-            else:
-                den = pow(x.denominator % self.p, self.p - 2, self.p)
-                return (x.numerator * den) % self.p
-        if isinstance(x, str):
-            if "/" in x:
-                num, den = x.split("/")
-                return self.coerce(Fraction(int(num), int(den)))
-            x = int(x)
         if isinstance(x, int):
             return x % self.p
+        if isinstance(x, Fraction):
+            if x.denominator % self.p == 0:
+                raise InvalidParameter(f"{x} has no value in GF({self.p})")
+            inv = pow(x.denominator, self.p - 2, self.p)
+            return x.numerator * inv % self.p
         raise InvalidParameter(f"cannot coerce {x!r} to GF({self.p})")
 
     def add(self, a, b):
@@ -259,6 +284,25 @@ class Matrix:
         if self.shape != other.shape or self.field != other.field:
             raise DimensionMismatch(
                 f"shape {self.shape} vs {other.shape}")
+
+
+def expect_shapes(obj, what: str, **shapes):
+    """Check the named matrix attributes of a frozen dataclass.
+
+    A 0 x 0 matrix where a 0-row shape is expected takes that shape: a
+    matrix without rows has no entries, only a width, and a workspace
+    file writes every such matrix as ``[]``.
+    """
+    wrong = []
+    for attr, shape in shapes.items():
+        m = getattr(obj, attr)
+        if m.shape == (0, 0) and shape[0] == 0:
+            m = Matrix.zeros(m.field, *shape)
+            object.__setattr__(obj, attr, m)
+        if m.shape != shape:
+            wrong.append(f"{attr} {m.shape}, expected {shape}")
+    if wrong:
+        raise DimensionMismatch(f"{what}: {', '.join(wrong)}")
 
 
 def hstack(mats: Iterable[Matrix]) -> Matrix:

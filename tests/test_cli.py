@@ -1,13 +1,40 @@
 """Workspace files, report format, verbs and exit codes."""
 
+import io
 import json
 
 import pytest
 
-from entwine.cli import (build_gallery, cmd_check, cmd_comc, cmd_compose,
-                         cmd_gallery, cmd_laws, deserialize, load_workspace,
-                         main, parse_field_flag, save_workspace, serialize)
+from entwine.algstruct import CheckReport, Failure
+from entwine.cli import (Report, build_gallery, cmd_check, cmd_comc,
+                         cmd_compose, cmd_gallery, cmd_laws, deserialize,
+                         load_workspace, main, parse_field_flag,
+                         save_workspace, serialize)
 from entwine.exactlin import FieldSpec, QQ
+
+# malformed workspaces: the gallery with doc[path] = value for each pair,
+# and a fragment of the expected one-line message
+MALFORMED = {
+    "field-kind": ([(["field"], {"kind": "octonion"})], "octonion"),
+    "matrix-int": ([(["algebras", "kC2", "mult"], 5)], "row lists"),
+    "row-int": ([(["algebras", "kC2", "mult", 0], 5)], "row lists"),
+    "zero-denominator": ([(["algebras", "kC2", "mult", 0, 0], "1/0")],
+                         "zero denominator"),
+    "dim-string": ([(["algebras", "kC2", "dim"], "2")], "dim must be"),
+    "p-string": ([(["field"], {"kind": "prime", "p": "5"})], "not a prime"),
+    "p-past-bound": ([(["field"], {"kind": "prime", "p": 10**25 + 13})],
+                     "bound"),
+    "section-list": ([(["algebras"], ["kC2"])], "algebras must be"),
+    "reference-list": ([(["entwinings", "bialg_C2", "algebra"], ["kC2"])],
+                       "names no entry"),
+    "missing-reference": ([(["entwinings", "bialg_C2", "algebra"], "nope")],
+                          "names no entry"),
+    "provenance-list": ([(["provenance"], ["x"])], "provenance must be"),
+    "entry-list": ([(["algebras", "kC2"], [1, 2])], "entry must be"),
+    "no-value-mod-p": ([(["field"], {"kind": "prime", "p": 5}),
+                        (["algebras", "kC2", "mult", 0, 0], "1/5")],
+                       "no value in GF(5)"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +62,15 @@ class TestSerialization:
         text = open(path).read()
         assert serialize(deserialize(text)) == text
         assert json.loads(text)["field"] == {"kind": "prime", "p": 5}
+
+    def test_zero_row_matrices_keep_their_width(self):
+        # a dim-0 algebra: its unit is the 0 x 1 matrix, written as []
+        text = json.dumps({"field": {"kind": "rational"}, "algebras": {
+            "zero": {"dim": 0, "mult": [], "unit": []}}},
+            sort_keys=True, indent=2) + "\n"
+        ws = deserialize(text)
+        assert ws.algebras["zero"].unit.shape == (0, 1)
+        assert serialize(ws) == text
 
     def test_parse_field_flag(self):
         assert parse_field_flag("rational") == QQ
@@ -75,19 +111,44 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "ENTWINING bialg_C2 E3-unit-triangle FAIL" in out
 
-    def test_malformed_field_is_input_error(self, gallery_file, tmp_path,
-                                            capsys):
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_workspace_is_input_error(self, gallery_file,
+                                                tmp_path, case):
+        edits, fragment = MALFORMED[case]
         doc = json.loads(open(gallery_file).read())
-        doc["field"] = {"kind": "octonion"}
-        bad = tmp_path / "badfield.json"
+        for path, value in edits:
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        bad = tmp_path / f"{case}.json"
         bad.write_text(json.dumps(doc))
-        assert cmd_check(str(bad)) == 2
+        out = io.StringIO()
+        assert cmd_check(str(bad), out=out) == 2
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: ")
+        assert fragment in lines[0]
 
     def test_unreadable_file_is_input_error(self, tmp_path):
         assert cmd_check(str(tmp_path / "missing.json")) == 2
         garbled = tmp_path / "garbled.json"
         garbled.write_text("{not json")
         assert cmd_check(str(garbled)) == 2
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        assert cmd_check(str(deep)) == 2
+
+
+class TestReport:
+    def test_axiom_text_is_kept_whole(self):
+        out = io.StringIO()
+        report = Report(out)
+        report.add("CORING", "c", CheckReport(
+            (Failure("left at right", coord=(1, 2)),),
+            ("left at right", "other")))
+        assert out.getvalue().splitlines() == [
+            "CORING c left at right FAIL (1, 2)", "CORING c other PASS"]
+        assert report.exit_code == 1
 
 
 class TestCompose:
@@ -153,6 +214,8 @@ class TestComc:
         assert cmd_comc(gallery_file, "t_two_swap", str(out)) == 0
         capsys.readouterr()
         assert cmd_check(str(out)) == 0
+        text = open(out).read()
+        assert serialize(load_workspace(str(out))) == text
 
     def test_unknown_name_is_input_error(self, gallery_file, tmp_path):
         assert cmd_comc(gallery_file, "nope", str(tmp_path / "x.json")) == 2

@@ -35,6 +35,19 @@ class TestFieldSpec:
         assert GF5.coerce("1/2") == 3  # 2 * 3 = 6 = 1 mod 5
         assert GF5.coerce(Fraction(-1, 3)) == GF5.mul(GF5.neg(1), GF5.inv(3))
 
+    def test_zero_denominator_is_invalid(self):
+        for field in (QQ, GF5):
+            with pytest.raises(InvalidParameter):
+                field.coerce("1/0")
+
+    def test_denominator_divisible_by_p_is_invalid(self):
+        # "1/5" and "3/10" have no value mod 5; "5/10" = 1/2 does
+        for text in ("1/5", "3/10"):
+            with pytest.raises(InvalidParameter):
+                GF5.coerce(text)
+        assert GF5.coerce("5/10") == 3
+        assert isinstance(QQ.coerce("3/10"), Fraction)
+
     def test_prime_inverse(self):
         for a in range(1, 5):
             assert GF5.mul(a, GF5.inv(a)) == 1
@@ -46,6 +59,14 @@ class TestFieldSpec:
             FieldSpec("prime", None)
         with pytest.raises(InvalidParameter):
             FieldSpec("galois")
+
+    def test_primality_is_exact_and_fast(self):
+        # a Mersenne prime near 2**61 is accepted at once, the Carmichael
+        # number 561 is refused, and so is any p past the exact bound
+        assert FieldSpec("prime", 2**61 - 1).p == 2**61 - 1
+        for p in (561, 10**25 + 13, "5", True):
+            with pytest.raises(InvalidParameter):
+                FieldSpec("prime", p)
 
     def test_fmt_round_trip(self):
         x = QQ.coerce("-7/3")
