@@ -133,11 +133,11 @@ def check_algebra(a: Algebra) -> CheckReport:
     chk = _Checker()
     chk.equal(
         "associativity",
-        compose(a.mult, kron(a.mult, ident)),
-        compose(a.mult, kron(ident, a.mult)),
+        compose(a.mult, kron(a.mult, n)),
+        compose(a.mult, kron(n, a.mult)),
     )
-    chk.equal("left unit", compose(a.mult, kron(a.unit, ident)), ident)
-    chk.equal("right unit", compose(a.mult, kron(ident, a.unit)), ident)
+    chk.equal("left unit", compose(a.mult, kron(a.unit, n)), ident)
+    chk.equal("right unit", compose(a.mult, kron(n, a.unit)), ident)
     return chk.report()
 
 
@@ -147,35 +147,34 @@ def check_coalgebra(c: Coalgebra) -> CheckReport:
     chk = _Checker()
     chk.equal(
         "coassociativity",
-        compose(kron(c.comult, ident), c.comult),
-        compose(kron(ident, c.comult), c.comult),
+        compose(kron(c.comult, n), c.comult),
+        compose(kron(n, c.comult), c.comult),
     )
-    chk.equal("left counit", compose(kron(c.counit, ident), c.comult), ident)
-    chk.equal("right counit", compose(kron(ident, c.counit), c.comult), ident)
+    chk.equal("left counit", compose(kron(c.counit, n), c.comult), ident)
+    chk.equal("right counit", compose(kron(n, c.counit), c.comult), ident)
     return chk.report()
 
 
 def check_bimodule(m: Bimodule) -> CheckReport:
-    im = Matrix.identity(m.field, m.dim)
-    ib = Matrix.identity(m.field, m.left.dim)
-    ia = Matrix.identity(m.field, m.right.dim)
+    n, b, a = m.dim, m.left.dim, m.right.dim
+    im = Matrix.identity(m.field, n)
     chk = _Checker()
     chk.equal(
         "left associativity",
-        compose(m.lact, kron(m.left.mult, im)),
-        compose(m.lact, kron(ib, m.lact)),
+        compose(m.lact, kron(m.left.mult, n)),
+        compose(m.lact, kron(b, m.lact)),
     )
-    chk.equal("left unit", compose(m.lact, kron(m.left.unit, im)), im)
+    chk.equal("left unit", compose(m.lact, kron(m.left.unit, n)), im)
     chk.equal(
         "right associativity",
-        compose(m.ract, kron(im, m.right.mult)),
-        compose(m.ract, kron(m.ract, ia)),
+        compose(m.ract, kron(n, m.right.mult)),
+        compose(m.ract, kron(m.ract, a)),
     )
-    chk.equal("right unit", compose(m.ract, kron(im, m.right.unit)), im)
+    chk.equal("right unit", compose(m.ract, kron(n, m.right.unit)), im)
     chk.equal(
         "action compatibility",
-        compose(m.lact, kron(ib, m.ract)),
-        compose(m.ract, kron(m.lact, ia)),
+        compose(m.lact, kron(b, m.ract)),
+        compose(m.ract, kron(m.lact, a)),
     )
     return chk.report()
 
@@ -213,7 +212,6 @@ def bialgebra_compatibility(a: Algebra, c: Coalgebra) -> CheckReport:
         raise DimensionMismatch("bialgebra pair must share one carrier")
     n = a.dim
     field = a.field
-    ident = Matrix.identity(field, n)
     from .exactlin import flip as _flip
 
     tau = _flip(field, n, n)
@@ -222,7 +220,7 @@ def bialgebra_compatibility(a: Algebra, c: Coalgebra) -> CheckReport:
         "comult is an algebra map",
         compose(c.comult, a.mult),
         compose(kron(a.mult, a.mult),
-                compose(kron(ident, kron(tau, ident)),
+                compose(kron(n, kron(tau, n)),
                         kron(c.comult, c.comult))),
     )
     chk.equal("counit is an algebra map",

@@ -12,26 +12,21 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .algstruct import Bimodule, regular_bimodule
+from .algstruct import Bimodule
 from .corcat import (Coring, CorOneCell, CorTwoCell, identity_cor_one_cell,
                      compose_cor_one_cells, leaf, wtensor)
 from .entwcat import (EntwObj, EntwOneCell, EntwTwoCell, check_obj,
-                      check_one_cell, check_two_cell, identity_one_cell)
-from .errors import (InvalidObject, InvalidTwoCell, NotComposable,
-                     NotInvertible, NotParallel)
-from .exactlin import (Matrix, compose, hstack, inverse, kernel_basis,
-                       kron, rank, rref)
-from .qtensor import descend, induced_map
+                      check_two_cell, identity_one_cell)
+from .errors import InvalidObject, InvalidTwoCell, NotComposable, NotParallel
+from .exactlin import Matrix, compose, kernel_basis, kron, rank
+from .qtensor import _iso_or_raise, induced_map
 
 
 def composed_carrier(f: EntwOneCell) -> Bimodule:
     """M (x) A as a B-A-bimodule, B acting through alpha."""
-    field = f.field
     a = f.dom.algebra
-    im = Matrix.identity(field, f.dimM)
-    ia = Matrix.identity(field, a.dim)
-    lact = compose(kron(im, a.mult), kron(f.alpha, ia))
-    ract = kron(im, a.mult)
+    lact = compose(kron(f.dimM, a.mult), kron(f.alpha, a.dim))
+    ract = kron(f.dimM, a.mult)
     return Bimodule(f.cod.algebra, a, f.dimM * a.dim, lact, ract)
 
 
@@ -40,32 +35,23 @@ def comc_obj(e: EntwObj) -> Coring:
     rep = check_obj(e)
     if not rep.passed:
         raise InvalidObject(f"not an entwining: {rep}")
-    field = e.field
     a, c = e.algebra, e.coalgebra
-    ia = Matrix.identity(field, a.dim)
-    ic = Matrix.identity(field, c.dim)
-    iac = Matrix.identity(field, a.dim * c.dim)
-    lact = kron(a.mult, ic)
-    ract = compose(kron(a.mult, ic), kron(ia, e.psi))
+    lact = kron(a.mult, c.dim)
+    ract = compose(kron(a.mult, c.dim), kron(a.dim, e.psi))
     carrier = Bimodule(a, a, a.dim * c.dim, lact, ract)
     w2 = wtensor(leaf(carrier), leaf(carrier))
     # a (x) c (x) c' -> (a (x) c) (x)_A (1 (x) c')
-    insert_unit = kron(iac, kron(a.unit, ic))
+    insert_unit = kron(a.dim * c.dim, kron(a.unit, c.dim))
     comult = compose(w2.outer.projection,
-                     compose(insert_unit, kron(ia, c.comult)))
-    counit = kron(ia, c.counit)
+                     compose(insert_unit, kron(a.dim, c.comult)))
+    counit = kron(a.dim, c.counit)
     return Coring(a, carrier, comult, counit)
 
 
 def zeta_ambient(f: EntwOneCell) -> Matrix:
     """The auxiliary map on B (x) D (x) M (x) A, before any quotient."""
-    field = f.field
-    b = f.cod.algebra.dim
-    a = f.dom.algebra.dim
-    ib = Matrix.identity(field, b)
-    ia = Matrix.identity(field, a)
     return compose(kron(f.alpha, f.dom.psi),
-                   kron(ib, kron(f.gamma, ia)))
+                   kron(f.cod.algebra.dim, kron(f.gamma, f.dom.algebra.dim)))
 
 
 def comc_one_cell(f: EntwOneCell) -> CorOneCell:
@@ -92,9 +78,8 @@ def comc_two_cell(t: EntwTwoCell) -> CorTwoCell:
     rep = check_two_cell(t)
     if not rep.passed:
         raise InvalidTwoCell(str(rep))
-    ia = Matrix.identity(t.theta.field, t.dom.dom.algebra.dim)
     return CorTwoCell(comc_one_cell(t.dom), comc_one_cell(t.cod),
-                      kron(t.theta, ia))
+                      kron(t.theta, t.dom.dom.algebra.dim))
 
 
 def compositor(p: EntwOneCell, m: EntwOneCell) -> CorTwoCell:
@@ -106,19 +91,16 @@ def compositor(p: EntwOneCell, m: EntwOneCell) -> CorTwoCell:
         raise NotComposable("cells do not compose")
     from .entwcat import compose_one_cells
 
-    field = m.field
     lhs = comc_one_cell(compose_one_cells(p, m))
     cp = comc_one_cell(p)
     cm = comc_one_cell(m)
     rhs = compose_cor_one_cells(cp, cm)
-    b = p.dom.algebra
-    ip = Matrix.identity(field, p.dimM)
-    ima = Matrix.identity(field, m.dimM * m.dom.algebra.dim)
     w = wtensor(leaf(cp.carrier), leaf(cm.carrier))
-    fwd = compose(w.outer.projection, kron(kron(ip, b.unit), ima))
-    if inverse(fwd) is None:
-        raise NotInvertible("compositor is not invertible")
-    return CorTwoCell(lhs, rhs, fwd)
+    fwd = compose(w.outer.projection,
+                  kron(kron(p.dimM, p.dom.algebra.unit),
+                       m.dimM * m.dom.algebra.dim))
+    return CorTwoCell(lhs, rhs,
+                      _iso_or_raise(fwd, "compositor is not invertible"))
 
 
 def unitor_comparison(e: EntwObj) -> CorTwoCell:
@@ -142,19 +124,15 @@ def _two_cell_space_entw(src: EntwOneCell, dst: EntwOneCell) -> Matrix:
     c = src.dom.coalgebra.dim
     b = src.cod.algebra.dim
     d = src.cod.coalgebra.dim
-    ia = Matrix.identity(field, a)
-    ic = Matrix.identity(field, c)
-    ib = Matrix.identity(field, b)
-    id_ = Matrix.identity(field, d)
     cols = []
     for u in range(n):
         for v in range(m):
             theta = Matrix.build(field, n, m,
                                  lambda i, j: 1 if (i, j) == (u, v) else 0)
-            e1 = (compose(kron(theta, ia), src.alpha)
-                  - compose(dst.alpha, kron(ib, theta)))
-            e2 = (compose(kron(theta, ic), src.gamma)
-                  - compose(dst.gamma, kron(id_, theta)))
+            e1 = (compose(kron(theta, a), src.alpha)
+                  - compose(dst.alpha, kron(b, theta)))
+            e2 = (compose(kron(theta, c), src.gamma)
+                  - compose(dst.gamma, kron(d, theta)))
             cols.append([x for row in e1.entries for x in row]
                         + [x for row in e2.entries for x in row])
     sys = Matrix(field, tuple(zip(*cols)), cols=n * m, _raw=True)
@@ -171,10 +149,6 @@ def _two_cell_space_cor(src: CorOneCell, dst: CorOneCell) -> Matrix:
     field = src.zeta.field
     n, m = dst.carrier.dim, src.carrier.dim
     cC, cD = src.dom, src.cod
-    ib = Matrix.identity(field, cD.base.dim)
-    ia = Matrix.identity(field, cC.base.dim)
-    ic = Matrix.identity(field, cC.carrier.dim)
-    id_ = Matrix.identity(field, cD.carrier.dim)
     ld, lc = leaf(cD.carrier), leaf(cC.carrier)
     w_dm1 = wtensor(ld, leaf(src.carrier))
     w_dm2 = wtensor(ld, leaf(dst.carrier))
@@ -186,13 +160,13 @@ def _two_cell_space_cor(src: CorOneCell, dst: CorOneCell) -> Matrix:
             y = Matrix.build(field, n, m,
                              lambda i, j: 1 if (i, j) == (u, v) else 0)
             e1 = (compose(y, src.carrier.lact)
-                  - compose(dst.carrier.lact, kron(ib, y)))
+                  - compose(dst.carrier.lact, kron(cD.base.dim, y)))
             e2 = (compose(y, src.carrier.ract)
-                  - compose(dst.carrier.ract, kron(y, ia)))
+                  - compose(dst.carrier.ract, kron(y, cC.base.dim)))
             dy = compose(w_dm2.outer.projection,
-                         compose(kron(id_, y), w_dm1.outer.section))
+                         compose(kron(cD.carrier.dim, y), w_dm1.outer.section))
             yc = compose(w_m2c.outer.projection,
-                         compose(kron(y, ic), w_m1c.outer.section))
+                         compose(kron(y, cC.carrier.dim), w_m1c.outer.section))
             e3 = compose(yc, src.zeta) - compose(dst.zeta, dy)
             cols.append([x for row in e1.entries for x in row]
                         + [x for row in e2.entries for x in row]
@@ -213,7 +187,6 @@ def hom_dimension_report(src: EntwOneCell,
         raise NotParallel("1-cells are not parallel")
     field = src.field
     a = src.dom.algebra.dim
-    ia = Matrix.identity(field, a)
     basis_entw = _two_cell_space_entw(src, dst)
     basis_cor = _two_cell_space_cor(comc_one_cell(src), comc_one_cell(dst))
     dim_entw = basis_entw.cols
@@ -223,7 +196,7 @@ def hom_dimension_report(src: EntwOneCell,
     for j in range(basis_entw.cols):
         theta = Matrix.build(field, n, m,
                              lambda i, k: basis_entw[i * m + k, j])
-        img = kron(theta, ia)
+        img = kron(theta, a)
         image_cols.append([x for row in img.entries for x in row])
     if image_cols:
         image = Matrix(field, tuple(zip(*image_cols)),

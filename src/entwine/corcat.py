@@ -55,15 +55,10 @@ def wtensor(x: TensorWord, y: TensorWord) -> TensorWord:
     xm, ym = x.module, y.module
     if xm.right != ym.left:
         raise NotComposable("middle algebras differ")
-    field = xm.field
     q = tensor_over(xm.ract, ym.lact, xm.dim, xm.right.dim, ym.dim)
     p, s = q.projection, q.section
-    ib = Matrix.identity(field, xm.left.dim)
-    ia = Matrix.identity(field, ym.right.dim)
-    ix = Matrix.identity(field, xm.dim)
-    iy = Matrix.identity(field, ym.dim)
-    lact = compose(p, compose(kron(xm.lact, iy), kron(ib, s)))
-    ract = compose(p, compose(kron(ix, ym.ract), kron(s, ia)))
+    lact = compose(p, compose(kron(xm.lact, ym.dim), kron(xm.left.dim, s)))
+    ract = compose(p, compose(kron(xm.dim, ym.ract), kron(s, ym.right.dim)))
     module = Bimodule(xm.left, ym.right, q.quotient_dim, lact, ract)
     full = pres_compose(pres_kron(x.full, y.full), q)
     return TensorWord(module, x.flat_dims + y.flat_dims, full, q)
@@ -159,24 +154,22 @@ class CorTwoCell:
 def check_coring(c: Coring) -> CheckReport:
     car = c.carrier
     base = c.base
-    field = c.field
-    n = car.dim
-    ia = Matrix.identity(field, base.dim)
-    in_ = Matrix.identity(field, n)
+    n, a = car.dim, base.dim
+    in_ = Matrix.identity(c.field, n)
     chk = _Checker()
 
     chk.equal("comult left module map",
               compose(c.comult, car.lact),
-              compose(c.square_word().module.lact, kron(ia, c.comult)))
+              compose(c.square_word().module.lact, kron(a, c.comult)))
     chk.equal("comult right module map",
               compose(c.comult, car.ract),
-              compose(c.square_word().module.ract, kron(c.comult, ia)))
+              compose(c.square_word().module.ract, kron(c.comult, a)))
     chk.equal("counit left module map",
               compose(c.counit, car.lact),
-              compose(base.mult, kron(ia, c.counit)))
+              compose(base.mult, kron(a, c.counit)))
     chk.equal("counit right module map",
               compose(c.counit, car.ract),
-              compose(base.mult, kron(c.counit, ia)))
+              compose(base.mult, kron(c.counit, a)))
 
     w2 = c.square_word()
     lc = leaf(car)
@@ -184,9 +177,9 @@ def check_coring(c: Coring) -> CheckReport:
         w3_left = wtensor(w2, lc)
         w3_right = wtensor(lc, w2)
         route_left = compose(
-            descend(kron(c.comult, in_), w2.outer, w3_left.outer), c.comult)
+            descend(kron(c.comult, n), w2.outer, w3_left.outer), c.comult)
         route_right = compose(
-            descend(kron(in_, c.comult), w2.outer, w3_right.outer), c.comult)
+            descend(kron(n, c.comult), w2.outer, w3_right.outer), c.comult)
         iso = word_iso(w3_left, w3_right)
         chk.equal("coassociativity", compose(iso, route_left), route_right)
     except (DoesNotFactor, NotInvertible) as exc:
@@ -199,7 +192,7 @@ def check_coring(c: Coring) -> CheckReport:
         chk.equal(
             "left counit law",
             compose(u_left,
-                    compose(descend(kron(c.counit, in_), w2.outer,
+                    compose(descend(kron(c.counit, n), w2.outer,
                                     w_ac.outer), c.comult)),
             in_)
     except (DoesNotFactor, NotInvertible) as exc:
@@ -210,7 +203,7 @@ def check_coring(c: Coring) -> CheckReport:
         chk.equal(
             "right counit law",
             compose(u_right,
-                    compose(descend(kron(in_, c.counit), w2.outer,
+                    compose(descend(kron(n, c.counit), w2.outer,
                                     w_ca.outer), c.comult)),
             in_)
     except (DoesNotFactor, NotInvertible) as exc:
@@ -220,46 +213,40 @@ def check_coring(c: Coring) -> CheckReport:
 
 def check_cor_one_cell(f: CorOneCell) -> CheckReport:
     """Bimodule property of zeta, the Street pentagon, counit compatibility."""
-    field = f.zeta.field
     cC, cD = f.dom, f.cod
     M = f.carrier
     Cc, Dc = cC.carrier, cD.carrier
-    b, a = cD.base.dim, cC.base.dim
+    m = M.dim
     lM, lC, lD = leaf(M), leaf(Cc), leaf(Dc)
     w_dm = wtensor(lD, lM)
     w_mc = wtensor(lM, lC)
-    ib = Matrix.identity(field, b)
-    ia = Matrix.identity(field, a)
-    im = Matrix.identity(field, M.dim)
-    ic = Matrix.identity(field, Cc.dim)
-    id_ = Matrix.identity(field, Dc.dim)
     chk = _Checker()
 
     chk.equal("zeta left module map",
               compose(f.zeta, w_dm.module.lact),
-              compose(w_mc.module.lact, kron(ib, f.zeta)))
+              compose(w_mc.module.lact, kron(cD.base.dim, f.zeta)))
     chk.equal("zeta right module map",
               compose(f.zeta, w_dm.module.ract),
-              compose(w_mc.module.ract, kron(f.zeta, ia)))
+              compose(w_mc.module.ract, kron(f.zeta, cC.base.dim)))
 
     # pentagon: (M (x) Delta_C) . zeta = (zeta (x) C).(D (x) zeta).(Delta_D (x) M)
     try:
         w2c = cC.square_word()
         w2d = cD.square_word()
         w_m_cc = wtensor(lM, w2c)
-        lhs = compose(descend(kron(im, cC.comult), w_mc.outer, w_m_cc.outer),
+        lhs = compose(descend(kron(m, cC.comult), w_mc.outer, w_m_cc.outer),
                       f.zeta)
 
         w_dd_m = wtensor(w2d, lM)
-        step1 = descend(kron(cD.comult, im), w_dm.outer, w_dd_m.outer)
+        step1 = descend(kron(cD.comult, m), w_dm.outer, w_dd_m.outer)
         w_d_dm = wtensor(lD, w_dm)
         step2 = word_iso(w_dd_m, w_d_dm)
         w_d_mc = wtensor(lD, w_mc)
-        step3 = descend(kron(id_, f.zeta), w_d_dm.outer, w_d_mc.outer)
+        step3 = descend(kron(Dc.dim, f.zeta), w_d_dm.outer, w_d_mc.outer)
         w_dm_c = wtensor(w_dm, lC)
         step4 = word_iso(w_d_mc, w_dm_c)
         w_mc_c = wtensor(w_mc, lC)
-        step5 = descend(kron(f.zeta, ic), w_dm_c.outer, w_mc_c.outer)
+        step5 = descend(kron(f.zeta, Cc.dim), w_dm_c.outer, w_mc_c.outer)
         step6 = word_iso(w_mc_c, w_m_cc)
         rhs = compose(step6, compose(step5, compose(
             step4, compose(step3, compose(step2, step1)))))
@@ -272,13 +259,13 @@ def check_cor_one_cell(f: CorOneCell) -> CheckReport:
         reg_b = leaf(regular_bimodule(cD.base))
         w_bm = wtensor(reg_b, lM)
         u_bm = unit_coherence(w_bm.outer, M.lact)
-        lhs = compose(u_bm, descend(kron(cD.counit, im), w_dm.outer,
+        lhs = compose(u_bm, descend(kron(cD.counit, m), w_dm.outer,
                                     w_bm.outer))
         reg_a = leaf(regular_bimodule(cC.base))
         w_ma = wtensor(lM, reg_a)
         u_ma = unit_coherence(w_ma.outer, M.ract)
         rhs = compose(u_ma,
-                      compose(descend(kron(im, cC.counit), w_mc.outer,
+                      compose(descend(kron(m, cC.counit), w_mc.outer,
                                       w_ma.outer), f.zeta))
         chk.equal("counit compatibility", lhs, rhs)
     except (DoesNotFactor, NotInvertible) as exc:
@@ -287,28 +274,23 @@ def check_cor_one_cell(f: CorOneCell) -> CheckReport:
 
 
 def check_cor_two_cell(t: CorTwoCell) -> CheckReport:
-    field = t.map.field
     m1, m2 = t.dom.carrier, t.cod.carrier
     cC, cD = t.dom.dom, t.dom.cod
-    ib = Matrix.identity(field, cD.base.dim)
-    ia = Matrix.identity(field, cC.base.dim)
-    ic = Matrix.identity(field, cC.carrier.dim)
-    id_ = Matrix.identity(field, cD.carrier.dim)
     chk = _Checker()
     chk.equal("left module map",
               compose(t.map, m1.lact),
-              compose(m2.lact, kron(ib, t.map)))
+              compose(m2.lact, kron(cD.base.dim, t.map)))
     chk.equal("right module map",
               compose(t.map, m1.ract),
-              compose(m2.ract, kron(t.map, ia)))
+              compose(m2.ract, kron(t.map, cC.base.dim)))
     try:
         ld, lc = leaf(cD.carrier), leaf(cC.carrier)
         w_dm1 = wtensor(ld, leaf(m1))
         w_dm2 = wtensor(ld, leaf(m2))
-        dy = descend(kron(id_, t.map), w_dm1.outer, w_dm2.outer)
+        dy = descend(kron(cD.carrier.dim, t.map), w_dm1.outer, w_dm2.outer)
         w_m1c = wtensor(leaf(m1), lc)
         w_m2c = wtensor(leaf(m2), lc)
-        yc = descend(kron(t.map, ic), w_m1c.outer, w_m2c.outer)
+        yc = descend(kron(t.map, cC.carrier.dim), w_m1c.outer, w_m2c.outer)
         chk.equal("zeta square",
                   compose(yc, t.dom.zeta), compose(t.cod.zeta, dy))
     except DoesNotFactor as exc:
@@ -350,25 +332,22 @@ def compose_cor_one_cells(p: CorOneCell, m: CorOneCell) -> CorOneCell:
     """Carrier P (x)_B M; zeta chases through both zetas and coherences."""
     if m.cod != p.dom:
         raise NotComposable("cod of inner cell differs from dom of outer")
-    field = m.zeta.field
     lE = leaf(p.cod.carrier)
     lP = leaf(p.carrier)
     lD = leaf(p.dom.carrier)
     lM = leaf(m.carrier)
     lC = leaf(m.dom.carrier)
-    im = Matrix.identity(field, m.carrier.dim)
-    ip = Matrix.identity(field, p.carrier.dim)
 
     w_pm = wtensor(lP, lM)
     w_e_pm = wtensor(lE, w_pm)
     w_ep_m = wtensor(wtensor(lE, lP), lM)
     step1 = word_iso(w_e_pm, w_ep_m)
     w_pd_m = wtensor(wtensor(lP, lD), lM)
-    step2 = descend(kron(p.zeta, im), w_ep_m.outer, w_pd_m.outer)
+    step2 = descend(kron(p.zeta, m.carrier.dim), w_ep_m.outer, w_pd_m.outer)
     w_p_dm = wtensor(lP, wtensor(lD, lM))
     step3 = word_iso(w_pd_m, w_p_dm)
     w_p_mc = wtensor(lP, wtensor(lM, lC))
-    step4 = descend(kron(ip, m.zeta), w_p_dm.outer, w_p_mc.outer)
+    step4 = descend(kron(p.carrier.dim, m.zeta), w_p_dm.outer, w_p_mc.outer)
     w_pm_c = wtensor(w_pm, lC)
     step5 = word_iso(w_p_mc, w_pm_c)
     zeta = compose(step5, compose(step4, compose(

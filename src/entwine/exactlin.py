@@ -100,7 +100,8 @@ class FieldSpec:
         """Canonical scalar from an int, Fraction or string.
 
         A zero denominator, or over GF(p) a reduced denominator that p
-        divides, is an ``InvalidParameter``.
+        divides, is an ``InvalidParameter``, and so is a bool: JSON's
+        ``true`` is not a scalar.
         """
         if isinstance(x, str):
             num, slash, den = x.partition("/")
@@ -112,10 +113,10 @@ class FieldSpec:
         if self.kind == "rational":
             if isinstance(x, Fraction):
                 return x
-            if isinstance(x, int):
+            if type(x) is int:
                 return Fraction(x)
             raise InvalidParameter(f"cannot coerce {x!r} to a rational")
-        if isinstance(x, int):
+        if type(x) is int:
             return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
@@ -259,8 +260,8 @@ class Matrix:
                                         for row in self.entries), _raw=True)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, tuple(zip(*self.entries)) if self.rows
-                      else (), _raw=True)
+        ent = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return Matrix(self.field, ent, cols=self.rows, _raw=True)
 
     def is_zero(self) -> bool:
         return all(not x for row in self.entries for x in row)
@@ -343,8 +344,28 @@ def compose(f: Matrix, g: Matrix) -> Matrix:
                   _raw=True)
 
 
-def kron(f: Matrix, g: Matrix) -> Matrix:
-    """Kronecker product under the row-major index convention."""
+def kron(f, g) -> Matrix:
+    """Kronecker product under the row-major index convention.
+
+    Either factor may be an int n, standing for the n x n identity: the
+    whisker is then built by placing the other factor's rows, with no
+    scalar multiplication.
+    """
+    if isinstance(f, int):
+        n, cg, zero = f, g.cols, g.field.zero
+        pad = (zero,) * (n * cg)
+        return Matrix(g.field, tuple(
+            pad[:i * cg] + tuple(grow) + pad[(i + 1) * cg:]
+            for i in range(n) for grow in g.entries), cols=n * cg, _raw=True)
+    if isinstance(g, int):
+        n, zero = g, f.field.zero
+        out = []
+        for frow in f.entries:
+            for j in range(n):
+                orow = [zero] * (f.cols * n)
+                orow[j::n] = frow
+                out.append(tuple(orow))
+        return Matrix(f.field, tuple(out), cols=f.cols * n, _raw=True)
     if f.field != g.field:
         raise DimensionMismatch("fields differ")
     field = f.field
@@ -419,22 +440,29 @@ def rank(m: Matrix) -> int:
     return rref(m)[2]
 
 
-def kernel_basis(m: Matrix) -> Matrix:
-    """Columns form a basis of the right kernel of m."""
-    red, pivots, rk = rref(m)
-    field = m.field
-    free = [c for c in range(m.cols) if c not in set(pivots)]
-    zero, one = field.zero, field.one
-    neg = field.neg
-    cols = []
+def _null_rows(m: Matrix) -> tuple[Matrix, list]:
+    """The free-column basis of the right kernel of m, as rows.
+
+    Returns the rows and the free columns: row j is 1 at ``free[j]``, 0
+    at the other free columns, and minus the rref entries at the pivots.
+    """
+    red, pivots, _ = rref(m)
+    pivset = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivset]
+    zero, one, neg = m.field.zero, m.field.one, m.field.neg
+    rows = []
     for fc in free:
         v = [zero] * m.cols
         v[fc] = one
         for i, pc in enumerate(pivots):
             v[pc] = neg(red.entries[i][fc])
-        cols.append(v)
-    ent = tuple(tuple(col[i] for col in cols) for i in range(m.cols))
-    return Matrix(field, ent, cols=len(cols), _raw=True)
+        rows.append(tuple(v))
+    return Matrix(m.field, tuple(rows), cols=m.cols, _raw=True), free
+
+
+def kernel_basis(m: Matrix) -> Matrix:
+    """Columns form a basis of the right kernel of m."""
+    return _null_rows(m)[0].transpose()
 
 
 def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:

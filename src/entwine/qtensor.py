@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DimensionMismatch, DoesNotFactor, NotInvertible
-from .exactlin import Matrix, compose, inverse, kron, rref
+from .exactlin import Matrix, _null_rows, compose, kron, rank
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class QuotientPresentation:
         return self.projection.rows
 
 
-@lru_cache(maxsize=None)
 def presentation_from_relations(relations: Matrix) -> QuotientPresentation:
     """Quotient of k^d by the column span of ``relations`` (d x r).
 
@@ -47,25 +46,14 @@ def presentation_from_relations(relations: Matrix) -> QuotientPresentation:
     a coset is the one whose rref-pivot coordinates vanish, which makes
     both matrices canonical.
     """
-    d = relations.rows
-    field = relations.field
-    red, pivots, rank_ = rref(relations.transpose())
-    pivset = set(pivots)
-    free = [c for c in range(d) if c not in pivset]
-    q = len(free)
-    zero, one = field.zero, field.one
-    neg = field.neg
-    proj = [[zero] * d for _ in range(q)]
-    sect = [[zero] * q for _ in range(d)]
+    proj, free = _null_rows(relations.transpose())
+    zero, one = relations.field.zero, relations.field.one
+    pad = (zero,) * len(free)
+    sect = [pad] * relations.rows
     for j, fc in enumerate(free):
-        proj[j][fc] = one
-        sect[fc][j] = one
-        for i, pc in enumerate(pivots):
-            proj[j][pc] = neg(red.entries[i][fc])
+        sect[fc] = pad[:j] + (one,) + pad[j + 1:]
     return QuotientPresentation(
-        Matrix(field, tuple(tuple(r) for r in proj), cols=d, _raw=True),
-        Matrix(field, tuple(tuple(r) for r in sect), cols=q, _raw=True),
-    )
+        proj, Matrix(relations.field, tuple(sect), cols=len(free), _raw=True))
 
 
 def trivial_presentation(field, dim: int) -> QuotientPresentation:
@@ -81,10 +69,7 @@ def tensor_over(ract_m: Matrix, lact_n: Matrix, dim_m: int, dim_a: int,
         raise DimensionMismatch(f"right action shape {ract_m.shape}")
     if lact_n.shape != (dim_n, dim_a * dim_n):
         raise DimensionMismatch(f"left action shape {lact_n.shape}")
-    field = ract_m.field
-    im = Matrix.identity(field, dim_m)
-    in_ = Matrix.identity(field, dim_n)
-    relations = kron(ract_m, in_) - kron(im, lact_n)
+    relations = kron(ract_m, dim_n) - kron(dim_m, lact_n)
     return presentation_from_relations(relations)
 
 
@@ -107,6 +92,13 @@ def descend(f: Matrix, src: QuotientPresentation,
     return induced_map(compose(tgt.projection, f), src)
 
 
+def _iso_or_raise(u: Matrix, message: str) -> Matrix:
+    """u itself if it is square of full rank, else NotInvertible(message)."""
+    if u.rows != u.cols or rank(u) != u.rows:
+        raise NotInvertible(message)
+    return u
+
+
 def unit_coherence(q: QuotientPresentation, collapse: Matrix) -> Matrix:
     """Iso from the quotient induced by a collapsing action map.
 
@@ -115,10 +107,7 @@ def unit_coherence(q: QuotientPresentation, collapse: Matrix) -> Matrix:
     induced map is not an isomorphism (malformed module data).
     """
     u = induced_map(collapse, q)
-    if u.rows != u.cols or inverse(u) is None:
-        raise NotInvertible(
-            f"unit coherence {u.shape} is not invertible")
-    return u
+    return _iso_or_raise(u, f"unit coherence {u.shape} is not invertible")
 
 
 def assoc_coherence(q_left: QuotientPresentation,
@@ -132,10 +121,8 @@ def assoc_coherence(q_left: QuotientPresentation,
         raise DimensionMismatch(
             f"ambients differ: {q_left.ambient_dim} vs "
             f"{q_right.ambient_dim}")
-    iso = induced_map(q_right.projection, q_left)
-    if iso.rows != iso.cols or inverse(iso) is None:
-        raise NotInvertible("presentations do not present the same quotient")
-    return iso
+    return _iso_or_raise(induced_map(q_right.projection, q_left),
+                         "presentations do not present the same quotient")
 
 
 def pres_kron(q1: QuotientPresentation,

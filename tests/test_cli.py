@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 
 import pytest
 
@@ -34,6 +35,9 @@ MALFORMED = {
     "no-value-mod-p": ([(["field"], {"kind": "prime", "p": 5}),
                         (["algebras", "kC2", "mult", 0, 0], "1/5")],
                        "no value in GF(5)"),
+    "bool-scalar": ([(["algebras", "kC1", "mult"], [[True]]),
+                     (["algebras", "kC1", "unit"], [[True]])],
+                    "cannot coerce True"),
 }
 
 
@@ -234,6 +238,18 @@ class TestLaws:
 
     def test_unknown_level(self, gallery_file):
         assert cmd_laws(gallery_file, "monoidal") == 2
+
+    def test_gf5_gallery_report_is_the_recorded_one(self, tmp_path):
+        # the benchmark's recorded report, read only: any change in a
+        # kernel, a presentation or a checker must leave it byte for byte
+        recorded = os.path.join(os.path.dirname(__file__), os.pardir,
+                                "perfbench", "expected", "gallery-gf5.txt")
+        path = str(tmp_path / "g5.json")
+        save_workspace(build_gallery(FieldSpec("prime", 5)), path)
+        out = io.StringIO()
+        assert cmd_laws(path, "pseudofunctor", out) == 0
+        with open(recorded, encoding="utf-8") as fh:
+            assert out.getvalue() == fh.read()
 
 
 class TestMain:

@@ -21,7 +21,15 @@ def matrices(rows, cols, field=QQ):
     return st.lists(
         st.lists(scalars(), min_size=cols, max_size=cols),
         min_size=rows, max_size=rows,
-    ).map(lambda e: Matrix(field, e))
+    ).map(lambda e: Matrix(field, e, cols=cols))
+
+
+@st.composite
+def whiskers(draw):
+    """(field, f, n): f of 0..3 rows and columns over Q or GF(5), n 0..3."""
+    field = draw(st.sampled_from([QQ, GF5]))
+    rows, cols, n = (draw(st.integers(0, 3)) for _ in range(3))
+    return field, draw(matrices(rows, cols, field)), n
 
 
 class TestFieldSpec:
@@ -68,6 +76,12 @@ class TestFieldSpec:
             with pytest.raises(InvalidParameter):
                 FieldSpec("prime", p)
 
+    def test_bool_is_not_a_scalar(self):
+        for field in (QQ, GF5):
+            with pytest.raises(InvalidParameter):
+                field.coerce(True)
+            assert field.coerce(1) == field.one
+
     def test_fmt_round_trip(self):
         x = QQ.coerce("-7/3")
         assert QQ.coerce(QQ.fmt(x)) == x
@@ -88,6 +102,8 @@ class TestMatrixBasics:
         assert z.shape == (3, 0)
         zz = compose(Matrix.zeros(QQ, 2, 3), Matrix.zeros(QQ, 3, 0))
         assert zz.shape == (2, 0)
+        assert Matrix.zeros(QQ, 0, 3).transpose().shape == (3, 0)
+        assert Matrix.zeros(QQ, 3, 0).transpose().shape == (0, 3)
 
     def test_immutable_and_hashable(self):
         m = Matrix(QQ, [[1]])
@@ -146,6 +162,14 @@ class TestKronConvention:
     def test_flip_involutive(self):
         assert compose(flip(QQ, 2, 3), flip(QQ, 3, 2)) == \
             Matrix.identity(QQ, 6)
+
+    @given(whiskers())
+    @settings(max_examples=80, deadline=None)
+    def test_int_factor_is_the_identity(self, case):
+        field, f, n = case
+        ident = Matrix.identity(field, n)
+        assert kron(n, f) == kron(ident, f)
+        assert kron(f, n) == kron(f, ident)
 
 
 class TestComposition:
