@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import DimensionMismatch, InvalidParameter
-from .exactlin import FieldSpec, Matrix, compose, expect_shapes, kron
+from .exactlin import FieldSpec, Matrix, compose, expect_shapes, flip, kron
 
 
 @dataclass(frozen=True)
@@ -186,11 +186,10 @@ def group_algebra(field: FieldSpec, n: int) -> Algebra:
     """k[C_n] with basis g^0..g^(n-1), multiplication by index addition."""
     if n < 1:
         raise InvalidParameter("group_algebra needs n >= 1")
-    one = field.one
     mult = Matrix.build(
         field, n, n * n,
-        lambda k_, ij: one if (ij // n + ij % n) % n == k_ else 0)
-    unit = Matrix.build(field, n, 1, lambda i, _: one if i == 0 else 0)
+        lambda k_, ij: 1 if (ij // n + ij % n) % n == k_ else 0)
+    unit = Matrix.build(field, n, 1, lambda i, _: 1 if i == 0 else 0)
     return Algebra(n, mult, unit)
 
 
@@ -198,11 +197,9 @@ def grouplike_coalgebra(field: FieldSpec, n: int) -> Coalgebra:
     """All basis vectors grouplike: delta(e_i) = e_i (x) e_i, eps = 1."""
     if n < 1:
         raise InvalidParameter("grouplike_coalgebra needs n >= 1")
-    one = field.one
-    comult = Matrix.build(
-        field, n * n, n,
-        lambda r, i: one if r == i * n + i else 0)
-    counit = Matrix.build(field, 1, n, lambda _, __: one)
+    comult = Matrix.build(field, n * n, n,
+                          lambda r, i: 1 if r == i * n + i else 0)
+    counit = Matrix.build(field, 1, n, lambda _, __: 1)
     return Coalgebra(n, comult, counit)
 
 
@@ -212,9 +209,7 @@ def bialgebra_compatibility(a: Algebra, c: Coalgebra) -> CheckReport:
         raise DimensionMismatch("bialgebra pair must share one carrier")
     n = a.dim
     field = a.field
-    from .exactlin import flip as _flip
-
-    tau = _flip(field, n, n)
+    tau = flip(field, n, n)
     chk = _Checker()
     chk.equal(
         "comult is an algebra map",
@@ -246,17 +241,14 @@ def matrix_algebra(field: FieldSpec, n: int) -> Algebra:
     if n < 1:
         raise InvalidParameter("matrix_algebra needs n >= 1")
     d = n * n
-    one = field.one
-    zero = field.zero
-    ent = [[zero] * (d * d) for _ in range(d)]
+    ent = [[0] * (d * d) for _ in range(d)]
     for i in range(n):
         for j in range(n):
             for l in range(n):
                 # e_ij . e_jl = e_il
-                ent[i * n + l][(i * n + j) * d + (j * n + l)] = one
+                ent[i * n + l][(i * n + j) * d + (j * n + l)] = 1
     mult = Matrix(field, ent)
-    unit = Matrix.build(field, d, 1,
-                        lambda r, _: one if r % n == r // n else 0)
+    unit = Matrix.build(field, d, 1, lambda r, _: 1 if r % n == r // n else 0)
     return Algebra(d, mult, unit)
 
 
@@ -265,16 +257,14 @@ def matrix_coalgebra(field: FieldSpec, n: int) -> Coalgebra:
     if n < 1:
         raise InvalidParameter("matrix_coalgebra needs n >= 1")
     d = n * n
-    one = field.one
-    zero = field.zero
-    ent = [[zero] * d for _ in range(d * d)]
+    ent = [[0] * d for _ in range(d * d)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                ent[(i * n + k) * d + (k * n + j)][i * n + j] = one
+                ent[(i * n + k) * d + (k * n + j)][i * n + j] = 1
     comult = Matrix(field, ent)
     counit = Matrix.build(field, 1, d,
-                          lambda _, c: one if c % n == c // n else 0)
+                          lambda _, c: 1 if c % n == c // n else 0)
     return Coalgebra(d, comult, counit)
 
 

@@ -263,10 +263,8 @@ def build_gallery(field: FieldSpec) -> Workspace:
 
     # algebra map: augmentation k[C2] -> k; coalgebra maps: identity and
     # the swap of the two grouplikes of gl2
-    one = field.one
-    aug = Matrix.build(field, 1, 2, lambda i, j: one)
-    swap = Matrix.build(field, 2, 2,
-                        lambda i, j: one if i != j else field.zero)
+    aug = Matrix(field, [[1, 1]])
+    swap = Matrix(field, [[0, 1], [1, 0]])
     i2 = Matrix.identity(field, 2)
     ws.add_one_cell(
         "m_aug", "flip_kC1_gl2", "flip_kC2_gl2",

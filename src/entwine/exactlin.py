@@ -1,9 +1,10 @@
 """Exact dense linear algebra over Q or a prime field GF(p).
 
-Scalars are ``fractions.Fraction`` (rational mode) or plain ints in
-``[0, p)`` (prime mode); a ``FieldSpec`` fixes the mode per session and
-owns the arithmetic.  Matrices are immutable, row-major, and hashable so
-downstream construction caches can key on them.
+A ``FieldSpec`` fixes the field per session and owns the arithmetic.
+Over Q a matrix entry is an ``int`` when it is integral and a
+``fractions.Fraction`` otherwise; over GF(p) it is an int in ``[0, p)``.
+Matrices are immutable, row-major, and hashable so downstream
+construction caches can key on them.
 
 Index convention (normative for the whole package): the basis vector
 ``(i of X, j of Y)`` of ``X (x) Y`` has flat index ``i * dim(Y) + j``.
@@ -48,14 +49,21 @@ def _is_prime(n: int) -> bool:
 
 
 class FieldSpec:
-    """Either the rationals or GF(p) for a prime p."""
+    """Either the rationals or GF(p) for a prime p.
 
-    __slots__ = ("kind", "p")
+    ``FieldSpec(kind, p)`` returns an instance of ``_Rationals`` or
+    ``_PrimeField``; each subclass owns the scalar arithmetic of its
+    field, so no scalar op tests the kind.
+    """
 
-    def __init__(self, kind: str = "rational", p: Optional[int] = None):
+    __slots__ = ("p",)
+    zero, one = 0, 1
+
+    def __new__(cls, kind: str = "rational", p: Optional[int] = None):
         if kind == "rational":
             if p is not None:
                 raise InvalidParameter("rational field takes no modulus")
+            cls = _Rationals
         elif kind == "prime":
             if type(p) is int and p >= _PRIME_BOUND:
                 raise InvalidParameter(
@@ -63,59 +71,90 @@ class FieldSpec:
                     f"the exact primality test")
             if type(p) is not int or not _is_prime(p):
                 raise InvalidParameter(f"{p!r} is not a prime")
+            cls = _PrimeField
         else:
             raise InvalidParameter(f"unknown field kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
+        self = object.__new__(cls)
         object.__setattr__(self, "p", p)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldSpec is immutable")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and self.kind == other.kind
-            and self.p == other.p
-        )
+        return (isinstance(other, FieldSpec)
+                and (self.kind, self.p) == (other.kind, other.p))
 
     def __hash__(self):
         return hash((self.kind, self.p))
 
     def __repr__(self):
-        if self.kind == "rational":
-            return "FieldSpec('rational')"
-        return f"FieldSpec('prime', p={self.p})"
-
-    # -- scalar arithmetic ------------------------------------------------
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == "rational" else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == "rational" else 1
+        return ("FieldSpec('rational')" if self.p is None
+                else f"FieldSpec('prime', p={self.p})")
 
     def coerce(self, x):
         """Canonical scalar from an int, Fraction or string.
 
         A zero denominator, or over GF(p) a reduced denominator that p
         divides, is an ``InvalidParameter``, and so is a bool: JSON's
-        ``true`` is not a scalar.
+        ``true`` is not a scalar.  Over Q the result is a ``Fraction``.
         """
         if isinstance(x, str):
-            num, slash, den = x.partition("/")
             try:
-                x = (Fraction(x) if self.kind == "rational"
-                     else Fraction(int(num), int(den)) if slash else int(x))
+                x = self._parse(x)
             except ZeroDivisionError:
                 raise InvalidParameter(f"zero denominator in {x!r}") from None
-        if self.kind == "rational":
-            if isinstance(x, Fraction):
-                return x
-            if type(x) is int:
-                return Fraction(x)
-            raise InvalidParameter(f"cannot coerce {x!r} to a rational")
+        return self._from_number(x)
+
+    def fmt(self, a) -> str:
+        return str(a)
+
+
+class _Rationals(FieldSpec):
+    """Q.  Matrices hold an integral scalar as an ``int`` and any other
+    as a ``Fraction``; the two agree under ``==``, ``hash`` and ``str``."""
+
+    __slots__ = ()
+    kind = "rational"
+    _parse = Fraction
+
+    def _from_number(self, x):
+        if isinstance(x, Fraction):
+            return x
+        if type(x) is int:
+            return Fraction(x)
+        raise InvalidParameter(f"cannot coerce {x!r} to a rational")
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return _demote(Fraction(1) / a)
+
+
+class _PrimeField(FieldSpec):
+    """GF(p), with scalars the ints in ``[0, p)``."""
+
+    __slots__ = ()
+    kind = "prime"
+
+    @staticmethod
+    def _parse(text: str):
+        num, slash, den = text.partition("/")
+        return Fraction(int(num), int(den)) if slash else int(text)
+
+    def _from_number(self, x):
         if type(x) is int:
             return x % self.p
         if isinstance(x, Fraction):
@@ -126,26 +165,26 @@ class FieldSpec:
         raise InvalidParameter(f"cannot coerce {x!r} to GF({self.p})")
 
     def add(self, a, b):
-        return a + b if self.kind == "rational" else (a + b) % self.p
+        return (a + b) % self.p
 
     def sub(self, a, b):
-        return a - b if self.kind == "rational" else (a - b) % self.p
+        return (a - b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.kind == "rational" else (a * b) % self.p
+        return (a * b) % self.p
 
     def neg(self, a):
-        return -a if self.kind == "rational" else (-a) % self.p
+        return (-a) % self.p
 
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        if self.kind == "rational":
-            return 1 / a
         return pow(a, self.p - 2, self.p)
 
-    def fmt(self, a) -> str:
-        return str(a)
+
+def _demote(x):
+    """An integral ``Fraction`` as an ``int``; any other scalar as it is."""
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
 
 
 QQ = FieldSpec("rational")
@@ -168,7 +207,7 @@ class Matrix:
             for row in entries:
                 if len(row) != cols:
                     raise DimensionMismatch("ragged rows")
-                ent.append(tuple(field.coerce(x) for x in row))
+                ent.append(tuple(_demote(field.coerce(x)) for x in row))
             ent = tuple(ent)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)
@@ -210,13 +249,9 @@ class Matrix:
         return self.entries[i][j]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return isinstance(other, Matrix) and (
+            (self.field, self.rows, self.cols, self.entries)
+            == (other.field, other.rows, other.cols, other.entries))
 
     def __hash__(self):
         h = self._hash
@@ -226,38 +261,38 @@ class Matrix:
         return h
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(self.field.fmt(x) for x in row) for row in self.entries
-        )
+        body = "; ".join(" ".join(self.field.fmt(x) for x in row)
+                         for row in self.entries)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        add = self.field.add
-        return Matrix(self.field, tuple(
-            tuple(add(a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)), _raw=True)
+        return self._entrywise(self.field.add, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(self.field.sub, other)
+
+    def _entrywise(self, op, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        sub = self.field.sub
         return Matrix(self.field, tuple(
-            tuple(sub(a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)), _raw=True)
+            tuple(map(op, ra, rb))
+            for ra, rb in zip(self.entries, other.entries)),
+            cols=self.cols, _raw=True)
 
     def __neg__(self) -> "Matrix":
         neg = self.field.neg
-        return Matrix(self.field, tuple(tuple(neg(a) for a in row)
-                                        for row in self.entries), _raw=True)
+        return Matrix(self.field, tuple(tuple(map(neg, row))
+                                        for row in self.entries),
+                      cols=self.cols, _raw=True)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return compose(self, other)
 
     def scale(self, c) -> "Matrix":
-        c = self.field.coerce(c)
+        c = _demote(self.field.coerce(c))
         mul = self.field.mul
         return Matrix(self.field, tuple(tuple(mul(c, a) for a in row)
-                                        for row in self.entries), _raw=True)
+                                        for row in self.entries),
+                      cols=self.cols, _raw=True)
 
     def transpose(self) -> "Matrix":
         ent = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
@@ -279,7 +314,7 @@ class Matrix:
 
     def column(self, j: int) -> "Matrix":
         return Matrix(self.field, tuple((row[j],) for row in self.entries),
-                      _raw=True)
+                      cols=1, _raw=True)
 
     def _same_shape(self, other: "Matrix"):
         if self.shape != other.shape or self.field != other.field:
@@ -314,7 +349,7 @@ def hstack(mats: Iterable[Matrix]) -> Matrix:
         raise DimensionMismatch("hstack: row counts differ")
     ent = tuple(tuple(x for m in mats for x in m.entries[i])
                 for i in range(rows))
-    return Matrix(field, ent, _raw=True)
+    return Matrix(field, ent, cols=sum(m.cols for m in mats), _raw=True)
 
 
 def compose(f: Matrix, g: Matrix) -> Matrix:
@@ -432,7 +467,8 @@ def rref(m: Matrix):
     """Reduced row echelon form; returns (reduced, pivots, rank)."""
     rows = [list(r) for r in m.entries]
     pivots = _rref_rows(rows, m.cols, m.field)
-    red = Matrix(m.field, tuple(tuple(r) for r in rows), _raw=True)
+    red = Matrix(m.field, tuple(tuple(r) for r in rows), cols=m.cols,
+                 _raw=True)
     return red, tuple(pivots), len(pivots)
 
 
@@ -483,30 +519,22 @@ def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:
     for i, pc in enumerate(pivots):
         for j in range(b.cols):
             ent[pc][j] = rows[i][m.cols + j]
-    return Matrix(field, tuple(tuple(r) for r in ent), _raw=True)
+    return Matrix(field, tuple(tuple(r) for r in ent), cols=b.cols,
+                  _raw=True)
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:
     """Two-sided inverse when square and full-rank, else None."""
     if m.rows != m.cols:
         return None
-    n = m.rows
-    field = m.field
-    aug = hstack([m, Matrix.identity(field, n)])
-    rows = [list(r) for r in aug.entries]
-    pivots = _rref_rows(rows, aug.cols, field)
-    if list(pivots) != list(range(n)):
-        return None
-    ent = tuple(tuple(rows[i][n:]) for i in range(n))
-    return Matrix(field, ent, _raw=True)
+    # m.x = I is consistent exactly when m has full rank
+    return solve(m, Matrix.identity(m.field, m.rows))
 
 
 def flip(field: FieldSpec, dim_x: int, dim_y: int) -> Matrix:
     """The symmetry X (x) Y -> Y (x) X on basis vectors."""
-    out = Matrix.zeros(field, dim_x * dim_y, dim_x * dim_y).entries
-    out = [list(r) for r in out]
-    one = field.one
-    for i in range(dim_x):
-        for j in range(dim_y):
-            out[j * dim_x + i][i * dim_y + j] = one
-    return Matrix(field, tuple(tuple(r) for r in out), _raw=True)
+    # row j * dim_x + i is 1 at column i * dim_y + j
+    n, one, zero = dim_x * dim_y, field.one, field.zero
+    return Matrix(field, tuple(
+        tuple(one if c == r % dim_x * dim_y + r // dim_x else zero
+              for c in range(n)) for r in range(n)), cols=n, _raw=True)

@@ -239,13 +239,15 @@ class TestLaws:
     def test_unknown_level(self, gallery_file):
         assert cmd_laws(gallery_file, "monoidal") == 2
 
-    def test_gf5_gallery_report_is_the_recorded_one(self, tmp_path):
+    @pytest.mark.parametrize("name", ["q", "gf5"])
+    def test_gallery_report_is_the_recorded_one(self, tmp_path, name):
         # the benchmark's recorded report, read only: any change in a
         # kernel, a presentation or a checker must leave it byte for byte
+        field = {"q": QQ, "gf5": FieldSpec("prime", 5)}[name]
         recorded = os.path.join(os.path.dirname(__file__), os.pardir,
-                                "perfbench", "expected", "gallery-gf5.txt")
-        path = str(tmp_path / "g5.json")
-        save_workspace(build_gallery(FieldSpec("prime", 5)), path)
+                                "perfbench", "expected", f"gallery-{name}.txt")
+        path = str(tmp_path / f"{name}.json")
+        save_workspace(build_gallery(field), path)
         out = io.StringIO()
         assert cmd_laws(path, "pseudofunctor", out) == 0
         with open(recorded, encoding="utf-8") as fh:

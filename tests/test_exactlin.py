@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entwine.algstruct import Algebra
+from entwine.cli import Workspace, serialize
 from entwine.errors import DimensionMismatch, InvalidParameter
 from entwine.exactlin import (FieldSpec, Matrix, QQ, compose, flip, hstack,
                               inverse, kernel_basis, kron, rank, rref, solve)
@@ -17,9 +20,9 @@ def scalars():
     return st.integers(min_value=-6, max_value=6)
 
 
-def matrices(rows, cols, field=QQ):
+def matrices(rows, cols, field=QQ, entry=scalars()):
     return st.lists(
-        st.lists(scalars(), min_size=cols, max_size=cols),
+        st.lists(entry, min_size=cols, max_size=cols),
         min_size=rows, max_size=rows,
     ).map(lambda e: Matrix(field, e, cols=cols))
 
@@ -30,6 +33,40 @@ def whiskers(draw):
     field = draw(st.sampled_from([QQ, GF5]))
     rows, cols, n = (draw(st.integers(0, 3)) for _ in range(3))
     return field, draw(matrices(rows, cols, field)), n
+
+
+@st.composite
+def mixed_matrices(draw, rows=None, cols=None):
+    """Q matrices of 0..4 rows and columns mixing ints and fractions."""
+    rows = draw(st.integers(0, 4)) if rows is None else rows
+    cols = draw(st.integers(0, 4)) if cols is None else cols
+    entry = st.one_of(st.integers(-3, 3),
+                      st.fractions(-3, 3, max_denominator=4))
+    return draw(matrices(rows, cols, entry=entry))
+
+
+def to_sympy(m):
+    flat = [sympy.Rational(x.numerator, x.denominator)
+            for row in m.entries for x in row]
+    return sympy.Matrix(m.rows, m.cols, flat)
+
+
+def from_sympy(s):
+    return Matrix(QQ, [[Fraction(int(x.p), int(x.q)) for x in s.row(i)]
+                       for i in range(s.rows)], cols=s.cols)
+
+
+def sympy_solve(sm, sb):
+    """The solution with every free parameter zero, or None."""
+    if sb.cols == 0:    # sympy cannot solve for no right-hand side
+        return sympy.zeros(sm.cols, 0)
+    try:
+        sol, params = sm.gauss_jordan_solve(sb)
+    except ValueError as exc:
+        if "no solution" not in str(exc):
+            raise
+        return None
+    return sol.subs({t: 0 for t in params})
 
 
 class TestFieldSpec:
@@ -86,6 +123,48 @@ class TestFieldSpec:
         x = QQ.coerce("-7/3")
         assert QQ.coerce(QQ.fmt(x)) == x
 
+    def test_one_class_per_kind_same_public_face(self):
+        assert FieldSpec("rational") == QQ
+        assert FieldSpec("prime", 5) == GF5 != QQ
+        assert type(GF5) is not type(QQ)
+        assert isinstance(QQ, FieldSpec) and isinstance(GF5, FieldSpec)
+        assert (QQ.kind, QQ.p, GF5.kind, GF5.p) == \
+            ("rational", None, "prime", 5)
+        assert hash(FieldSpec("prime", 5)) == hash(GF5)
+        assert repr(QQ) == "FieldSpec('rational')"
+        assert repr(GF5) == "FieldSpec('prime', p=5)"
+        for field in (QQ, GF5):
+            with pytest.raises(AttributeError):
+                field.p = 7
+            assert (field.zero, field.one) == (0, 1)
+
+
+class TestScalarRepresentation:
+    def test_rational_inverse_is_exact(self):
+        half = QQ.inv(2)
+        assert half == Fraction(1, 2) and type(half) is not float
+        three = QQ.inv(Fraction(1, 3))
+        assert three == 3 and type(three) is int
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(0)
+
+    def test_integral_entries_are_ints(self):
+        m = Matrix(QQ, [[Fraction(3), "4/2", Fraction(1, 2)]])
+        assert [type(x) for x in m.entries[0]] == [int, int, Fraction]
+        assert type(m.scale(Fraction(2))[0, 0]) is int
+
+    def test_int_and_fraction_entries_agree(self):
+        as_int = Matrix(QQ, [[3]])
+        as_fraction = Matrix(QQ, ((Fraction(3),),), _raw=True)
+        assert Matrix(QQ, [[Fraction(3)]]) == as_int == as_fraction
+        assert hash(as_int) == hash(as_fraction)
+        texts = []
+        for mult in (as_int, as_fraction):
+            ws = Workspace(QQ)
+            ws.add_algebra("a", Algebra(1, mult, Matrix(QQ, [[1]])))
+            texts.append(serialize(ws))
+        assert texts[0] == texts[1]
+
 
 class TestMatrixBasics:
     def test_shape_and_indexing(self):
@@ -104,6 +183,13 @@ class TestMatrixBasics:
         assert zz.shape == (2, 0)
         assert Matrix.zeros(QQ, 0, 3).transpose().shape == (3, 0)
         assert Matrix.zeros(QQ, 3, 0).transpose().shape == (0, 3)
+        e = Matrix.zeros(QQ, 0, 3)
+        for out in (e + e, e - e, -e, e.scale(2), rref(e)[0]):
+            assert out == e
+        assert e.column(1).shape == (0, 1)
+        assert hstack([Matrix.zeros(QQ, 0, 2), e]).shape == (0, 5)
+        assert solve(Matrix.zeros(QQ, 2, 0), Matrix.zeros(QQ, 2, 3)) == \
+            Matrix.zeros(QQ, 0, 3)
 
     def test_immutable_and_hashable(self):
         m = Matrix(QQ, [[1]])
@@ -245,3 +331,68 @@ class TestRrefRankKernel:
         a = Matrix(QQ, [[1], [2]])
         b = Matrix(QQ, [[3], [4]])
         assert hstack([a, b]) == Matrix(QQ, [[1, 3], [2, 4]])
+
+
+class TestAgainstSympy:
+    """Differential tests over Q with sympy as an independent oracle."""
+
+    @given(mixed_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_rref_rank_kernel(self, m):
+        sm = to_sympy(m)
+        red, pivots, rk = rref(m)
+        sred, spivots = sm.rref()
+        assert red == from_sympy(sred)
+        assert pivots == tuple(spivots)
+        assert rk == rank(m) == sm.rank()
+        kb = kernel_basis(m)
+        null = sm.nullspace()
+        assert kb.shape == (m.cols, len(null))
+        for j, v in enumerate(null):
+            assert kb.column(j) == from_sympy(v)
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_solve(self, rows, cols, rhs, data):
+        m = data.draw(mixed_matrices(rows, cols))
+        b = data.draw(mixed_matrices(rows, rhs))
+        x, sx = solve(m, b), sympy_solve(to_sympy(m), to_sympy(b))
+        if sx is None:
+            assert x is None
+        else:
+            assert x == from_sympy(sx)
+
+    @given(st.integers(0, 4).flatmap(lambda n: mixed_matrices(n, n)))
+    @settings(max_examples=150, deadline=None)
+    def test_inverse(self, m):
+        sm = to_sympy(m)
+        inv = inverse(m)
+        if sm.rank() < m.rows:
+            assert inv is None
+        else:
+            assert inv == from_sympy(sm.inv())
+
+
+class TestCrossField:
+    """Reducing integral Q matrices mod 5 is a ring map on matrices."""
+
+    @staticmethod
+    def mod5(m):
+        return Matrix(GF5, m.entries, cols=m.cols)
+
+    @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+           st.integers(0, 3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_reduction_commutes(self, r, k, c, n, data):
+        f = data.draw(matrices(r, k))
+        g = data.draw(matrices(k, c))
+        h = data.draw(matrices(r, k))
+        mod5 = self.mod5
+        assert mod5(compose(f, g)) == compose(mod5(f), mod5(g))
+        assert mod5(kron(f, g)) == kron(mod5(f), mod5(g))
+        assert mod5(kron(n, f)) == kron(n, mod5(f))
+        assert mod5(kron(f, n)) == kron(mod5(f), n)
+        assert mod5(f + h) == mod5(f) + mod5(h)
+        assert mod5(f - h) == mod5(f) - mod5(h)
+        assert rank(mod5(f)) <= rank(f)
