@@ -9,10 +9,12 @@ X by the flat index convention of :mod:`entwine.exactlin`.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import DimensionMismatch, InvalidParameter
+from .errors import (DimensionMismatch, DoesNotFactor, InvalidParameter,
+                     NotABialgebra, NotInvertible)
 from .exactlin import FieldSpec, Matrix, compose, expect_shapes, flip, kron
 
 
@@ -66,6 +68,14 @@ class _Checker:
         if axiom not in self.axioms:
             self.axioms.append(axiom)
         self.failures.append(Failure(axiom))
+
+    @contextmanager
+    def guard(self, axiom: str):
+        """Fail ``axiom (message)`` if its block cannot factor or invert."""
+        try:
+            yield
+        except (DoesNotFactor, NotInvertible) as exc:
+            self.fail(f"{axiom} ({exc})")
 
     def report(self) -> CheckReport:
         return CheckReport(tuple(self.failures), tuple(self.axioms))
@@ -232,7 +242,8 @@ def cyclic_group_bialgebra(field: FieldSpec, n: int):
     a = group_algebra(field, n)
     c = grouplike_coalgebra(field, n)
     rep = bialgebra_compatibility(a, c)
-    assert rep.passed, f"cyclic group bialgebra inconsistent: {rep}"
+    if not rep.passed:
+        raise NotABialgebra(str(rep))
     return a, c
 
 

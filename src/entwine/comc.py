@@ -14,9 +14,10 @@ from typing import Tuple
 
 from .algstruct import Bimodule
 from .corcat import (Coring, CorOneCell, CorTwoCell, identity_cor_one_cell,
-                     compose_cor_one_cells, leaf, wtensor)
+                     compose_cor_one_cells, leaf, module_map_squares,
+                     wtensor, zeta_square)
 from .entwcat import (EntwObj, EntwOneCell, EntwTwoCell, check_obj,
-                      check_two_cell, identity_one_cell)
+                      check_two_cell, identity_one_cell, two_cell_squares)
 from .errors import InvalidObject, InvalidTwoCell, NotComposable, NotParallel
 from .exactlin import Matrix, compose, kernel_basis, kron, rank
 from .qtensor import _iso_or_raise, induced_map
@@ -116,94 +117,60 @@ def unitor_comparison(e: EntwObj) -> CorTwoCell:
                       Matrix.identity(e.field, e.algebra.dim))
 
 
-def _two_cell_space_entw(src: EntwOneCell, dst: EntwOneCell) -> Matrix:
-    """Basis (as columns of vec theta) of the entwining 2-cell space."""
-    field = src.field
-    n, m = dst.dimM, src.dimM
-    a = src.dom.algebra.dim
-    c = src.dom.coalgebra.dim
-    b = src.cod.algebra.dim
-    d = src.cod.coalgebra.dim
-    cols = []
-    for u in range(n):
-        for v in range(m):
-            theta = Matrix.build(field, n, m,
-                                 lambda i, j: 1 if (i, j) == (u, v) else 0)
-            e1 = (compose(kron(theta, a), src.alpha)
-                  - compose(dst.alpha, kron(b, theta)))
-            e2 = (compose(kron(theta, c), src.gamma)
-                  - compose(dst.gamma, kron(d, theta)))
-            cols.append([x for row in e1.entries for x in row]
-                        + [x for row in e2.entries for x in row])
-    sys = Matrix(field, tuple(zip(*cols)), cols=n * m, _raw=True)
-    return kernel_basis(sys)
+def _vec(m: Matrix) -> list:
+    """The entries of m, row-major."""
+    return [x for row in m.entries for x in row]
 
 
-def _two_cell_space_cor(src: CorOneCell, dst: CorOneCell) -> Matrix:
-    """Basis of the coring 2-cell space between parallel 1-cells.
+def _columns(field, vecs: list) -> Matrix:
+    """The matrix whose columns are ``vecs``."""
+    return Matrix(field, tuple(zip(*vecs)), cols=len(vecs), _raw=True)
 
-    The zeta square is imposed through the deterministic sections; on
-    bimodule maps (forced by the other equations) this agrees with the
-    canonical induced maps, so the kernel is the true 2-cell space.
+
+def _maps(basis: Matrix, rows: int, cols: int) -> list:
+    """The columns of ``basis``, read row-major as rows x cols maps."""
+    return [Matrix(basis.field, tuple(v[i * cols:(i + 1) * cols]
+                                      for i in range(rows)),
+                   cols=cols, _raw=True)
+            for v in basis.transpose().entries]
+
+
+def _solve_squares(basis: Matrix, rows: int, cols: int, squares) -> Matrix:
+    """The part of span(basis) on which every square of ``squares(y)`` holds.
+
+    ``basis`` holds rows x cols maps as row-major columns.  Every square
+    is linear in y, so lhs - rhs of each square, evaluated on each basis
+    map and flattened, is one column of a linear system; its kernel picks
+    the solutions, returned in the same form.
     """
-    field = src.zeta.field
-    n, m = dst.carrier.dim, src.carrier.dim
-    cC, cD = src.dom, src.cod
-    ld, lc = leaf(cD.carrier), leaf(cC.carrier)
-    w_dm1 = wtensor(ld, leaf(src.carrier))
-    w_dm2 = wtensor(ld, leaf(dst.carrier))
-    w_m1c = wtensor(leaf(src.carrier), lc)
-    w_m2c = wtensor(leaf(dst.carrier), lc)
-    cols = []
-    for u in range(n):
-        for v in range(m):
-            y = Matrix.build(field, n, m,
-                             lambda i, j: 1 if (i, j) == (u, v) else 0)
-            e1 = (compose(y, src.carrier.lact)
-                  - compose(dst.carrier.lact, kron(cD.base.dim, y)))
-            e2 = (compose(y, src.carrier.ract)
-                  - compose(dst.carrier.ract, kron(y, cC.base.dim)))
-            dy = compose(w_dm2.outer.projection,
-                         compose(kron(cD.carrier.dim, y), w_dm1.outer.section))
-            yc = compose(w_m2c.outer.projection,
-                         compose(kron(y, cC.carrier.dim), w_m1c.outer.section))
-            e3 = compose(yc, src.zeta) - compose(dst.zeta, dy)
-            cols.append([x for row in e1.entries for x in row]
-                        + [x for row in e2.entries for x in row]
-                        + [x for row in e3.entries for x in row])
-    sys = Matrix(field, tuple(zip(*cols)), cols=n * m, _raw=True)
-    return kernel_basis(sys)
+    system = _columns(basis.field, [
+        [x for _, lhs, rhs in squares(y) for x in _vec(lhs - rhs)]
+        for y in _maps(basis, rows, cols)])
+    return compose(basis, kernel_basis(system))
 
 
 def hom_dimension_report(src: EntwOneCell,
                          dst: EntwOneCell) -> Tuple[int, int, bool, bool]:
     """(entw hom dim, coring hom dim, injective, surjective) for theta -> theta (x) A.
 
-    Both hom spaces are computed as kernels of the linear systems cut out
-    by the defining squares; the tautological map tensors with the
-    identity of A.
+    Both hom spaces are the solution spaces of the squares the 2-cell
+    checkers evaluate; the tautological map tensors with the identity of
+    A.
     """
     if src.dom != dst.dom or src.cod != dst.cod:
         raise NotParallel("1-cells are not parallel")
     field = src.field
-    a = src.dom.algebra.dim
-    basis_entw = _two_cell_space_entw(src, dst)
-    basis_cor = _two_cell_space_cor(comc_one_cell(src), comc_one_cell(dst))
-    dim_entw = basis_entw.cols
-    dim_cor = basis_cor.cols
     n, m = dst.dimM, src.dimM
-    image_cols = []
-    for j in range(basis_entw.cols):
-        theta = Matrix.build(field, n, m,
-                             lambda i, k: basis_entw[i * m + k, j])
-        img = kron(theta, a)
-        image_cols.append([x for row in img.entries for x in row])
-    if image_cols:
-        image = Matrix(field, tuple(zip(*image_cols)),
-                       cols=len(image_cols), _raw=True)
-        img_rank = rank(image)
-    else:
-        img_rank = 0
-    injective = img_rank == dim_entw
-    surjective = img_rank == dim_cor
-    return dim_entw, dim_cor, injective, surjective
+    entw = _solve_squares(Matrix.identity(field, n * m), n, m,
+                          lambda t: two_cell_squares(src, dst, t))
+    csrc, cdst = comc_one_cell(src), comc_one_cell(dst)
+    cn, cm = cdst.carrier.dim, csrc.carrier.dim
+    bimod = _solve_squares(
+        Matrix.identity(field, cn * cm), cn, cm,
+        lambda y: module_map_squares("", y, csrc.carrier, cdst.carrier))
+    # zeta_square descends y, which is well defined on bimodule maps only
+    cor = _solve_squares(bimod, cn, cm,
+                         lambda y: zeta_square(csrc, cdst, y))
+    img_rank = rank(_columns(field, [_vec(kron(t, src.dom.algebra.dim))
+                                     for t in _maps(entw, n, m)]))
+    return entw.cols, cor.cols, img_rank == entw.cols, img_rank == cor.cols

@@ -137,19 +137,22 @@ def check_one_cell(f: EntwOneCell) -> CheckReport:
     return chk.report()
 
 
+def two_cell_squares(dom: EntwOneCell, cod: EntwOneCell, theta: Matrix):
+    """(axiom, lhs, rhs) of each square a 2-cell theta : dom => cod obeys."""
+    return (
+        ("alpha-square",
+         compose(kron(theta, dom.dom.algebra.dim), dom.alpha),
+         compose(cod.alpha, kron(dom.cod.algebra.dim, theta))),
+        ("gamma-square",
+         compose(kron(theta, dom.dom.coalgebra.dim), dom.gamma),
+         compose(cod.gamma, kron(dom.cod.coalgebra.dim, theta))),
+    )
+
+
 def check_two_cell(t: EntwTwoCell) -> CheckReport:
-    dom, cod = t.dom, t.cod
     chk = _Checker()
-    chk.equal(
-        "alpha-square",
-        compose(kron(t.theta, dom.dom.algebra.dim), dom.alpha),
-        compose(cod.alpha, kron(dom.cod.algebra.dim, t.theta)),
-    )
-    chk.equal(
-        "gamma-square",
-        compose(kron(t.theta, dom.dom.coalgebra.dim), dom.gamma),
-        compose(cod.gamma, kron(dom.cod.coalgebra.dim, t.theta)),
-    )
+    for square in two_cell_squares(t.dom, t.cod, t.theta):
+        chk.equal(*square)
     return chk.report()
 
 

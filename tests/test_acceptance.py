@@ -238,7 +238,7 @@ def test_criterion_10_end_to_end(tmp_path, capsys):
     pseudofunctor law suite exits 0 in under 60 seconds."""
     path = tmp_path / "gallery.json"
     save_workspace(build_gallery(QQ), str(path))
-    text = open(path).read()
+    text = path.read_text(encoding="utf-8")
     assert serialize(deserialize(text)) == text
     t0 = time.perf_counter()
     rc = cmd_laws(str(path), "pseudofunctor")

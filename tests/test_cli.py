@@ -1,10 +1,14 @@
 """Workspace files, report format, verbs and exit codes."""
 
+import contextlib
 import io
 import json
 import os
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entwine.algstruct import CheckReport, Failure
 from entwine.cli import (Report, build_gallery, cmd_check, cmd_comc,
@@ -50,11 +54,11 @@ def gallery_file(tmp_path_factory):
 
 class TestSerialization:
     def test_round_trip_byte_identical(self, gallery_file):
-        text = open(gallery_file).read()
+        text = Path(gallery_file).read_text(encoding="utf-8")
         assert serialize(deserialize(text)) == text
 
     def test_scalars_are_strings_in_lowest_terms(self, gallery_file):
-        doc = json.loads(open(gallery_file).read())
+        doc = json.loads(Path(gallery_file).read_text(encoding="utf-8"))
         mult = doc["algebras"]["kC2"]["mult"]
         assert all(isinstance(x, str) for row in mult for x in row)
         assert doc["field"] == {"kind": "rational"}
@@ -63,7 +67,7 @@ class TestSerialization:
         ws = build_gallery(FieldSpec("prime", 5))
         path = tmp_path / "g5.json"
         save_workspace(ws, str(path))
-        text = open(path).read()
+        text = path.read_text(encoding="utf-8")
         assert serialize(deserialize(text)) == text
         assert json.loads(text)["field"] == {"kind": "prime", "p": 5}
 
@@ -106,7 +110,7 @@ class TestCheck:
 
     def test_mutated_psi_fails_with_named_axiom(self, gallery_file,
                                                 tmp_path, capsys):
-        doc = json.loads(open(gallery_file).read())
+        doc = json.loads(Path(gallery_file).read_text(encoding="utf-8"))
         # corrupt psi on a unit column: breaks E3 among others
         doc["entwinings"]["bialg_C2"]["psi"][0][0] = "5"
         bad = tmp_path / "mutated.json"
@@ -119,7 +123,7 @@ class TestCheck:
     def test_malformed_workspace_is_input_error(self, gallery_file,
                                                 tmp_path, case):
         edits, fragment = MALFORMED[case]
-        doc = json.loads(open(gallery_file).read())
+        doc = json.loads(Path(gallery_file).read_text(encoding="utf-8"))
         for path, value in edits:
             node = doc
             for key in path[:-1]:
@@ -173,7 +177,7 @@ class TestCompose:
                               ws.one_cells["id_bialg_C2"])
         expected.provenance["composite"] = \
             "compose(id_bialg_C2,id_bialg_C2)"
-        assert open(out1).read() == serialize(expected)
+        assert out1.read_text(encoding="utf-8") == serialize(expected)
 
     def test_composite_passes_check(self, gallery_file, tmp_path, capsys):
         out = tmp_path / "c2.json"
@@ -200,7 +204,7 @@ class TestComc:
         assert cmd_comc(gallery_file, "bialg_C2", str(out)) == 0
         capsys.readouterr()
         assert cmd_check(str(out)) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["corings"]["comc_bialg_C2"]["dim"] == 4
         assert doc["provenance"]["comc_bialg_C2"] == "comc(bialg_C2)"
 
@@ -210,7 +214,8 @@ class TestComc:
         assert cmd_comc(gallery_file, "m_swap", str(out)) == 0
         capsys.readouterr()
         assert cmd_check(str(out)) == 0
-        assert serialize(load_workspace(str(out))) == open(out).read()
+        text = out.read_text(encoding="utf-8")
+        assert serialize(load_workspace(str(out))) == text
 
     def test_two_cell_output_passes_check(self, gallery_file, tmp_path,
                                           capsys):
@@ -218,7 +223,7 @@ class TestComc:
         assert cmd_comc(gallery_file, "t_two_swap", str(out)) == 0
         capsys.readouterr()
         assert cmd_check(str(out)) == 0
-        text = open(out).read()
+        text = out.read_text(encoding="utf-8")
         assert serialize(load_workspace(str(out))) == text
 
     def test_unknown_name_is_input_error(self, gallery_file, tmp_path):
@@ -266,3 +271,71 @@ class TestMain:
 
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+# values swapped in by the fuzz: wrong JSON types, bad scalars, edge ints
+FUZZ_POOL = [None, True, 0, -1, 2, 1.5, 10**30, "", "x", "1/0", "3/5",
+             "-2", [], [[]], [["1"]], {}, {"kind": "prime", "p": 4}]
+
+
+def _small_gf5_doc() -> dict:
+    """The GF(5) gallery restricted to kC1, kC2, gl1 and gl2."""
+    doc = json.loads(serialize(build_gallery(FieldSpec("prime", 5))))
+    names = {"kC1", "kC2", "gl1", "gl2"}
+    for section in ("algebras", "coalgebras"):
+        doc[section] = {n: e for n, e in doc[section].items() if n in names}
+    for section, refs in (("entwinings", ("algebra", "coalgebra")),
+                          ("one_cells", ("dom", "cod")),
+                          ("two_cells", ("dom", "cod"))):
+        doc[section] = {n: e for n, e in doc[section].items()
+                        if all(e[r] in names for r in refs)}
+        names |= doc[section].keys()
+    return doc
+
+
+def _paths(node, prefix=()):
+    """Every key path inside a JSON document, the root excluded."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+class TestFuzz:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mutated_workspace_ends_in_an_exit_code(self, tmp_path_factory,
+                                                    data):
+        doc = _small_gf5_doc()
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            path = data.draw(st.sampled_from(list(_paths(doc))), label="at")
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            old = parent[path[-1]]
+            action = data.draw(st.sampled_from(["swap", "delete", "bump"]))
+            if action == "delete":
+                del parent[path[-1]]
+            elif action == "bump" and isinstance(old, str) and \
+                    old.lstrip("-").isdigit():
+                parent[path[-1]] = str(int(old) + 1)
+            elif action == "bump" and type(old) is int:
+                parent[path[-1]] = old + 1
+            else:
+                parent[path[-1]] = data.draw(st.sampled_from(FUZZ_POOL))
+        work = tmp_path_factory.mktemp("fuzz")
+        ws = work / "ws.json"
+        ws.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (["check", str(ws)], ["laws", str(ws)],
+                     ["comc", str(ws), "--selector", "t_two_swap",
+                      "--out", str(work / "out.json")]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(out):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            errors = [line for line in out.getvalue().splitlines()
+                      if line.startswith("input error:")]
+            if code == 2:
+                assert len(errors) == 1, (argv, out.getvalue())

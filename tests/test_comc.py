@@ -1,5 +1,7 @@
 """The homomorphism into corings: objects, cells, pseudofunctor laws."""
 
+import itertools
+
 import pytest
 
 from entwine.algstruct import (cyclic_group_bialgebra, group_algebra,
@@ -9,21 +11,34 @@ from entwine.comc import (comc_obj, comc_one_cell, comc_two_cell,
                           composed_carrier, compositor,
                           hom_dimension_report, unitor_comparison,
                           zeta_ambient)
-from entwine.corcat import (check_cor_one_cell, check_cor_two_cell,
-                            check_coring, hcomp_cor, identity_cor_one_cell,
-                            leaf, vcomp_cor, wtensor)
-from entwine.entwcat import (EntwObj, EntwOneCell, bialgebra_entwining,
+from entwine.cli import build_gallery
+from entwine.corcat import (CorTwoCell, check_cor_one_cell,
+                            check_cor_two_cell, check_coring, hcomp_cor,
+                            identity_cor_one_cell, leaf, vcomp_cor, wtensor)
+from entwine.entwcat import (EntwObj, EntwOneCell, EntwTwoCell,
+                             bialgebra_entwining, check_two_cell,
                              compose_one_cells, flip_entwining, hcomp,
                              identity_one_cell, identity_two_cell,
                              morphism_one_cell, scalar_two_cell, vcomp)
 from entwine.errors import DoesNotFactor, InvalidObject
-from entwine.exactlin import Matrix, QQ, compose, inverse, kron
+from entwine.exactlin import FieldSpec, Matrix, QQ, compose, inverse, kron
 from entwine.qtensor import induced_map
 
 
 def bump(m, i, j):
     return Matrix.build(m.field, m.rows, m.cols,
                         lambda r, c: m[r, c] + (1 if (r, c) == (i, j) else 0))
+
+
+def direct_sum(f, g):
+    """f (+) g for parallel 1-cells with 1-dimensional carriers."""
+    def block(x, y):
+        return Matrix.build(
+            x.field, 2 * x.rows, 2 * x.cols,
+            lambda r, c: ((x, y)[r // x.rows][r % x.rows, c // 2]
+                          if r // x.rows == c % 2 else 0))
+    return EntwOneCell(f.dom, f.cod, 2, block(f.alpha, g.alpha),
+                       block(f.gamma, g.gamma))
 
 
 def c2_entwining():
@@ -205,6 +220,40 @@ class TestTwoCellFunctor:
         de, dc, inj, surj = hom_dimension_report(f, f)
         assert (de, dc) == (1, 2)
         assert inj and not surj
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_hom_dimensions_match_brute_force(self, p):
+        # every matrix over GF(p) is tried against the checkers; the
+        # solver must find exactly p^dim solutions on each side
+        def all_maps(rows, cols):
+            for vals in itertools.product(range(p), repeat=rows * cols):
+                yield Matrix(field, [vals[i * cols:(i + 1) * cols]
+                                     for i in range(rows)])
+
+        field = FieldSpec("prime", p)
+        cells = build_gallery(field).one_cells
+        # 2-dim carriers whose summands differ only in alpha, only in gamma
+        aug = cells["m_aug"]
+        for name, alpha, gamma in (
+                ("aug+swap", aug.alpha, Matrix(field, [[0, 1], [1, 0]])),
+                ("aug+sign", Matrix(field, [[1, -1]]), aug.gamma)):
+            other = morphism_one_cell(aug.dom, aug.cod, alpha, gamma)
+            cells[name] = direct_sum(aug, other)
+            assert check_one_cell_ok(cells[name]), name
+        cases = 0
+        for name, f in cells.items():
+            cf = comc_one_cell(f)
+            n = cf.carrier.dim
+            if n > 2:
+                continue
+            cases += 1
+            de, dc, _, _ = hom_dimension_report(f, f)
+            n_entw = sum(check_two_cell(EntwTwoCell(f, f, t)).passed
+                         for t in all_maps(f.dimM, f.dimM))
+            n_cor = sum(check_cor_two_cell(CorTwoCell(cf, cf, y)).passed
+                        for y in all_maps(n, n))
+            assert (n_entw, n_cor) == (p ** de, p ** dc), name
+        assert cases == 9
 
     def test_injective_on_gallery(self):
         for name, f in gallery_one_cells().items():
