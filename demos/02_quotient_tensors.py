@@ -1,7 +1,7 @@
 """Tensor products over an algebra as deterministic quotient presentations.
 
-M (x)_A N is presented by a projection/section pair computed from the
-row reduction of the balancing relations.  Induced maps factor through
+M (x)_A N is presented by a projection and its free coordinates, computed
+from the row reduction of the balancing relations.  Induced maps factor through
 the quotient only when they kill the relations -- attempting otherwise
 raises DoesNotFactor, which downstream code treats as a meaningful
 semantic signal, not a crash.

@@ -58,8 +58,11 @@ def zeta_ambient(f: EntwOneCell) -> Matrix:
 def comc_one_cell(f: EntwOneCell) -> CorOneCell:
     """(M, alpha, gamma) -> (M (x) A, zeta).
 
-    Raises DoesNotFactor when the auxiliary map fails to balance over B,
-    which happens exactly when f violates the hexagon/pentagon axioms.
+    Raises DoesNotFactor when the auxiliary map fails to balance over B.
+    That is no test of the axioms: on flip_kC2_gl2 over GF(3) only cells
+    failing the alpha-pentagon raise, while a cell failing just the
+    gamma-pentagon (counit triangle) factors and its image then fails the
+    street pentagon (counit compatibility) of check_cor_one_cell.
     The auxiliary map balances only after the target is also passed to
     its quotient (see the two 5-map chains: truncating the common tail
     breaks the equality), so the target projection is applied first.

@@ -19,7 +19,7 @@ from .algstruct import (Algebra, Bimodule, CheckReport, _Checker,
 from .errors import (DimensionMismatch, NotComposable, NotInvertible,
                      NotParallel)
 from .exactlin import Matrix, compose, expect_shapes, inverse, kron
-from .qtensor import (QuotientPresentation, assoc_coherence, descend,
+from .qtensor import (QuotientPresentation, assoc_coherence, descend, lift,
                       pres_compose, pres_kron, tensor_over,
                       trivial_presentation, unit_coherence)
 
@@ -56,9 +56,9 @@ def wtensor(x: TensorWord, y: TensorWord) -> TensorWord:
     if xm.right != ym.left:
         raise NotComposable("middle algebras differ")
     q = tensor_over(xm.ract, ym.lact, xm.dim, xm.right.dim, ym.dim)
-    p, s = q.projection, q.section
-    lact = compose(p, compose(kron(xm.lact, ym.dim), kron(xm.left.dim, s)))
-    ract = compose(p, compose(kron(xm.dim, ym.ract), kron(s, ym.right.dim)))
+    p = q.projection
+    lact = compose(p, lift(kron(xm.lact, ym.dim), q, left=xm.left.dim))
+    ract = compose(p, lift(kron(xm.dim, ym.ract), q, right=ym.right.dim))
     module = Bimodule(xm.left, ym.right, q.quotient_dim, lact, ract)
     full = pres_compose(pres_kron(x.full, y.full), q)
     return TensorWord(module, x.flat_dims + y.flat_dims, full, q)

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algstruct import (Algebra, Coalgebra, CheckReport, _Checker,
-                        bialgebra_compatibility, check_algebra,
-                        check_coalgebra)
+                        bialgebra_compatibility)
 from .errors import (DimensionMismatch, NotABialgebra, NotAMorphism,
                      NotComposable, NotParallel)
 from .exactlin import (FieldSpec, Matrix, compose, expect_shapes, flip,

@@ -312,9 +312,14 @@ class Matrix:
                         return (i, j)
         return None
 
+    def gather(self, cols: Sequence[int]) -> "Matrix":
+        """The matrix of columns ``cols`` of self, in that order."""
+        return Matrix(self.field, tuple(tuple(map(row.__getitem__, cols))
+                                        for row in self.entries),
+                      cols=len(cols), _raw=True)
+
     def column(self, j: int) -> "Matrix":
-        return Matrix(self.field, tuple((row[j],) for row in self.entries),
-                      cols=1, _raw=True)
+        return self.gather((j,))
 
     def _same_shape(self, other: "Matrix"):
         if self.shape != other.shape or self.field != other.field:
@@ -476,7 +481,7 @@ def rank(m: Matrix) -> int:
     return rref(m)[2]
 
 
-def _null_rows(m: Matrix) -> tuple[Matrix, list]:
+def _null_rows(m: Matrix) -> tuple[Matrix, tuple]:
     """The free-column basis of the right kernel of m, as rows.
 
     Returns the rows and the free columns: row j is 1 at ``free[j]``, 0
@@ -484,7 +489,7 @@ def _null_rows(m: Matrix) -> tuple[Matrix, list]:
     """
     red, pivots, _ = rref(m)
     pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
+    free = tuple(c for c in range(m.cols) if c not in pivset)
     zero, one, neg = m.field.zero, m.field.one, m.field.neg
     rows = []
     for fc in free:
@@ -533,8 +538,6 @@ def inverse(m: Matrix) -> Optional[Matrix]:
 
 def flip(field: FieldSpec, dim_x: int, dim_y: int) -> Matrix:
     """The symmetry X (x) Y -> Y (x) X on basis vectors."""
-    # row j * dim_x + i is 1 at column i * dim_y + j
-    n, one, zero = dim_x * dim_y, field.one, field.zero
-    return Matrix(field, tuple(
-        tuple(one if c == r % dim_x * dim_y + r // dim_x else zero
-              for c in range(n)) for r in range(n)), cols=n, _raw=True)
+    # column i * dim_y + j is 1 at row j * dim_x + i
+    return Matrix.identity(field, dim_x * dim_y).gather(tuple(
+        j * dim_x + i for i in range(dim_x) for j in range(dim_y)))

@@ -2,9 +2,9 @@
 
 M (x)_A N is the coequalizer of the two middle actions on M (x) A (x) N,
 computed as a cokernel: we row-reduce the span of the balancing relations
-(m.a) (x) n - m (x) (a.n) and present the quotient by a deterministic
-projection/section pair.  Sections are rref-pivot based, so presentations
-are reproducible byte for byte and downstream golden files are stable.
+(m.a) (x) n - m (x) (a.n) and present the quotient by its projection and
+its free (non-pivot) ambient coordinates, whose injection is the section.
+Presentations are reproducible byte for byte, so golden files are stable.
 """
 
 from __future__ import annotations
@@ -18,17 +18,18 @@ from .exactlin import Matrix, _null_rows, compose, kron, rank
 
 @dataclass(frozen=True)
 class QuotientPresentation:
-    """A quotient of k^ambient given by projection and a chosen section."""
+    """A quotient of k^ambient: its projection, and ``free[j]``, the ambient
+    coordinate onto which the section sends quotient coordinate j."""
 
     projection: Matrix
-    section: Matrix
+    free: tuple[int, ...]
 
     def __post_init__(self):
-        if (self.projection.cols != self.section.rows
-                or self.projection.rows != self.section.cols):
+        if (len(self.free) != self.projection.rows
+                or not all(0 <= c < self.ambient_dim for c in self.free)):
             raise DimensionMismatch(
                 f"projection {self.projection.shape} vs "
-                f"section {self.section.shape}")
+                f"{len(self.free)} free coordinates")
 
     @property
     def ambient_dim(self) -> int:
@@ -38,27 +39,25 @@ class QuotientPresentation:
     def quotient_dim(self) -> int:
         return self.projection.rows
 
+    @property
+    def section(self) -> Matrix:
+        """The free-coordinate injection, ambient x quotient."""
+        return Matrix.identity(self.projection.field,
+                               self.ambient_dim).gather(self.free)
+
 
 def presentation_from_relations(relations: Matrix) -> QuotientPresentation:
     """Quotient of k^d by the column span of ``relations`` (d x r).
 
     The projection kills exactly the relation span; the representative of
     a coset is the one whose rref-pivot coordinates vanish, which makes
-    both matrices canonical.
+    the projection and the free coordinates canonical.
     """
-    proj, free = _null_rows(relations.transpose())
-    zero, one = relations.field.zero, relations.field.one
-    pad = (zero,) * len(free)
-    sect = [pad] * relations.rows
-    for j, fc in enumerate(free):
-        sect[fc] = pad[:j] + (one,) + pad[j + 1:]
-    return QuotientPresentation(
-        proj, Matrix(relations.field, tuple(sect), cols=len(free), _raw=True))
+    return QuotientPresentation(*_null_rows(relations.transpose()))
 
 
 def trivial_presentation(field, dim: int) -> QuotientPresentation:
-    ident = Matrix.identity(field, dim)
-    return QuotientPresentation(ident, ident)
+    return QuotientPresentation(Matrix.identity(field, dim), tuple(range(dim)))
 
 
 @lru_cache(maxsize=None)
@@ -73,12 +72,20 @@ def tensor_over(ract_m: Matrix, lact_n: Matrix, dim_m: int, dim_a: int,
     return presentation_from_relations(relations)
 
 
+def lift(f: Matrix, q: QuotientPresentation, left: int = 1,
+         right: int = 1) -> Matrix:
+    """f . (1_left (x) section (x) 1_right), gathered from f's columns."""
+    amb = q.ambient_dim
+    if f.cols != left * amb * right:
+        raise DimensionMismatch(
+            f"map domain {f.cols} vs ambient {left * amb * right}")
+    return f.gather(tuple((i * amb + c) * right + k for i in range(left)
+                          for c in q.free for k in range(right)))
+
+
 def induced_map(f: Matrix, q: QuotientPresentation) -> Matrix:
     """The unique g with g . projection = f, if f kills the relations."""
-    if f.cols != q.ambient_dim:
-        raise DimensionMismatch(
-            f"map domain {f.cols} vs ambient {q.ambient_dim}")
-    g = compose(f, q.section)
+    g = lift(f, q)
     # ker(projection) = image(1 - section.projection), so f kills the
     # relations iff g.projection reproduces f
     if compose(g, q.projection) != f:
@@ -128,8 +135,8 @@ def assoc_coherence(q_left: QuotientPresentation,
 def pres_kron(q1: QuotientPresentation,
               q2: QuotientPresentation) -> QuotientPresentation:
     """Presentation of Q1 (x) Q2 over ambient1 (x) ambient2."""
-    return QuotientPresentation(kron(q1.projection, q2.projection),
-                                kron(q1.section, q2.section))
+    return QuotientPresentation(kron(q1.projection, q2.projection), tuple(
+        c1 * q2.ambient_dim + c2 for c1 in q1.free for c2 in q2.free))
 
 
 def pres_compose(first: QuotientPresentation,
@@ -137,7 +144,5 @@ def pres_compose(first: QuotientPresentation,
     """Quotient of a quotient, presented over the original ambient."""
     if second.ambient_dim != first.quotient_dim:
         raise DimensionMismatch("presentations do not chain")
-    return QuotientPresentation(
-        compose(second.projection, first.projection),
-        compose(first.section, second.section),
-    )
+    return QuotientPresentation(compose(second.projection, first.projection),
+                                tuple(first.free[j] for j in second.free))

@@ -23,12 +23,11 @@ from entwine.corcat import (check_cor_one_cell, check_cor_two_cell,
                             check_coring, cor_associator, hcomp_cor,
                             identity_cor_two_cell, vcomp_cor)
 from entwine.entwcat import (EntwObj, EntwOneCell, bialgebra_entwining,
-                             check_obj, check_one_cell, check_two_cell,
-                             compose_one_cells, flip_entwining, hcomp,
-                             identity_one_cell, morphism_one_cell,
+                             check_obj, check_one_cell, compose_one_cells,
+                             flip_entwining, hcomp, identity_one_cell,
                              scalar_two_cell, vcomp)
 from entwine.errors import DoesNotFactor
-from entwine.exactlin import Matrix, QQ, compose, inverse, kron
+from entwine.exactlin import Matrix, QQ, inverse
 from entwine.qtensor import tensor_over
 
 from test_qtensor import (brute_force_relation_rank, cyclic_actions,

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 from entwine.algstruct import CheckReport, Failure
 from entwine.cli import (Report, build_gallery, cmd_check, cmd_comc,
-                         cmd_compose, cmd_gallery, cmd_laws, deserialize,
-                         load_workspace, main, parse_field_flag,
-                         save_workspace, serialize)
+                         cmd_compose, cmd_laws, deserialize, load_workspace,
+                         main, parse_field_flag, save_workspace, serialize)
 from entwine.exactlin import FieldSpec, QQ
 
 # malformed workspaces: the gallery with doc[path] = value for each pair,

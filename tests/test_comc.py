@@ -16,7 +16,8 @@ from entwine.corcat import (CorTwoCell, check_cor_one_cell,
                             check_cor_two_cell, check_coring, hcomp_cor,
                             identity_cor_one_cell, leaf, vcomp_cor, wtensor)
 from entwine.entwcat import (EntwObj, EntwOneCell, EntwTwoCell,
-                             bialgebra_entwining, check_two_cell,
+                             bialgebra_entwining, check_one_cell,
+                             check_two_cell,
                              compose_one_cells, flip_entwining, hcomp,
                              identity_one_cell, identity_two_cell,
                              morphism_one_cell, scalar_two_cell, vcomp)
@@ -133,6 +134,29 @@ class TestComcOneCell:
         except DoesNotFactor:
             return
         assert not check_cor_one_cell(cell).passed
+
+    @pytest.mark.parametrize("alpha, gamma, axiom, cor_axiom", [
+        ([[1, 0], [0, 0]], [[0, 0], [1, 1]], "alpha-pentagon", None),
+        ([[1, 0], [0, 1]], [[0, 2], [1, 2]], "gamma-pentagon",
+         "street pentagon"),
+        ([[1, 0], [0, 1]], [[0, 0], [0, 0]], "counit-triangle",
+         "counit compatibility"),
+    ], ids=["alpha-pentagon", "gamma-pentagon", "counit-triangle"])
+    def test_factoring_does_not_decide_the_axioms(self, alpha, gamma, axiom,
+                                                  cor_axiom):
+        # over GF(3) on flip_kC2_gl2, a cell failing one axiom: only the
+        # alpha-pentagon stops the factorization; the others factor and
+        # fail a coring 1-cell law instead
+        gf3 = FieldSpec("prime", 3)
+        e = flip_entwining(group_algebra(gf3, 2), grouplike_coalgebra(gf3, 2))
+        f = EntwOneCell(e, e, 1, Matrix(gf3, alpha), Matrix(gf3, gamma))
+        assert [x.axiom for x in check_one_cell(f).failures] == [axiom]
+        if cor_axiom is None:
+            with pytest.raises(DoesNotFactor):
+                comc_one_cell(f)
+        else:
+            failures = check_cor_one_cell(comc_one_cell(f)).failures
+            assert [x.axiom for x in failures] == [cor_axiom]
 
     def test_composition_preserved_up_to_compositor(self):
         f = swap_cell()

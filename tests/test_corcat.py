@@ -1,7 +1,5 @@
 """Corings over an algebra, their cells, and quotient-level coherence."""
 
-import pytest
-
 from entwine.algstruct import (Bimodule, cyclic_group_bialgebra,
                                group_algebra, matrix_algebra)
 from entwine.comc import comc_obj
@@ -13,7 +11,7 @@ from entwine.corcat import (Coring, CorOneCell, CorTwoCell, check_coring,
                             leaf, trivial_coring, vcomp_cor, word_iso,
                             wtensor)
 from entwine.entwcat import bialgebra_entwining
-from entwine.exactlin import Matrix, QQ, compose, inverse, kron
+from entwine.exactlin import Matrix, QQ, compose, inverse
 
 
 def c2_coring():

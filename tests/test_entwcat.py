@@ -13,7 +13,7 @@ from entwine.entwcat import (EntwObj, EntwOneCell, EntwTwoCell, associator,
                              scalar_two_cell, vcomp)
 from entwine.errors import (NotABialgebra, NotAMorphism, NotComposable,
                             NotParallel)
-from entwine.exactlin import Matrix, QQ, compose, kron
+from entwine.exactlin import Matrix, QQ
 
 
 def gallery_objects():

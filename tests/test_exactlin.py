@@ -12,6 +12,7 @@ from entwine.cli import Workspace, serialize
 from entwine.errors import DimensionMismatch, InvalidParameter
 from entwine.exactlin import (FieldSpec, Matrix, QQ, compose, flip, hstack,
                               inverse, kernel_basis, kron, rank, rref, solve)
+from entwine.qtensor import presentation_from_relations
 
 GF5 = FieldSpec("prime", 5)
 
@@ -187,6 +188,11 @@ class TestMatrixBasics:
         for out in (e + e, e - e, -e, e.scale(2), rref(e)[0]):
             assert out == e
         assert e.column(1).shape == (0, 1)
+        assert e.gather((2, 0, 2)).shape == (0, 3)
+        assert Matrix.zeros(QQ, 2, 3).gather(()).shape == (2, 0)
+        q = presentation_from_relations(Matrix.identity(QQ, 3))
+        assert q.free == ()
+        assert q.section.shape == (3, 0)
         assert hstack([Matrix.zeros(QQ, 0, 2), e]).shape == (0, 5)
         assert solve(Matrix.zeros(QQ, 2, 0), Matrix.zeros(QQ, 2, 3)) == \
             Matrix.zeros(QQ, 0, 3)
@@ -273,6 +279,17 @@ class TestComposition:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             compose(Matrix(QQ, [[1]]), Matrix(QQ, [[1, 2], [3, 4]]))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_gather_is_a_selection_product(self, data):
+        # columns cols of m, repeats allowed, are m times a 0/1 selection
+        width = data.draw(st.integers(1, 4))
+        m = data.draw(matrices(data.draw(st.integers(0, 3)), width))
+        cols = data.draw(st.lists(st.integers(0, width - 1), max_size=4))
+        select = Matrix.build(QQ, width, len(cols),
+                              lambda i, j: int(cols[j] == i))
+        assert m.gather(cols) == compose(m, select)
 
 
 class TestRrefRankKernel:

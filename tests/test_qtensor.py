@@ -3,10 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entwine.algstruct import Bimodule, group_algebra, regular_bimodule
-from entwine.errors import DoesNotFactor, NotInvertible
-from entwine.exactlin import Matrix, QQ, compose, inverse, kron, rank
+from entwine.algstruct import group_algebra, regular_bimodule
+from entwine.cli import build_gallery
+from entwine.comc import comc_obj, comc_one_cell
+from entwine.corcat import leaf, wtensor
+from entwine.errors import DimensionMismatch, DoesNotFactor, NotInvertible
+from entwine.exactlin import (FieldSpec, Matrix, QQ, compose, inverse, kron,
+                              rank)
 from entwine.qtensor import (QuotientPresentation, assoc_coherence, descend,
                              induced_map, pres_compose, pres_kron,
                              presentation_from_relations, tensor_over,
@@ -57,6 +63,21 @@ def random_order_matrix(rng, n, m):
         sinv = inverse(s)
         if sinv is not None:
             return compose(s, compose(base, sinv))
+
+
+GF5 = FieldSpec("prime", 5)
+
+
+def matrix(draw, field, rows, cols):
+    """A drawn rows x cols matrix with small entries."""
+    return Matrix(field, [[draw(st.integers(-2, 2)) for _ in range(cols)]
+                          for _ in range(rows)], cols=cols)
+
+
+def relations(draw, field, rows=None):
+    """Relations of 0..4 rows (the ambient) and 0..4 columns."""
+    rows = draw(st.integers(0, 4)) if rows is None else rows
+    return matrix(draw, field, rows, draw(st.integers(0, 4)))
 
 
 def brute_force_relation_rank(ract_m, lact_n, dim_m, dim_a, dim_n):
@@ -131,6 +152,14 @@ class TestPresentations:
         assert q1.projection == q2.projection
         assert q1.section == q2.section
 
+    def test_free_coordinates_must_fit_the_projection(self):
+        proj = Matrix.identity(QQ, 2)
+        assert QuotientPresentation(proj, (1, 0)).section == \
+            Matrix(QQ, [[0, 1], [1, 0]])
+        for free in ((0,), (0, 1, 1), (0, 2), (-1, 0)):
+            with pytest.raises(DimensionMismatch):
+                QuotientPresentation(proj, free)
+
     def test_kernel_is_relation_span(self):
         rel = Matrix(QQ, [[1, 0], [0, 1], [1, 1]])
         q = presentation_from_relations(rel)
@@ -189,6 +218,78 @@ class TestInducedMap:
         f = kron(Matrix.identity(QQ, 1), Matrix.identity(QQ, 4))
         d = descend(f, q, q)
         assert d == Matrix.identity(QQ, q.quotient_dim)
+
+
+class TestDenseSectionOracle:
+    """The free coordinates against the dense 0/1 section they stand for."""
+
+    @given(st.data(), st.sampled_from([QQ, GF5]))
+    @settings(max_examples=60, deadline=None)
+    def test_section_is_a_right_inverse(self, data, field):
+        q = presentation_from_relations(relations(data.draw, field))
+        assert compose(q.projection, q.section) == \
+            Matrix.identity(field, q.quotient_dim)
+
+    @given(st.data(), st.sampled_from([QQ, GF5]), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_induced_map_is_the_section_product(self, data, field, balanced):
+        rel = relations(data.draw, field)
+        q = presentation_from_relations(rel)
+        rows = data.draw(st.integers(0, 3))
+        if balanced:
+            f = compose(matrix(data.draw, field, rows, q.quotient_dim),
+                        q.projection)
+        else:
+            f = matrix(data.draw, field, rows, q.ambient_dim)
+        # f factors exactly when it kills the relation span
+        if compose(f, rel).is_zero():
+            assert induced_map(f, q) == compose(f, q.section)
+        else:
+            with pytest.raises(DoesNotFactor):
+                induced_map(f, q)
+
+    @given(st.data(), st.sampled_from([QQ, GF5]))
+    @settings(max_examples=60, deadline=None)
+    def test_pres_kron_section(self, data, field):
+        q1 = presentation_from_relations(relations(data.draw, field))
+        q2 = presentation_from_relations(relations(data.draw, field))
+        both = pres_kron(q1, q2)
+        assert both.section == kron(q1.section, q2.section)
+        assert both.projection == kron(q1.projection, q2.projection)
+
+    @given(st.data(), st.sampled_from([QQ, GF5]))
+    @settings(max_examples=60, deadline=None)
+    def test_pres_compose_section(self, data, field):
+        a = presentation_from_relations(relations(data.draw, field))
+        b = presentation_from_relations(
+            relations(data.draw, field, rows=a.quotient_dim))
+        ab = pres_compose(a, b)
+        assert ab.section == compose(a.section, b.section)
+        assert ab.projection == compose(b.projection, a.projection)
+
+    @pytest.mark.parametrize("field", [QQ, GF5], ids=["q", "gf5"])
+    def test_gallery_quotient_actions(self, field):
+        # the actions wtensor gathers through the free coordinates equal
+        # the dense p . (lact (x) n) . (m (x) section) and its mirror
+        ws = build_gallery(field)
+        pairs = []
+        for e in ws.entwinings.values():
+            lc = leaf(comc_obj(e).carrier)
+            w2 = wtensor(lc, lc)
+            pairs += [(lc, lc), (w2, lc), (lc, w2)]
+        for f in ws.one_cells.values():
+            cell = comc_one_cell(f)
+            lm = leaf(cell.carrier)
+            pairs += [(leaf(cell.cod.carrier), lm),
+                      (lm, leaf(cell.dom.carrier))]
+        for x, y in pairs:
+            w = wtensor(x, y)
+            xm, ym = x.module, y.module
+            p, s = w.outer.projection, w.outer.section
+            assert w.module.lact == compose(p, compose(
+                kron(xm.lact, ym.dim), kron(xm.left.dim, s)))
+            assert w.module.ract == compose(p, compose(
+                kron(xm.dim, ym.ract), kron(s, ym.right.dim)))
 
 
 class TestCoherences:
