@@ -18,8 +18,9 @@ from .algstruct import (Algebra, Bimodule, CheckReport, _Checker,
                         regular_bimodule)
 from .errors import (DimensionMismatch, NotComposable, NotInvertible,
                      NotParallel)
-from .exactlin import Matrix, compose, expect_shapes, inverse, kron
-from .qtensor import (QuotientPresentation, assoc_coherence, descend, lift,
+from .exactlin import (Matrix, _sparse_columns, compose, expect_shapes,
+                       inverse, kron)
+from .qtensor import (QuotientPresentation, assoc_coherence, descend,
                       pres_compose, pres_kron, tensor_over,
                       trivial_presentation, unit_coherence)
 
@@ -49,16 +50,38 @@ def leaf(b: Bimodule) -> TensorWord:
     return TensorWord(b, (b.dim,), triv, triv)
 
 
+def _column_sums(p: Matrix, combos: list) -> Matrix:
+    """The matrix whose column t is the sum of c * p[:, a] over combos[t],
+    a ``{a: c}`` dict."""
+    field = p.field
+    add, mul = field.add, field.mul
+    p_cols = _sparse_columns(p)
+    out = [[field.zero] * len(combos) for _ in range(p.rows)]
+    for t, combo in enumerate(combos):
+        for a, c in combo.items():
+            for s, x in p_cols[a].items():
+                out[s][t] = add(out[s][t], mul(c, x))
+    return Matrix(field, tuple(map(tuple, out)), cols=len(combos), _raw=True)
+
+
 @lru_cache(maxsize=None)
 def wtensor(x: TensorWord, y: TensorWord) -> TensorWord:
     """Tensor over the shared middle algebra x.module.right = y.module.left."""
     xm, ym = x.module, y.module
     if xm.right != ym.left:
         raise NotComposable("middle algebras differ")
-    q = tensor_over(xm.ract, ym.lact, xm.dim, xm.right.dim, ym.dim)
-    p = q.projection
-    lact = compose(p, lift(kron(xm.lact, ym.dim), q, left=xm.left.dim))
-    ract = compose(p, lift(kron(xm.dim, ym.ract), q, right=ym.right.dim))
+    dm, dn, dl, dr = xm.dim, ym.dim, xm.left.dim, ym.right.dim
+    q = tensor_over(xm.ract, ym.lact, dm, xm.right.dim, dn)
+    # column (l, t) of lact, with free[t] = (i, j), is the sum over i' of
+    # X.lact[i', (l, i)] p[:, (i', j)]; column (t, r) of ract mirrors it
+    ij = [divmod(c, dn) for c in q.free]
+    x_l, y_r = _sparse_columns(xm.lact), _sparse_columns(ym.ract)
+    lact = _column_sums(q.projection, [
+        {i2 * dn + j: x for i2, x in x_l[l * dm + i].items()}
+        for l in range(dl) for i, j in ij])
+    ract = _column_sums(q.projection, [
+        {i * dn + j2: y for j2, y in y_r[j * dr + r].items()}
+        for i, j in ij for r in range(dr)])
     module = Bimodule(xm.left, ym.right, q.quotient_dim, lact, ract)
     full = pres_compose(pres_kron(x.full, y.full), q)
     return TensorWord(module, x.flat_dims + y.flat_dims, full, q)

@@ -1,10 +1,13 @@
-"""Exact dense linear algebra over Q or a prime field GF(p).
+"""Exact linear algebra over Q or a prime field GF(p): dense matrices,
+sparse elimination.
 
 A ``FieldSpec`` fixes the field per session and owns the arithmetic.
 Over Q a matrix entry is an ``int`` when it is integral and a
 ``fractions.Fraction`` otherwise; over GF(p) it is an int in ``[0, p)``.
-Matrices are immutable, row-major, and hashable so downstream
-construction caches can key on them.
+Matrices are dense, immutable, row-major, and hashable so downstream
+construction caches can key on them.  Elimination alone works on sparse
+``{col: value}`` vectors: ``rref``, ``rank``, ``solve`` and
+``kernel_basis`` all go through the one routine ``_echelon``.
 
 Index convention (normative for the whole package): the basis vector
 ``(i of X, j of Y)`` of ``X (x) Y`` has flat index ``i * dim(Y) + j``.
@@ -14,6 +17,7 @@ Hence ``kron(f, g)[i*rg + j, k*cg + l] = f[i, k] * g[j, l]``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, InvalidParameter
@@ -236,7 +240,7 @@ class Matrix:
     def build(cls, field: FieldSpec, rows: int, cols: int, fn) -> "Matrix":
         """Entry-wise construction from fn(i, j)."""
         return cls(field, [[fn(i, j) for j in range(cols)]
-                           for i in range(rows)])
+                           for i in range(rows)], cols=cols)
 
     # -- basics -----------------------------------------------------------
 
@@ -364,24 +368,24 @@ def compose(f: Matrix, g: Matrix) -> Matrix:
     if f.cols != g.rows:
         raise DimensionMismatch(
             f"compose: {f.shape} after {g.shape}")
-    field = f.field
-    zero = field.zero
-    add, mul = field.add, field.mul
-    out = [[zero] * g.cols for _ in range(f.rows)]
-    for i in range(f.rows):
-        frow = f.entries[i]
-        orow = out[i]
-        for k in range(f.cols):
-            a = frow[k]
+    zero, add, mul = f.field.zero, f.field.add, f.field.mul
+    # the nonzeros of g's row k, listed when some row of f first needs them
+    gnz = [None] * g.rows
+    out = []
+    for frow in f.entries:
+        orow = [zero] * g.cols
+        for k, a in enumerate(frow):
             if not a:
                 continue
-            grow = g.entries[k]
-            for j in range(g.cols):
-                b = grow[j]
-                if b:
-                    orow[j] = add(orow[j], mul(a, b))
-    return Matrix(field, tuple(tuple(r) for r in out), cols=g.cols,
-                  _raw=True)
+            nz = gnz[k]
+            if nz is None:
+                grow = g.entries[k]
+                nz = gnz[k] = [(j, grow[j])
+                               for j in compress(range(g.cols), grow)]
+            for j, b in nz:
+                orow[j] = add(orow[j], mul(a, b))
+        out.append(tuple(orow))
+    return Matrix(f.field, tuple(out), cols=g.cols, _raw=True)
 
 
 def kron(f, g) -> Matrix:
@@ -429,81 +433,102 @@ def kron(f, g) -> Matrix:
                   _raw=True)
 
 
-def _rref_rows(rows: list, ncols: int, field: FieldSpec):
-    """In-place reduced row echelon form; returns the pivot columns."""
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
+def _sparse_rows(m: Matrix):
+    """The rows of m as ``{col: value}`` dicts of their nonzeros."""
+    return ({j: row[j] for j in compress(range(m.cols), row)}
+            for row in m.entries)
+
+
+def _sparse_columns(m: Matrix) -> list:
+    """The columns of m as ``{row: value}`` dicts of their nonzeros."""
+    cols, js = [{} for _ in range(m.cols)], range(m.cols)
+    for i, row in enumerate(m.entries):
+        for j in compress(js, row):
+            cols[j][i] = row[j]
+    return cols
+
+
+def _sub_scaled(v: dict, fac, row: dict, field: FieldSpec) -> None:
+    """v -= fac * row on sparse vectors, dropping the entries that vanish."""
+    sub, mul = field.sub, field.mul
+    for j, x in row.items():
+        y = sub(v.get(j, 0), mul(fac, x))
+        if y:
+            v[j] = y
+        else:
+            del v[j]
+
+
+def _echelon(vectors: Iterable[dict], field: FieldSpec) -> dict:
+    """The reduced row echelon basis of the span of sparse vectors.
+
+    Each vector is a ``{col: value}`` dict of nonzeros (it is consumed).
+    Returns ``{pivot: row}``: each row is 1 at its pivot, its leading
+    column, and 0 at every other pivot.
+    """
+    rows = {}
+    for v in vectors:
+        # rows are fully reduced, so clearing one pivot of v sets no other
+        for c in [c for c in v if c in rows]:
+            _sub_scaled(v, v[c], rows[c], field)
+        if not v:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        if piv != field.one:
-            inv = field.inv(piv)
-            mul = field.mul
-            rows[r] = [mul(inv, x) for x in rows[r]]
-        rowr = rows[r]
-        sub, mul = field.sub, field.mul
-        for i in range(nrows):
-            if i == r:
-                continue
-            fac = rows[i][c]
-            if not fac:
-                continue
-            rowi = rows[i]
-            for j in range(c, ncols):
-                x = rowr[j]
-                if x:
-                    rowi[j] = sub(rowi[j], mul(fac, x))
-        pivots.append(c)
-        r += 1
-    return pivots
+        p = min(v)
+        if v[p] != 1:
+            s = field.inv(v[p])
+            v = {j: field.mul(s, x) for j, x in v.items()}
+        for row in rows.values():
+            if p in row:
+                _sub_scaled(row, row[p], v, field)
+        rows[p] = v
+    return rows
+
+
+def _matrix(field: FieldSpec, rows, cols: int) -> Matrix:
+    """The dense matrix of sparse ``{col: value}`` rows."""
+    out = []
+    for row in rows:
+        dense = [field.zero] * cols
+        for j, x in row.items():
+            dense[j] = x
+        out.append(tuple(dense))
+    return Matrix(field, tuple(out), cols=cols, _raw=True)
 
 
 def rref(m: Matrix):
     """Reduced row echelon form; returns (reduced, pivots, rank)."""
-    rows = [list(r) for r in m.entries]
-    pivots = _rref_rows(rows, m.cols, m.field)
-    red = Matrix(m.field, tuple(tuple(r) for r in rows), cols=m.cols,
-                 _raw=True)
-    return red, tuple(pivots), len(pivots)
+    ech = _echelon(_sparse_rows(m), m.field)
+    pivots = tuple(sorted(ech))
+    rows = [ech[p] for p in pivots] + [{}] * (m.rows - len(pivots))
+    return _matrix(m.field, rows, m.cols), pivots, len(pivots)
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[2]
+    return len(_echelon(_sparse_rows(m), m.field))
 
 
-def _null_rows(m: Matrix) -> tuple[Matrix, tuple]:
-    """The free-column basis of the right kernel of m, as rows.
+def _null_rows(vectors: Iterable[dict], ncols: int,
+              field: FieldSpec) -> tuple[Matrix, tuple]:
+    """The free-column basis of the annihilator of sparse vectors in k^ncols.
 
-    Returns the rows and the free columns: row j is 1 at ``free[j]``, 0
-    at the other free columns, and minus the rref entries at the pivots.
+    Returns the basis as the rows of a matrix, and the free (non-pivot)
+    columns: row j is 1 at ``free[j]``, 0 at the other free columns, and
+    minus the echelon entries at the pivots.
     """
-    red, pivots, _ = rref(m)
-    pivset = set(pivots)
-    free = tuple(c for c in range(m.cols) if c not in pivset)
-    zero, one, neg = m.field.zero, m.field.one, m.field.neg
-    rows = []
-    for fc in free:
-        v = [zero] * m.cols
-        v[fc] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = neg(red.entries[i][fc])
-        rows.append(tuple(v))
-    return Matrix(m.field, tuple(rows), cols=m.cols, _raw=True), free
+    ech = _echelon(vectors, field)
+    free = tuple(c for c in range(ncols) if c not in ech)
+    where = {c: j for j, c in enumerate(free)}
+    rows = [{c: field.one} for c in free]
+    for p, row in ech.items():
+        for c, x in row.items():
+            if c != p:
+                rows[where[c]][p] = field.neg(x)
+    return _matrix(field, rows, ncols), free
 
 
 def kernel_basis(m: Matrix) -> Matrix:
     """Columns form a basis of the right kernel of m."""
-    return _null_rows(m)[0].transpose()
+    return _null_rows(_sparse_rows(m), m.cols, m.field)[0].transpose()
 
 
 def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -512,20 +537,14 @@ def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:
         raise DimensionMismatch("fields differ")
     if m.rows != b.rows:
         raise DimensionMismatch(f"solve: {m.shape} vs {b.shape}")
-    field = m.field
-    aug = hstack([m, b])
-    rows = [list(r) for r in aug.entries]
-    pivots = _rref_rows(rows, aug.cols, field)
+    ech = _echelon(_sparse_rows(hstack([m, b])), m.field)
     # a pivot in the b-block means the system is inconsistent
-    if any(p >= m.cols for p in pivots):
+    if any(p >= m.cols for p in ech):
         return None
-    zero = field.zero
-    ent = [[zero] * b.cols for _ in range(m.cols)]
-    for i, pc in enumerate(pivots):
-        for j in range(b.cols):
-            ent[pc][j] = rows[i][m.cols + j]
-    return Matrix(field, tuple(tuple(r) for r in ent), cols=b.cols,
-                  _raw=True)
+    rows = [{} for _ in range(m.cols)]
+    for p, row in ech.items():
+        rows[p] = {j - m.cols: x for j, x in row.items() if j >= m.cols}
+    return _matrix(m.field, rows, b.cols)
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:

@@ -1,19 +1,24 @@
 """Tensor products over an algebra as quotient presentations.
 
 M (x)_A N is the coequalizer of the two middle actions on M (x) A (x) N,
-computed as a cokernel: we row-reduce the span of the balancing relations
-(m.a) (x) n - m (x) (a.n) and present the quotient by its projection and
-its free (non-pivot) ambient coordinates, whose injection is the section.
-Presentations are reproducible byte for byte, so golden files are stable.
+computed as a cokernel.  The balancing relations (m.a) (x) n - m (x) (a.n)
+are built as sparse vectors, one per triple of basis vectors (m, a, n),
+read off the columns of the two actions; the one elimination routine of
+``exactlin`` reduces them, and the quotient is presented by its (dense)
+projection and its free (non-pivot) ambient coordinates, whose injection
+is the section.  Presentations are reproducible byte for byte, so golden
+files are stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .errors import DimensionMismatch, DoesNotFactor, NotInvertible
-from .exactlin import Matrix, _null_rows, compose, kron, rank
+from .exactlin import (Matrix, _null_rows, _sparse_columns, _sub_scaled,
+                       compose, kron, rank)
 
 
 @dataclass(frozen=True)
@@ -53,7 +58,8 @@ def presentation_from_relations(relations: Matrix) -> QuotientPresentation:
     a coset is the one whose rref-pivot coordinates vanish, which makes
     the projection and the free coordinates canonical.
     """
-    return QuotientPresentation(*_null_rows(relations.transpose()))
+    return QuotientPresentation(*_null_rows(
+        _sparse_columns(relations), relations.rows, relations.field))
 
 
 def trivial_presentation(field, dim: int) -> QuotientPresentation:
@@ -68,19 +74,28 @@ def tensor_over(ract_m: Matrix, lact_n: Matrix, dim_m: int, dim_a: int,
         raise DimensionMismatch(f"right action shape {ract_m.shape}")
     if lact_n.shape != (dim_n, dim_a * dim_n):
         raise DimensionMismatch(f"left action shape {lact_n.shape}")
-    relations = kron(ract_m, dim_n) - kron(dim_m, lact_n)
-    return presentation_from_relations(relations)
+    field = ract_m.field
+    if lact_n.field != field:
+        raise DimensionMismatch("fields differ")
+    m_a, a_n = _sparse_columns(ract_m), _sparse_columns(lact_n)
+
+    def relations():
+        # (m_i . a_k) (x) n_j - m_i (x) (a_k . n_j), read off the actions
+        for i, k, j in product(range(dim_m), range(dim_a), range(dim_n)):
+            v = {r * dim_n + j: x for r, x in m_a[i * dim_a + k].items()}
+            _sub_scaled(v, 1, {i * dim_n + r: x for r, x in
+                               a_n[k * dim_n + j].items()}, field)
+            yield v
+
+    return QuotientPresentation(*_null_rows(relations(), dim_m * dim_n, field))
 
 
-def lift(f: Matrix, q: QuotientPresentation, left: int = 1,
-         right: int = 1) -> Matrix:
-    """f . (1_left (x) section (x) 1_right), gathered from f's columns."""
-    amb = q.ambient_dim
-    if f.cols != left * amb * right:
+def lift(f: Matrix, q: QuotientPresentation) -> Matrix:
+    """f . section, gathered from f's columns."""
+    if f.cols != q.ambient_dim:
         raise DimensionMismatch(
-            f"map domain {f.cols} vs ambient {left * amb * right}")
-    return f.gather(tuple((i * amb + c) * right + k for i in range(left)
-                          for c in q.free for k in range(right)))
+            f"map domain {f.cols} vs ambient {q.ambient_dim}")
+    return f.gather(q.free)
 
 
 def induced_map(f: Matrix, q: QuotientPresentation) -> Matrix:

@@ -185,7 +185,8 @@ class TestMatrixBasics:
         assert Matrix.zeros(QQ, 0, 3).transpose().shape == (3, 0)
         assert Matrix.zeros(QQ, 3, 0).transpose().shape == (0, 3)
         e = Matrix.zeros(QQ, 0, 3)
-        for out in (e + e, e - e, -e, e.scale(2), rref(e)[0]):
+        for out in (e + e, e - e, -e, e.scale(2), rref(e)[0],
+                    Matrix.build(QQ, 0, 3, lambda i, j: 1)):
             assert out == e
         assert e.column(1).shape == (0, 1)
         assert e.gather((2, 0, 2)).shape == (0, 3)
@@ -350,8 +351,51 @@ class TestRrefRankKernel:
         assert hstack([a, b]) == Matrix(QQ, [[1, 3], [2, 4]])
 
 
+class TestRowOrder:
+    """The echelon form depends on the row space only, not on the rows."""
+
+    @given(st.data(), st.sampled_from([QQ, GF5]))
+    @settings(max_examples=100, deadline=None)
+    def test_rref_ignores_order_repeats_and_zero_rows(self, data, field):
+        m = data.draw(matrices(data.draw(st.integers(0, 4)),
+                               data.draw(st.integers(0, 4)), field,
+                               st.integers(-2, 2)))
+        rows = list(m.entries)
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=3)
+                          if rows else st.just([]))
+        rows += [(0,) * m.cols] * data.draw(st.integers(0, 2))
+        rows = data.draw(st.permutations(rows))
+        other = Matrix(field, rows, cols=m.cols)
+        red, pivots, rk = rref(m)
+        red2, pivots2, rk2 = rref(other)
+        assert (pivots2, rk2) == (pivots, rk)
+        assert red2.entries[:rk] == red.entries[:rk]
+        assert all(not x for row in red2.entries[rk:] for x in row)
+        assert kernel_basis(other) == kernel_basis(m)
+
+
+@st.composite
+def sparse_matrices(draw, rows, cols):
+    """Q matrices mixing zero rows, zero columns and scattered zeros."""
+    entry = st.one_of(st.just(0), st.integers(-3, 3),
+                      st.fractions(-3, 3, max_denominator=4))
+    m = draw(matrices(rows, cols, entry=entry))
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
+    return Matrix.build(QQ, rows, cols, lambda i, j: 0 if (
+        i in zero_rows or j in zero_cols) else m[i, j])
+
+
 class TestAgainstSympy:
     """Differential tests over Q with sympy as an independent oracle."""
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_compose(self, rows, mid, cols, data):
+        f = data.draw(sparse_matrices(rows, mid))
+        g = data.draw(sparse_matrices(mid, cols))
+        assert compose(f, g) == from_sympy(to_sympy(f) * to_sympy(g))
 
     @given(mixed_matrices())
     @settings(max_examples=150, deadline=None)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entwine.algstruct import group_algebra, regular_bimodule
+from entwine.algstruct import (Algebra, Bimodule, group_algebra,
+                               regular_bimodule)
 from entwine.cli import build_gallery
 from entwine.comc import comc_obj, comc_one_cell
 from entwine.corcat import leaf, wtensor
@@ -290,6 +291,55 @@ class TestDenseSectionOracle:
                 kron(xm.lact, ym.dim), kron(xm.left.dim, s)))
             assert w.module.ract == compose(p, compose(
                 kron(xm.dim, ym.ract), kron(s, ym.right.dim)))
+
+
+def algebra(draw, field, dim):
+    """An arbitrary dim-dimensional 'algebra': only the shapes are right."""
+    return Algebra(dim, matrix(draw, field, dim, dim * dim),
+                   matrix(draw, field, dim, 1))
+
+
+def bimodule(draw, field, left, right):
+    """An arbitrary left-right 'bimodule' of dimension 0..3."""
+    m = draw(st.integers(0, 3))
+    return Bimodule(left, right, m, matrix(draw, field, m, left.dim * m),
+                    matrix(draw, field, m, m * right.dim))
+
+
+def dense_lift(f, q, left, right):
+    """f . (1_left (x) section (x) 1_right), as a gather of f's columns."""
+    amb = q.ambient_dim
+    return f.gather(tuple((i * amb + c) * right + k for i in range(left)
+                          for c in q.free for k in range(right)))
+
+
+class TestDenseRelationOracle:
+    """The sparse builders against the dense formulas they replace."""
+
+    @given(st.data(), st.sampled_from([QQ, GF5]))
+    @settings(max_examples=100, deadline=None)
+    def test_tensor_over_is_the_dense_cokernel(self, data, field):
+        dm, da, dn = (data.draw(st.integers(0, 3)) for _ in range(3))
+        ract = matrix(data.draw, field, dm, dm * da)
+        lact = matrix(data.draw, field, dn, da * dn)
+        dense = kron(ract, dn) - kron(dm, lact)
+        assert tensor_over(ract, lact, dm, da, dn) == \
+            presentation_from_relations(dense)
+
+    @given(st.data(), st.sampled_from([QQ, GF5]))
+    @settings(max_examples=100, deadline=None)
+    def test_wtensor_actions_are_the_whiskered_products(self, data, field):
+        left, mid, right = (algebra(data.draw, field,
+                                    data.draw(st.integers(0, 3)))
+                            for _ in range(3))
+        xm = bimodule(data.draw, field, left, mid)
+        ym = bimodule(data.draw, field, mid, right)
+        w = wtensor(leaf(xm), leaf(ym))
+        p = w.outer.projection
+        assert w.module.lact == compose(p, dense_lift(
+            kron(xm.lact, ym.dim), w.outer, left.dim, 1))
+        assert w.module.ract == compose(p, dense_lift(
+            kron(xm.dim, ym.ract), w.outer, 1, right.dim))
 
 
 class TestCoherences:
