@@ -415,13 +415,11 @@ def laws_bicategory(ws: Workspace, report: Report):
 
 def laws_pseudofunctor(ws: Workspace, report: Report):
     """Compositors, unitors, coherence, 2-cell functoriality."""
-    images = {name: comc_one_cell(f) for name, f in ws.one_cells.items()}
     for pn, p, mn, m in _composable_pairs(ws):
-        c2 = compositor(p, m)
         report.add("CORTWOCELL", f"compositor({pn},{mn})",
-                   check_cor_two_cell(c2))
+                   check_cor_two_cell(compositor(p, m)))
     for qn, q, pn, p, mn, m in _composable_triples(ws):
-        cq, cp, cm = images[qn], images[pn], images[mn]
+        cq, cp, cm = map(comc_one_cell, (q, p, m))
         lhs = vcomp_cor(hcomp_cor(compositor(q, p),
                                   identity_cor_two_cell(cm)),
                         compositor(compose_one_cells(q, p), m))
@@ -435,7 +433,7 @@ def laws_pseudofunctor(ws: Workspace, report: Report):
         u = unitor_comparison(e)
         report.add("CORTWOCELL", f"unitor({name})", check_cor_two_cell(u))
     for name, f in ws.one_cells.items():
-        cf = images[name]
+        cf = comc_one_cell(f)
         right = vcomp_cor(
             cor_right_unitor(cf),
             vcomp_cor(hcomp_cor(identity_cor_two_cell(cf),
@@ -488,18 +486,22 @@ _LEVELS = {"cells": (laws_cells,),
 _INPUT_ERRORS = (OSError, ValueError, RecursionError, KeyError, EntwineError)
 
 
+def _fail(out, kind: str, exc, code: int) -> int:
+    """Print the one-line ``<kind> error: <exc>`` message; return ``code``."""
+    print(f"{kind} error: {exc}", file=out or sys.stderr)
+    return code
+
+
 def cmd_check(path: str, selector: str = "all", out=None) -> int:
     try:
         ws = load_workspace(path)
     except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=out or sys.stderr)
-        return 2
+        return _fail(out, "input", exc, 2)
     report = Report(out)
     try:
         run_checks(ws, selector, report)
     except EntwineError as exc:
-        print(f"input error: {exc}", file=out or sys.stderr)
-        return 2
+        return _fail(out, "input", exc, 2)
     return report.exit_code
 
 
@@ -512,14 +514,12 @@ def cmd_compose(path: str, selector: str, out_path: str, out=None) -> int:
         pn, mn = names
         p, m = ws.one_cells[pn], ws.one_cells[mn]
     except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=out or sys.stderr)
-        return 2
+        return _fail(out, "input", exc, 2)
     report = Report(out)
     try:
         comp = compose_one_cells(p, m)
     except EntwineError as exc:
-        print(f"semantic error: {exc}", file=out or sys.stderr)
-        return 1
+        return _fail(out, "semantic", exc, 1)
     report.add("ONECELL", "composite", check_one_cell(comp))
     if not report.ok:
         return 1
@@ -542,8 +542,7 @@ def cmd_comc(path: str, selector: str, out_path: str, out=None) -> int:
                         | ws.two_cells.keys()):
             raise EntwineError(f"no entwining entry named {name!r}")
     except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=out or sys.stderr)
-        return 2
+        return _fail(out, "input", exc, 2)
     report = Report(out)
     sub = Workspace(ws.field)
 
@@ -557,8 +556,7 @@ def cmd_comc(path: str, selector: str, out_path: str, out=None) -> int:
         return f"comc_{ename}"
 
     def emit_cell(cname):
-        f = ws.one_cells[cname]
-        cell = comc_one_cell(f)
+        cell = comc_one_cell(ws.one_cells[cname])
         dn, cn = map(emit_coring, ws.refs["one_cells", cname])
         sub.add("cor_one_cells", f"comc_{cname}", dn, cn, cell,
                 origin=f"comc({cname})")
@@ -572,16 +570,14 @@ def cmd_comc(path: str, selector: str, out_path: str, out=None) -> int:
         elif name in ws.one_cells:
             emit_cell(name)
         else:
-            t = ws.two_cells[name]
-            ct = comc_two_cell(t)
+            ct = comc_two_cell(ws.two_cells[name])
             dn, cn = map(emit_cell, ws.refs["two_cells", name])
             sub.add("cor_two_cells", f"comc_{name}", dn, cn, ct,
                     origin=f"comc({name})")
             report.add("CORTWOCELL", f"comc_{name}",
                        check_cor_two_cell(ct))
     except EntwineError as exc:
-        print(f"semantic error: {exc}", file=out or sys.stderr)
-        return 1
+        return _fail(out, "semantic", exc, 1)
     if not report.ok:
         return 1
     save_workspace(sub, out_path)
@@ -590,20 +586,17 @@ def cmd_comc(path: str, selector: str, out_path: str, out=None) -> int:
 
 def cmd_laws(path: str, level: str = "pseudofunctor", out=None) -> int:
     if level not in _LEVELS:
-        print(f"input error: unknown level {level!r}", file=out or sys.stderr)
-        return 2
+        return _fail(out, "input", f"unknown level {level!r}", 2)
     try:
         ws = load_workspace(path)
     except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=out or sys.stderr)
-        return 2
+        return _fail(out, "input", exc, 2)
     report = Report(out)
     try:
         for suite in _LEVELS[level]:
             suite(ws, report)
     except EntwineError as exc:
-        print(f"semantic error: {exc}", file=out or sys.stderr)
-        return 1
+        return _fail(out, "semantic", exc, 1)
     return report.exit_code
 
 
@@ -611,8 +604,7 @@ def cmd_gallery(field_flag: str, out_path: str, out=None) -> int:
     try:
         field = parse_field_flag(field_flag)
     except EntwineError as exc:
-        print(f"input error: {exc}", file=out or sys.stderr)
-        return 2
+        return _fail(out, "input", exc, 2)
     save_workspace(build_gallery(field), out_path)
     return 0
 

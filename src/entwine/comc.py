@@ -17,9 +17,10 @@ from .corcat import (Coring, CorOneCell, CorTwoCell, identity_cor_one_cell,
                      compose_cor_one_cells, leaf, module_map_squares,
                      wtensor, zeta_square)
 from .entwcat import (EntwObj, EntwOneCell, EntwTwoCell, check_obj,
-                      check_two_cell, identity_one_cell, two_cell_squares)
+                      check_two_cell, compose_one_cells, identity_one_cell,
+                      two_cell_squares)
 from .errors import InvalidObject, InvalidTwoCell, NotComposable, NotParallel
-from .exactlin import Matrix, compose, kernel_basis, kron, rank
+from .exactlin import Matrix, compose, kernel_basis, kron, memoised, rank
 from .qtensor import _iso_or_raise, induced_map
 
 
@@ -31,6 +32,7 @@ def composed_carrier(f: EntwOneCell) -> Bimodule:
     return Bimodule(f.cod.algebra, a, f.dimM * a.dim, lact, ract)
 
 
+@memoised
 def comc_obj(e: EntwObj) -> Coring:
     """The composed coring A (x) C over A."""
     rep = check_obj(e)
@@ -55,6 +57,7 @@ def zeta_ambient(f: EntwOneCell) -> Matrix:
                    kron(f.cod.algebra.dim, kron(f.gamma, f.dom.algebra.dim)))
 
 
+@memoised
 def comc_one_cell(f: EntwOneCell) -> CorOneCell:
     """(M, alpha, gamma) -> (M (x) A, zeta).
 
@@ -86,6 +89,7 @@ def comc_two_cell(t: EntwTwoCell) -> CorTwoCell:
                       kron(t.theta, t.dom.dom.algebra.dim))
 
 
+@memoised
 def compositor(p: EntwOneCell, m: EntwOneCell) -> CorTwoCell:
     """Invertible 2-cell comc(p . m) => comc(p) . comc(m).
 
@@ -93,11 +97,8 @@ def compositor(p: EntwOneCell, m: EntwOneCell) -> CorTwoCell:
     """
     if m.cod != p.dom:
         raise NotComposable("cells do not compose")
-    from .entwcat import compose_one_cells
-
     lhs = comc_one_cell(compose_one_cells(p, m))
-    cp = comc_one_cell(p)
-    cm = comc_one_cell(m)
+    cp, cm = comc_one_cell(p), comc_one_cell(m)
     rhs = compose_cor_one_cells(cp, cm)
     w = wtensor(leaf(cp.carrier), leaf(cm.carrier))
     fwd = compose(w.outer.projection,

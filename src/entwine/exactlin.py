@@ -1,11 +1,13 @@
 """Exact linear algebra over Q or a prime field GF(p): dense matrices,
 sparse elimination.
 
-A ``FieldSpec`` fixes the field per session and owns the arithmetic.
+A ``FieldSpec`` fixes the field per session, owns the arithmetic, and
+owns the session memo of ``memoised`` functions: a fresh ``FieldSpec``
+starts a fresh memo, which lives and dies with it.
 Over Q a matrix entry is an ``int`` when it is integral and a
 ``fractions.Fraction`` otherwise; over GF(p) it is an int in ``[0, p)``.
-Matrices are dense, immutable, row-major, and hashable so downstream
-construction caches can key on them.  Elimination alone works on sparse
+Matrices are dense, immutable, row-major, and hashable so the session
+memo can key on them.  Elimination alone works on sparse
 ``{col: value}`` vectors: ``rref``, ``rank``, ``solve`` and
 ``kernel_basis`` all go through the one routine ``_echelon``.
 
@@ -17,6 +19,7 @@ Hence ``kron(f, g)[i*rg + j, k*cg + l] = f[i, k] * g[j, l]``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 from itertools import compress
 from typing import Iterable, Optional, Sequence
 
@@ -57,10 +60,11 @@ class FieldSpec:
 
     ``FieldSpec(kind, p)`` returns an instance of ``_Rationals`` or
     ``_PrimeField``; each subclass owns the scalar arithmetic of its
-    field, so no scalar op tests the kind.
+    field, so no scalar op tests the kind.  Each instance owns a session
+    memo; equal instances share no memo.
     """
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "_memo")
     zero, one = 0, 1
 
     def __new__(cls, kind: str = "rational", p: Optional[int] = None):
@@ -80,6 +84,7 @@ class FieldSpec:
             raise InvalidParameter(f"unknown field kind {kind!r}")
         self = object.__new__(cls)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_memo", {})
         return self
 
     def __setattr__(self, name, value):
@@ -184,6 +189,18 @@ class _PrimeField(FieldSpec):
         if not a:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
+
+
+def memoised(fn):
+    """Keep ``fn(*args)`` in the memo of ``args[0].field`` unless it raises."""
+    @wraps(fn)
+    def wrapper(*args):
+        memo, key = args[0].field._memo, (fn, args)
+        result = memo.get(key, memo)    # the memo itself marks a miss
+        if result is memo:
+            result = memo[key] = fn(*args)
+        return result
+    return wrapper
 
 
 def _demote(x):

@@ -13,12 +13,11 @@ files are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .errors import DimensionMismatch, DoesNotFactor, NotInvertible
 from .exactlin import (Matrix, _null_rows, _sparse_columns, _sub_scaled,
-                       compose, kron, rank)
+                       compose, kron, memoised, rank)
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ def trivial_presentation(field, dim: int) -> QuotientPresentation:
     return QuotientPresentation(Matrix.identity(field, dim), tuple(range(dim)))
 
 
-@lru_cache(maxsize=None)
+@memoised
 def tensor_over(ract_m: Matrix, lact_n: Matrix, dim_m: int, dim_a: int,
                 dim_n: int) -> QuotientPresentation:
     """Presentation of M (x)_A N inside the ambient M (x) N."""
@@ -90,17 +89,12 @@ def tensor_over(ract_m: Matrix, lact_n: Matrix, dim_m: int, dim_a: int,
     return QuotientPresentation(*_null_rows(relations(), dim_m * dim_n, field))
 
 
-def lift(f: Matrix, q: QuotientPresentation) -> Matrix:
-    """f . section, gathered from f's columns."""
+def induced_map(f: Matrix, q: QuotientPresentation) -> Matrix:
+    """The unique g with g . projection = f, if f kills the relations."""
     if f.cols != q.ambient_dim:
         raise DimensionMismatch(
             f"map domain {f.cols} vs ambient {q.ambient_dim}")
-    return f.gather(q.free)
-
-
-def induced_map(f: Matrix, q: QuotientPresentation) -> Matrix:
-    """The unique g with g . projection = f, if f kills the relations."""
-    g = lift(f, q)
+    g = f.gather(q.free)    # f . section
     # ker(projection) = image(1 - section.projection), so f kills the
     # relations iff g.projection reproduces f
     if compose(g, q.projection) != f:

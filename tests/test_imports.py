@@ -1,9 +1,12 @@
-"""Every name a module or a test file imports is used in it.
+"""Every name a module or a test file imports is used in it, and the
+package memoises through one helper only.
 
 The project ships no linter, so this is its unused-import check: an
 ``ast`` scan of the names each file imports against the names it reads.
 The package ``__init__`` is skipped, since its imports are the public
-re-exports.
+re-exports.  A second scan keeps every memo on the session's
+``FieldSpec``: no ``functools`` cache in the package, and one
+``memoised``, defined in ``exactlin``.
 """
 
 import ast
@@ -43,3 +46,43 @@ def test_scan_finds_unused_imports():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+CACHES = {"lru_cache", "cache", "cached_property"}
+
+
+def memo_owners(sources: dict) -> tuple:
+    """(functools caches used, files defining ``memoised``) of ``sources``,
+    a dict file name -> source text."""
+    caches, owners = [], []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                caches += [f"{name}: {a.name}" for a in node.names
+                           if a.name in CACHES]
+            elif (isinstance(node, ast.Attribute) and node.attr in CACHES
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "functools"):
+                caches.append(f"{name}: functools.{node.attr}")
+            elif (isinstance(node, ast.FunctionDef)
+                  and node.name == "memoised"):
+                owners.append(name)
+    return caches, owners
+
+
+def test_scan_finds_other_memo_owners():
+    sources = {"a.py": "from functools import lru_cache, wraps\n",
+               "b.py": "import functools\nx = functools.cache\n"
+                       "def memoised(fn):\n    return fn\n",
+               "c.py": "from functools import cached_property\n"}
+    assert memo_owners(sources) == (
+        ["a.py: lru_cache", "b.py: functools.cache",
+         "c.py: cached_property"], ["b.py"])
+
+
+def test_memoisation_has_one_owner():
+    src = ROOT / "src" / "entwine"
+    caches, owners = memo_owners({p.name: p.read_text(encoding="utf-8")
+                                  for p in sorted(src.glob("*.py"))})
+    assert caches == []
+    assert owners == ["exactlin.py"]
