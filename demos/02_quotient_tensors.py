@@ -7,9 +7,8 @@ raises DoesNotFactor, which downstream code treats as a meaningful
 semantic signal, not a crash.
 """
 
-from entwine import (Bimodule, DoesNotFactor, Matrix, QQ, compose,
-                     group_algebra, induced_map, kron, tensor_over,
-                     unit_coherence)
+from entwine import (DoesNotFactor, Matrix, QQ, compose, group_algebra,
+                     induced_map, tensor_over, unit_coherence)
 
 a = group_algebra(QQ, 2)
 print("=== A (x)_A A for A = k[C2] ===\n")

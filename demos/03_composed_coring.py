@@ -12,7 +12,7 @@ breaks the equality of the two defining chains.
 from entwine import (QQ, bialgebra_entwining, check_cor_one_cell,
                      check_coring, comc_obj, comc_one_cell, composed_carrier,
                      compose, cyclic_group_bialgebra, identity_one_cell,
-                     kron, leaf, wtensor, zeta_ambient)
+                     kron, wtensor, zeta_ambient)
 
 e = bialgebra_entwining(cyclic_group_bialgebra(QQ, 2))
 print("=== The composed coring of the C2 bialgebra entwining ===\n")
@@ -48,7 +48,7 @@ zbar = zeta_ambient(f)
 raw1, raw2 = compose(zbar, head1), compose(zbar, head2)
 print(f"truncated chains equal: {head1 == head2}")
 print(f"chains through zeta-bar only: {raw1 == raw2}")
-nu2 = wtensor(leaf(composed_carrier(f)), leaf(cor.carrier)).outer.projection
+nu2 = wtensor(composed_carrier(f), cor.carrier).outer.projection
 prj1, prj2 = compose(nu2, raw1), compose(nu2, raw2)
 print(f"chains through zeta-bar then the target quotient: {prj1 == prj2}")
 print("\nSo zeta is defined by factoring (projection . zeta-bar), and the")

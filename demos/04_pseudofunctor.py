@@ -6,11 +6,10 @@ exactly injective -- but, as the hom-space dimension report shows, not
 surjective.
 """
 
-from entwine import (Matrix, QQ, check_cor_two_cell, comc_one_cell,
-                     compose_one_cells, compositor, flip_entwining,
-                     group_algebra, grouplike_coalgebra,
-                     hom_dimension_report, identity_one_cell, inverse,
-                     morphism_one_cell, unitor_comparison)
+from entwine import (Matrix, QQ, check_cor_two_cell, compositor,
+                     flip_entwining, group_algebra, grouplike_coalgebra,
+                     hom_dimension_report, inverse, morphism_one_cell,
+                     unitor_comparison)
 from entwine.cli import Report, build_gallery, laws_pseudofunctor
 
 e = flip_entwining(group_algebra(QQ, 2), grouplike_coalgebra(QQ, 2))

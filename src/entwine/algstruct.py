@@ -2,7 +2,7 @@
 
 A structure map is stored as the full matrix of the corresponding linear
 map (multiplication as an n x n^2 matrix, etc.), so every axiom below is
-a single compose/kron equality checked exactly.  Unitors are strict: the
+a single compose/kron equality checked exactly.  Unitors are identities: the
 ground field k is the 1-dimensional space and k (x) X is identified with
 X by the flat index convention of :mod:`entwine.exactlin`.
 """

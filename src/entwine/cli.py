@@ -387,7 +387,7 @@ def laws_cells(ws: Workspace, report: Report):
 
 
 def laws_bicategory(ws: Workspace, report: Report):
-    """Closure, strict unit laws, associativity, interchange."""
+    """Closure, unit laws on the nose, associativity, interchange."""
     for pn, p, mn, m in _composable_pairs(ws):
         comp = compose_one_cells(p, m)
         report.add("ONECELL", f"{pn}*{mn}", check_one_cell(comp))
@@ -546,7 +546,10 @@ def cmd_comc(path: str, selector: str, out_path: str, out=None) -> int:
     report = Report(out)
     sub = Workspace(ws.field)
 
+    # an entry shared by several references is emitted and checked once
     def emit_coring(ename):
+        if f"comc_{ename}" in sub.corings:
+            return f"comc_{ename}"
         cor = comc_obj(ws.entwinings[ename])
         base = ws.refs["entwinings", ename][0]
         _copy(ws, sub, "algebras", base)
@@ -556,6 +559,8 @@ def cmd_comc(path: str, selector: str, out_path: str, out=None) -> int:
         return f"comc_{ename}"
 
     def emit_cell(cname):
+        if f"comc_{cname}" in sub.cor_one_cells:
+            return f"comc_{cname}"
         cell = comc_one_cell(ws.one_cells[cname])
         dn, cn = map(emit_coring, ws.refs["one_cells", cname])
         sub.add("cor_one_cells", f"comc_{cname}", dn, cn, cell,

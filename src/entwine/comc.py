@@ -14,7 +14,7 @@ from typing import Tuple
 
 from .algstruct import Bimodule
 from .corcat import (Coring, CorOneCell, CorTwoCell, identity_cor_one_cell,
-                     compose_cor_one_cells, leaf, module_map_squares,
+                     compose_cor_one_cells, module_map_squares,
                      wtensor, zeta_square)
 from .entwcat import (EntwObj, EntwOneCell, EntwTwoCell, check_obj,
                       check_two_cell, compose_one_cells, identity_one_cell,
@@ -42,7 +42,7 @@ def comc_obj(e: EntwObj) -> Coring:
     lact = kron(a.mult, c.dim)
     ract = compose(kron(a.mult, c.dim), kron(a.dim, e.psi))
     carrier = Bimodule(a, a, a.dim * c.dim, lact, ract)
-    w2 = wtensor(leaf(carrier), leaf(carrier))
+    w2 = wtensor(carrier, carrier)
     # a (x) c (x) c' -> (a (x) c) (x)_A (1 (x) c')
     insert_unit = kron(a.dim * c.dim, kron(a.unit, c.dim))
     comult = compose(w2.outer.projection,
@@ -73,8 +73,8 @@ def comc_one_cell(f: EntwOneCell) -> CorOneCell:
     dom_cor = comc_obj(f.dom)
     cod_cor = comc_obj(f.cod)
     carrier = composed_carrier(f)
-    w_dm = wtensor(leaf(cod_cor.carrier), leaf(carrier))
-    w_mc = wtensor(leaf(carrier), leaf(dom_cor.carrier))
+    w_dm = wtensor(cod_cor.carrier, carrier)
+    w_mc = wtensor(carrier, dom_cor.carrier)
     zbar = zeta_ambient(f)
     zeta = induced_map(compose(w_mc.outer.projection, zbar), w_dm.outer)
     return CorOneCell(dom=dom_cor, cod=cod_cor, carrier=carrier, zeta=zeta)
@@ -100,7 +100,7 @@ def compositor(p: EntwOneCell, m: EntwOneCell) -> CorTwoCell:
     lhs = comc_one_cell(compose_one_cells(p, m))
     cp, cm = comc_one_cell(p), comc_one_cell(m)
     rhs = compose_cor_one_cells(cp, cm)
-    w = wtensor(leaf(cp.carrier), leaf(cm.carrier))
+    w = wtensor(cp.carrier, cm.carrier)
     fwd = compose(w.outer.projection,
                   kron(kron(p.dimM, p.dom.algebra.unit),
                        m.dimM * m.dom.algebra.dim))
@@ -111,7 +111,7 @@ def compositor(p: EntwOneCell, m: EntwOneCell) -> CorTwoCell:
 def unitor_comparison(e: EntwObj) -> CorTwoCell:
     """Invertible 2-cell comc(id-cell on e) => identity coring 1-cell.
 
-    Under strict unitors both carriers are the base algebra itself, so
+    With identity unitors both carriers are the base algebra itself, so
     the comparison map is the identity matrix; its content is the zeta
     compatibility square, which check_cor_two_cell verifies.
     """

@@ -2,26 +2,24 @@
 
 A coring is a comonoid in A-A-bimodules; its comultiplication lands in
 the quotient tensor 𝒞 (x)_A 𝒞, so every diagram here is chased through
-deterministic quotient presentations.  The ``TensorWord`` helper tracks
-a parenthesized tensor of bimodules together with its presentation over
-the flat k-ambient, which is what lets different bracketings be compared
-by an exact coherence isomorphism.
+deterministic quotient presentations.  ``wtensor`` tensors two bimodules,
+presented over the product of their coordinate spaces only.  The one
+rebracketing iso is the associator ``word_iso(x, y, z)``, built from its
+three factors; by Mac Lane's coherence theorem every other one is a
+composite of whiskered associators and their inverses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from .algstruct import (Algebra, Bimodule, CheckReport, _Checker,
                         regular_bimodule)
-from .errors import (DimensionMismatch, NotComposable, NotInvertible,
-                     NotParallel)
+from .errors import DimensionMismatch, NotComposable, NotParallel
 from .exactlin import (Matrix, _sparse_columns, compose, expect_shapes,
                        inverse, kron, memoised)
-from .qtensor import (QuotientPresentation, assoc_coherence, descend,
-                      pres_compose, pres_kron, tensor_over,
-                      trivial_presentation, unit_coherence)
+from .qtensor import (QuotientPresentation, _iso_or_raise, descend,
+                      tensor_over, unit_coherence)
 
 
 # -- tensor words ---------------------------------------------------------
@@ -29,27 +27,12 @@ from .qtensor import (QuotientPresentation, assoc_coherence, descend,
 
 @dataclass(frozen=True)
 class TensorWord:
-    """A bracketed tensor of bimodules, presented over the flat ambient.
-
-    ``module`` is the resulting subquotient bimodule in its own
-    coordinates; ``outer`` presents it over the product of the two
-    top-level factor coordinate spaces; ``full`` presents it over the
-    product of all leaf dimensions.
-    """
+    """x (x)_A y: the bimodule ``module`` in its own coordinates, and
+    ``outer``, its presentation over the product of x's and y's
+    coordinate spaces."""
 
     module: Bimodule
-    flat_dims: Tuple[int, ...]
-    full: QuotientPresentation
     outer: QuotientPresentation
-
-    @property
-    def field(self):
-        return self.module.field
-
-
-def leaf(b: Bimodule) -> TensorWord:
-    triv = trivial_presentation(b.field, b.dim)
-    return TensorWord(b, (b.dim,), triv, triv)
 
 
 def _column_sums(p: Matrix, combos: list) -> Matrix:
@@ -67,9 +50,8 @@ def _column_sums(p: Matrix, combos: list) -> Matrix:
 
 
 @memoised
-def wtensor(x: TensorWord, y: TensorWord) -> TensorWord:
-    """Tensor over the shared middle algebra x.module.right = y.module.left."""
-    xm, ym = x.module, y.module
+def wtensor(xm: Bimodule, ym: Bimodule) -> TensorWord:
+    """Tensor over the shared middle algebra xm.right = ym.left."""
     if xm.right != ym.left:
         raise NotComposable("middle algebras differ")
     dm, dn, dl, dr = xm.dim, ym.dim, xm.left.dim, ym.right.dim
@@ -84,21 +66,25 @@ def wtensor(x: TensorWord, y: TensorWord) -> TensorWord:
     ract = _column_sums(q.projection, [
         {i * dn + j2: y for j2, y in y_r[j * dr + r].items()}
         for i, j in ij for r in range(dr)])
-    module = Bimodule(xm.left, ym.right, q.quotient_dim, lact, ract)
-    full = pres_compose(pres_kron(x.full, y.full), q)
-    return TensorWord(module, x.flat_dims + y.flat_dims, full, q)
+    return TensorWord(Bimodule(xm.left, ym.right, q.quotient_dim, lact, ract),
+                      q)
 
 
-def word_iso(src: TensorWord, dst: TensorWord) -> Matrix:
-    """Coherence iso between two bracketings of the same flat tensor."""
-    if src.flat_dims != dst.flat_dims:
-        raise DimensionMismatch(
-            f"flat shapes differ: {src.flat_dims} vs {dst.flat_dims}")
-    try:
-        return assoc_coherence(src.full, dst.full)
-    except NotInvertible:
-        raise NotInvertible(
-            "bracketings do not present the same module") from None
+def word_iso(x: Bimodule, y: Bimodule, z: Bimodule) -> Matrix:
+    """The associator (x (x) y) (x) z -> x (x) (y (x) z), all over algebras.
+
+    It is the map induced by x (x) p_yz on representatives: the whisker
+    is gathered at the free coordinates of x (x) y, so its columns are
+    (x (x) y) (x) z ambient coordinates, and descends to the quotients.
+    Every other rebracketing is a composite of whiskered associators
+    (Mac Lane coherence); the reverse direction is its inverse.
+    """
+    xy, yz = wtensor(x, y), wtensor(y, z)
+    xy_z, x_yz = wtensor(xy.module, z), wtensor(x, yz.module)
+    whisker = kron(x.dim, yz.outer.projection).gather(tuple(
+        c * z.dim + k for c in xy.outer.free for k in range(z.dim)))
+    return _iso_or_raise(descend(whisker, xy_z.outer, x_yz.outer),
+                         "bracketings do not present the same module")
 
 
 # -- cells ----------------------------------------------------------------
@@ -131,8 +117,7 @@ class Coring:
 
     def square_word(self) -> TensorWord:
         """carrier (x)_A carrier with its presentation."""
-        c = leaf(self.carrier)
-        return wtensor(c, c)
+        return wtensor(self.carrier, self.carrier)
 
 
 @dataclass(frozen=True)
@@ -156,8 +141,8 @@ class CorOneCell:
         if (self.carrier.left != self.cod.base
                 or self.carrier.right != self.dom.base):
             raise DimensionMismatch("carrier sides do not match the corings")
-        src = wtensor(leaf(self.cod.carrier), leaf(self.carrier))
-        tgt = wtensor(leaf(self.carrier), leaf(self.dom.carrier))
+        src = wtensor(self.cod.carrier, self.carrier)
+        tgt = wtensor(self.carrier, self.dom.carrier)
         expect_shapes(self, "coring 1-cell",
                       zeta=(tgt.module.dim, src.module.dim))
 
@@ -197,11 +182,9 @@ def zeta_square(dom: CorOneCell, cod: CorOneCell, y: Matrix):
     bimodule maps, it may raise DoesNotFactor on any other y.
     """
     m1, m2 = dom.carrier, cod.carrier
-    ld, lc = leaf(dom.cod.carrier), leaf(dom.dom.carrier)
-    dy = descend(kron(ld.module.dim, y), wtensor(ld, leaf(m1)).outer,
-                 wtensor(ld, leaf(m2)).outer)
-    yc = descend(kron(y, lc.module.dim), wtensor(leaf(m1), lc).outer,
-                 wtensor(leaf(m2), lc).outer)
+    d, c = dom.cod.carrier, dom.dom.carrier
+    dy = descend(kron(d.dim, y), wtensor(d, m1).outer, wtensor(d, m2).outer)
+    yc = descend(kron(y, c.dim), wtensor(m1, c).outer, wtensor(m2, c).outer)
     return (("zeta square", compose(yc, dom.zeta), compose(cod.zeta, dy)),)
 
 
@@ -209,7 +192,6 @@ def check_coring(c: Coring) -> CheckReport:
     car = c.carrier
     n = car.dim
     w2 = c.square_word()
-    lc = leaf(car)
     reg = regular_bimodule(c.base)
     chk = _Checker()
     for square in (module_map_squares("comult ", c.comult, car, w2.module)
@@ -217,18 +199,16 @@ def check_coring(c: Coring) -> CheckReport:
         chk.equal(*square)
 
     with chk.guard("coassociativity"):
-        w3_left = wtensor(w2, lc)
-        w3_right = wtensor(lc, w2)
-        route_left = compose(
-            descend(kron(c.comult, n), w2.outer, w3_left.outer), c.comult)
-        route_right = compose(
-            descend(kron(n, c.comult), w2.outer, w3_right.outer), c.comult)
-        iso = word_iso(w3_left, w3_right)
-        chk.equal("coassociativity", compose(iso, route_left), route_right)
+        route_left = compose(descend(kron(c.comult, n), w2.outer,
+                                     wtensor(w2.module, car).outer), c.comult)
+        route_right = compose(descend(kron(n, c.comult), w2.outer,
+                                      wtensor(car, w2.module).outer), c.comult)
+        chk.equal("coassociativity",
+                  compose(word_iso(car, car, car), route_left), route_right)
 
     for side, w, collapse, whisker in (
-            ("left", wtensor(leaf(reg), lc), car.lact, kron(c.counit, n)),
-            ("right", wtensor(lc, leaf(reg)), car.ract, kron(n, c.counit))):
+            ("left", wtensor(reg, car), car.lact, kron(c.counit, n)),
+            ("right", wtensor(car, reg), car.ract, kron(n, c.counit))):
         with chk.guard(f"{side} counit law"):
             u = unit_coherence(w.outer, collapse)
             route = compose(descend(whisker, w2.outer, w.outer), c.comult)
@@ -243,9 +223,8 @@ def check_cor_one_cell(f: CorOneCell) -> CheckReport:
     M = f.carrier
     Cc, Dc = cC.carrier, cD.carrier
     m = M.dim
-    lM, lC, lD = leaf(M), leaf(Cc), leaf(Dc)
-    w_dm = wtensor(lD, lM)
-    w_mc = wtensor(lM, lC)
+    w_dm = wtensor(Dc, M)
+    w_mc = wtensor(M, Cc)
     chk = _Checker()
     for square in module_map_squares("zeta ", f.zeta, w_dm.module,
                                      w_mc.module):
@@ -253,36 +232,30 @@ def check_cor_one_cell(f: CorOneCell) -> CheckReport:
 
     # pentagon: (M (x) Delta_C) . zeta = (zeta (x) C).(D (x) zeta).(Delta_D (x) M)
     with chk.guard("street pentagon"):
-        w2c = cC.square_word()
-        w2d = cD.square_word()
-        w_m_cc = wtensor(lM, w2c)
-        lhs = compose(descend(kron(m, cC.comult), w_mc.outer, w_m_cc.outer),
+        lhs = compose(descend(kron(m, cC.comult), w_mc.outer,
+                              wtensor(M, cC.square_word().module).outer),
                       f.zeta)
 
-        w_dd_m = wtensor(w2d, lM)
-        step1 = descend(kron(cD.comult, m), w_dm.outer, w_dd_m.outer)
-        w_d_dm = wtensor(lD, w_dm)
-        step2 = word_iso(w_dd_m, w_d_dm)
-        w_d_mc = wtensor(lD, w_mc)
-        step3 = descend(kron(Dc.dim, f.zeta), w_d_dm.outer, w_d_mc.outer)
-        w_dm_c = wtensor(w_dm, lC)
-        step4 = word_iso(w_d_mc, w_dm_c)
-        w_mc_c = wtensor(w_mc, lC)
-        step5 = descend(kron(f.zeta, Cc.dim), w_dm_c.outer, w_mc_c.outer)
-        step6 = word_iso(w_mc_c, w_m_cc)
+        step1 = descend(kron(cD.comult, m), w_dm.outer,
+                        wtensor(cD.square_word().module, M).outer)
+        step2 = word_iso(Dc, Dc, M)
+        step3 = descend(kron(Dc.dim, f.zeta), wtensor(Dc, w_dm.module).outer,
+                        wtensor(Dc, w_mc.module).outer)
+        step4 = inverse(word_iso(Dc, M, Cc))
+        step5 = descend(kron(f.zeta, Cc.dim), wtensor(w_dm.module, Cc).outer,
+                        wtensor(w_mc.module, Cc).outer)
+        step6 = word_iso(M, Cc, Cc)
         rhs = compose(step6, compose(step5, compose(
             step4, compose(step3, compose(step2, step1)))))
         chk.equal("street pentagon", lhs, rhs)
 
     # counit compatibility through the unit coherences
     with chk.guard("counit compatibility"):
-        reg_b = leaf(regular_bimodule(cD.base))
-        w_bm = wtensor(reg_b, lM)
+        w_bm = wtensor(regular_bimodule(cD.base), M)
         u_bm = unit_coherence(w_bm.outer, M.lact)
         lhs = compose(u_bm, descend(kron(cD.counit, m), w_dm.outer,
                                     w_bm.outer))
-        reg_a = leaf(regular_bimodule(cC.base))
-        w_ma = wtensor(lM, reg_a)
+        w_ma = wtensor(M, regular_bimodule(cC.base))
         u_ma = unit_coherence(w_ma.outer, M.ract)
         rhs = compose(u_ma,
                       compose(descend(kron(m, cC.counit), w_mc.outer,
@@ -308,18 +281,15 @@ def check_cor_two_cell(t: CorTwoCell) -> CheckReport:
 def trivial_coring(a: Algebra) -> Coring:
     """A itself: comult the inverse unit coherence, counit the identity."""
     car = regular_bimodule(a)
-    w2 = wtensor(leaf(car), leaf(car))
-    u = unit_coherence(w2.outer, a.mult)
+    u = unit_coherence(wtensor(car, car).outer, a.mult)
     return Coring(a, car, inverse(u), Matrix.identity(a.field, a.dim))
 
 
 def identity_cor_one_cell(c: Coring) -> CorOneCell:
     """Carrier = the base algebra; zeta the composite of unit coherences."""
     car = regular_bimodule(c.base)
-    w_ca = wtensor(leaf(c.carrier), leaf(car))
-    w_ac = wtensor(leaf(car), leaf(c.carrier))
-    u_right = unit_coherence(w_ca.outer, c.carrier.ract)
-    u_left = unit_coherence(w_ac.outer, c.carrier.lact)
+    u_right = unit_coherence(wtensor(c.carrier, car).outer, c.carrier.ract)
+    u_left = unit_coherence(wtensor(car, c.carrier).outer, c.carrier.lact)
     return CorOneCell(dom=c, cod=c, carrier=car,
                       zeta=compose(inverse(u_left), u_right))
 
@@ -333,27 +303,22 @@ def compose_cor_one_cells(p: CorOneCell, m: CorOneCell) -> CorOneCell:
     """Carrier P (x)_B M; zeta chases through both zetas and coherences."""
     if m.cod != p.dom:
         raise NotComposable("cod of inner cell differs from dom of outer")
-    lE = leaf(p.cod.carrier)
-    lP = leaf(p.carrier)
-    lD = leaf(p.dom.carrier)
-    lM = leaf(m.carrier)
-    lC = leaf(m.dom.carrier)
+    E, P, D = p.cod.carrier, p.carrier, p.dom.carrier
+    M, C = m.carrier, m.dom.carrier
 
-    w_pm = wtensor(lP, lM)
-    w_e_pm = wtensor(lE, w_pm)
-    w_ep_m = wtensor(wtensor(lE, lP), lM)
-    step1 = word_iso(w_e_pm, w_ep_m)
-    w_pd_m = wtensor(wtensor(lP, lD), lM)
-    step2 = descend(kron(p.zeta, m.carrier.dim), w_ep_m.outer, w_pd_m.outer)
-    w_p_dm = wtensor(lP, wtensor(lD, lM))
-    step3 = word_iso(w_pd_m, w_p_dm)
-    w_p_mc = wtensor(lP, wtensor(lM, lC))
-    step4 = descend(kron(p.carrier.dim, m.zeta), w_p_dm.outer, w_p_mc.outer)
-    w_pm_c = wtensor(w_pm, lC)
-    step5 = word_iso(w_p_mc, w_pm_c)
+    step1 = inverse(word_iso(E, P, M))
+    step2 = descend(kron(p.zeta, M.dim),
+                    wtensor(wtensor(E, P).module, M).outer,
+                    wtensor(wtensor(P, D).module, M).outer)
+    step3 = word_iso(P, D, M)
+    step4 = descend(kron(P.dim, m.zeta),
+                    wtensor(P, wtensor(D, M).module).outer,
+                    wtensor(P, wtensor(M, C).module).outer)
+    step5 = inverse(word_iso(P, M, C))
     zeta = compose(step5, compose(step4, compose(
         step3, compose(step2, step1))))
-    return CorOneCell(dom=m.dom, cod=p.cod, carrier=w_pm.module, zeta=zeta)
+    return CorOneCell(dom=m.dom, cod=p.cod, carrier=wtensor(P, M).module,
+                     zeta=zeta)
 
 
 def vcomp_cor(t2: CorTwoCell, t1: CorTwoCell) -> CorTwoCell:
@@ -368,8 +333,8 @@ def hcomp_cor(t2: CorTwoCell, t1: CorTwoCell) -> CorTwoCell:
         raise NotComposable("horizontal composition boundaries differ")
     dom = compose_cor_one_cells(t2.dom, t1.dom)
     cod = compose_cor_one_cells(t2.cod, t1.cod)
-    w1 = wtensor(leaf(t2.dom.carrier), leaf(t1.dom.carrier))
-    w2 = wtensor(leaf(t2.cod.carrier), leaf(t1.cod.carrier))
+    w1 = wtensor(t2.dom.carrier, t1.dom.carrier)
+    w2 = wtensor(t2.cod.carrier, t1.cod.carrier)
     return CorTwoCell(dom, cod,
                       descend(kron(t2.map, t1.map), w1.outer, w2.outer))
 
@@ -379,21 +344,19 @@ def cor_associator(x: CorOneCell, y: CorOneCell,
     """Coherence 2-cell x.(y.z) => (x.y).z, induced on presentations."""
     inner = compose_cor_one_cells(x, compose_cor_one_cells(y, z))
     outer = compose_cor_one_cells(compose_cor_one_cells(x, y), z)
-    lx, ly, lz = leaf(x.carrier), leaf(y.carrier), leaf(z.carrier)
-    iso = word_iso(wtensor(lx, wtensor(ly, lz)),
-                   wtensor(wtensor(lx, ly), lz))
-    return CorTwoCell(inner, outer, iso)
+    return CorTwoCell(inner, outer, inverse(
+        word_iso(x.carrier, y.carrier, z.carrier)))
 
 
 def cor_left_unitor(x: CorOneCell) -> CorTwoCell:
     """id_cor(cod) . x => x via the unit coherence."""
     composite = compose_cor_one_cells(identity_cor_one_cell(x.cod), x)
-    w = wtensor(leaf(regular_bimodule(x.cod.base)), leaf(x.carrier))
+    w = wtensor(regular_bimodule(x.cod.base), x.carrier)
     return CorTwoCell(composite, x, unit_coherence(w.outer, x.carrier.lact))
 
 
 def cor_right_unitor(x: CorOneCell) -> CorTwoCell:
     """x . id_cor(dom) => x via the unit coherence."""
     composite = compose_cor_one_cells(x, identity_cor_one_cell(x.dom))
-    w = wtensor(leaf(x.carrier), leaf(regular_bimodule(x.dom.base)))
+    w = wtensor(x.carrier, regular_bimodule(x.dom.base))
     return CorTwoCell(composite, x, unit_coherence(w.outer, x.carrier.ract))

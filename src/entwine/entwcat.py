@@ -3,7 +3,7 @@
 0-cells are entwinings (A, C, psi) over the session field, 1-cells are
 triples (M, alpha, gamma), 2-cells are equivariant maps theta.  All
 ground rings coincide with the field k, so unitors and associators of
-the underlying bimodule bicategory are strict and every coherence check
+the underlying bimodule bicategory are identities and every coherence check
 reduces to an exact matrix equality.
 """
 
@@ -159,7 +159,7 @@ def check_two_cell(t: EntwTwoCell) -> CheckReport:
 
 
 def identity_one_cell(e: EntwObj) -> EntwOneCell:
-    """The 1-dimensional carrier k with strict-unitor alpha and gamma."""
+    """The 1-dimensional carrier k with identity alpha and gamma."""
     return EntwOneCell(
         dom=e, cod=e, dimM=1,
         alpha=Matrix.identity(e.field, e.algebra.dim),
@@ -200,7 +200,7 @@ def hcomp(t2: EntwTwoCell, t1: EntwTwoCell) -> EntwTwoCell:
 
 def associator(q: EntwOneCell, p: EntwOneCell,
                m: EntwOneCell) -> EntwTwoCell:
-    """The coherence 2-cell q.(p.m) => (q.p).m; strict over a field."""
+    """The coherence 2-cell q.(p.m) => (q.p).m; an identity over a field."""
     inner = compose_one_cells(q, compose_one_cells(p, m))
     outer = compose_one_cells(compose_one_cells(q, p), m)
     return EntwTwoCell(inner, outer,
@@ -234,29 +234,28 @@ def bialgebra_entwining(h) -> EntwObj:
     return EntwObj(alg, coalg, psi)
 
 
-def morphism_one_cell(dom: EntwObj, cod: EntwObj, f: Matrix, g: Matrix,
-                      strict: bool = True) -> EntwOneCell:
+def morphism_one_cell(dom: EntwObj, cod: EntwObj, f: Matrix,
+                      g: Matrix) -> EntwOneCell:
     """1-cell with trivial carrier from an algebra map f and coalgebra map g.
 
     f maps cod's algebra to dom's algebra and g maps cod's coalgebra to
-    dom's coalgebra (the variance forced by the 1-cell shape).  With
-    ``strict`` the morphism axioms are verified up front; pass False to
-    build deliberately broken cells for negative tests.
+    dom's coalgebra (the variance forced by the 1-cell shape).  The
+    morphism axioms are verified up front; a deliberately broken cell is
+    built with the ``EntwOneCell`` constructor, which checks shapes only.
     """
     a, c = dom.algebra, dom.coalgebra
     b, d = cod.algebra, cod.coalgebra
     if f.shape != (a.dim, b.dim) or g.shape != (c.dim, d.dim):
         raise DimensionMismatch(
             f"morphism maps {f.shape}, {g.shape}")
-    if strict:
-        if compose(f, b.mult) != compose(a.mult, kron(f, f)):
-            raise NotAMorphism("f is not multiplicative")
-        if compose(f, b.unit) != a.unit:
-            raise NotAMorphism("f is not unital")
-        if compose(c.comult, g) != compose(kron(g, g), d.comult):
-            raise NotAMorphism("g is not comultiplicative")
-        if compose(c.counit, g) != d.counit:
-            raise NotAMorphism("g is not counital")
+    if compose(f, b.mult) != compose(a.mult, kron(f, f)):
+        raise NotAMorphism("f is not multiplicative")
+    if compose(f, b.unit) != a.unit:
+        raise NotAMorphism("f is not unital")
+    if compose(c.comult, g) != compose(kron(g, g), d.comult):
+        raise NotAMorphism("g is not comultiplicative")
+    if compose(c.counit, g) != d.counit:
+        raise NotAMorphism("g is not counital")
     return EntwOneCell(dom=dom, cod=cod, dimM=1, alpha=f, gamma=g)
 
 

@@ -6,8 +6,11 @@ are built as sparse vectors, one per triple of basis vectors (m, a, n),
 read off the columns of the two actions; the one elimination routine of
 ``exactlin`` reduces them, and the quotient is presented by its (dense)
 projection and its free (non-pivot) ambient coordinates, whose injection
-is the section.  Presentations are reproducible byte for byte, so golden
-files are stable.
+is the section.  A map on the ambient induces one on the quotient when it
+kills the relations (``induced_map``, ``descend``); the unit coherences
+are such induced maps.  A presentation is always over the product of two
+factors: rebracketing three factors is ``corcat.word_iso``.
+Presentations are reproducible byte for byte, so golden files are stable.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from itertools import product
 
 from .errors import DimensionMismatch, DoesNotFactor, NotInvertible
 from .exactlin import (Matrix, _null_rows, _sparse_columns, _sub_scaled,
-                       compose, kron, memoised, rank)
+                       compose, memoised, rank)
 
 
 @dataclass(frozen=True)
@@ -59,10 +62,6 @@ def presentation_from_relations(relations: Matrix) -> QuotientPresentation:
     """
     return QuotientPresentation(*_null_rows(
         _sparse_columns(relations), relations.rows, relations.field))
-
-
-def trivial_presentation(field, dim: int) -> QuotientPresentation:
-    return QuotientPresentation(Matrix.identity(field, dim), tuple(range(dim)))
 
 
 @memoised
@@ -124,34 +123,3 @@ def unit_coherence(q: QuotientPresentation, collapse: Matrix) -> Matrix:
     """
     u = induced_map(collapse, q)
     return _iso_or_raise(u, f"unit coherence {u.shape} is not invertible")
-
-
-def assoc_coherence(q_left: QuotientPresentation,
-                    q_right: QuotientPresentation) -> Matrix:
-    """The unique iso between two presentations over the same ambient.
-
-    Sends q_left coordinates to q_right coordinates, commuting with both
-    projections.
-    """
-    if q_left.ambient_dim != q_right.ambient_dim:
-        raise DimensionMismatch(
-            f"ambients differ: {q_left.ambient_dim} vs "
-            f"{q_right.ambient_dim}")
-    return _iso_or_raise(induced_map(q_right.projection, q_left),
-                         "presentations do not present the same quotient")
-
-
-def pres_kron(q1: QuotientPresentation,
-              q2: QuotientPresentation) -> QuotientPresentation:
-    """Presentation of Q1 (x) Q2 over ambient1 (x) ambient2."""
-    return QuotientPresentation(kron(q1.projection, q2.projection), tuple(
-        c1 * q2.ambient_dim + c2 for c1 in q1.free for c2 in q2.free))
-
-
-def pres_compose(first: QuotientPresentation,
-                 second: QuotientPresentation) -> QuotientPresentation:
-    """Quotient of a quotient, presented over the original ambient."""
-    if second.ambient_dim != first.quotient_dim:
-        raise DimensionMismatch("presentations do not chain")
-    return QuotientPresentation(compose(second.projection, first.projection),
-                                tuple(first.free[j] for j in second.free))

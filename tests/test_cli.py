@@ -1,6 +1,7 @@
 """Workspace files, report format, verbs and exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -48,6 +49,13 @@ MALFORMED = {
 def gallery_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("ws") / "gallery.json"
     save_workspace(build_gallery(QQ), str(path))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def gf5_gallery_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ws") / "gallery-gf5.json"
+    save_workspace(build_gallery(FieldSpec("prime", 5)), str(path))
     return str(path)
 
 
@@ -227,6 +235,44 @@ class TestComc:
 
     def test_unknown_name_is_input_error(self, gallery_file, tmp_path):
         assert cmd_comc(gallery_file, "nope", str(tmp_path / "x.json")) == 2
+
+    def test_shared_entries_are_reported_once(self, gf5_gallery_file,
+                                              tmp_path):
+        # t_two_aug's dom and cod are both m_aug: 7 laws for each of its
+        # two corings, 4 for m_aug and 3 for the 2-cell, none repeated
+        out = tmp_path / "t2.json"
+        sink = io.StringIO()
+        assert cmd_comc(gf5_gallery_file, "t_two_aug", str(out), sink) == 0
+        lines = sink.getvalue().splitlines()
+        assert len(lines) == 21 and len(set(lines)) == len(lines)
+        # the file written is the one written before repeats were dropped
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == ("55fd928d0f6e366deda8d8da8031f024"
+                          "94423e29a0e371a88756a5b414b59d81")
+
+    def test_guard_failure_is_one_line(self, gf5_gallery_file, tmp_path):
+        # a bumped comult leaves no coassociativity map to compare: the
+        # guard reports why in place of a coordinate
+        out = tmp_path / "c2.json"
+        assert cmd_comc(gf5_gallery_file, "bialg_C2", str(out),
+                        io.StringIO()) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        doc["corings"]["comc_bialg_C2"]["comult"][0][0] = "1"
+        out.write_text(json.dumps(doc), encoding="utf-8")
+        sink = io.StringIO()
+        assert cmd_check(str(out), "all", sink) == 1
+        assert sink.getvalue() == (
+            "ALGEBRA kC2 associativity PASS\n"
+            "ALGEBRA kC2 left unit PASS\n"
+            "ALGEBRA kC2 right unit PASS\n"
+            "CORING comc_bialg_C2 comult left module map FAIL (0, 6)\n"
+            "CORING comc_bialg_C2 comult right module map FAIL (0, 7)\n"
+            "CORING comc_bialg_C2 counit left module map PASS\n"
+            "CORING comc_bialg_C2 counit right module map PASS\n"
+            "CORING comc_bialg_C2 coassociativity (map does not vanish on "
+            "the relation span) FAIL\n"
+            "CORING comc_bialg_C2 left counit law FAIL (2, 0)\n"
+            "CORING comc_bialg_C2 right counit law FAIL (2, 0)\n")
 
 
 class TestLaws:

@@ -14,7 +14,7 @@ from entwine.comc import (comc_obj, comc_one_cell, comc_two_cell,
 from entwine.cli import build_gallery
 from entwine.corcat import (CorTwoCell, check_cor_one_cell,
                             check_cor_two_cell, check_coring, hcomp_cor,
-                            identity_cor_one_cell, leaf, vcomp_cor, wtensor)
+                            identity_cor_one_cell, vcomp_cor, wtensor)
 from entwine.entwcat import (EntwObj, EntwOneCell, EntwTwoCell,
                              bialgebra_entwining, check_one_cell,
                              check_two_cell,
@@ -190,9 +190,9 @@ class TestWarningChains:
                              kron(i2, kron(e.psi, i2)))
         self.zbar = zeta_ambient(f)
         carrier = composed_carrier(f)
-        w_mc = wtensor(leaf(carrier), leaf(comc_obj(e).carrier))
+        w_mc = wtensor(carrier, comc_obj(e).carrier)
         self.nu2 = w_mc.outer.projection
-        w_dm = wtensor(leaf(comc_obj(e).carrier), leaf(carrier))
+        w_dm = wtensor(comc_obj(e).carrier, carrier)
         self.nu1 = w_dm.outer
 
     def test_truncated_chains_differ(self):

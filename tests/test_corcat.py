@@ -2,16 +2,17 @@
 
 from entwine.algstruct import (Bimodule, cyclic_group_bialgebra,
                                group_algebra, matrix_algebra)
-from entwine.comc import comc_obj
+from entwine.cli import _composable_pairs, build_gallery
+from entwine.comc import comc_obj, comc_one_cell
 from entwine.corcat import (Coring, CorOneCell, CorTwoCell, check_coring,
                             check_cor_one_cell, check_cor_two_cell,
                             compose_cor_one_cells, cor_associator,
                             cor_left_unitor, cor_right_unitor, hcomp_cor,
                             identity_cor_one_cell, identity_cor_two_cell,
-                            leaf, trivial_coring, vcomp_cor, word_iso,
-                            wtensor)
+                            trivial_coring, vcomp_cor, word_iso, wtensor)
 from entwine.entwcat import bialgebra_entwining
-from entwine.exactlin import Matrix, QQ, compose, inverse
+from entwine.exactlin import FieldSpec, Matrix, QQ, compose, inverse, kron
+from entwine.qtensor import descend
 
 
 def c2_coring():
@@ -23,45 +24,72 @@ def bump(m, i, j):
                         lambda r, c: m[r, c] + (1 if (r, c) == (i, j) else 0))
 
 
-class TestTensorWords:
-    def test_leaf_presentations_trivial(self):
-        a = group_algebra(QQ, 2)
-        w = leaf(Bimodule(a, a, 2, a.mult, a.mult))
-        assert w.full.projection == Matrix.identity(QQ, 2)
+def associator_equation(x, y, z):
+    """(lhs, rhs) of the defining equation of word_iso(x, y, z), both
+    maps on the flat x (x) y (x) z, written out with dense kron."""
+    xy, yz = wtensor(x, y), wtensor(y, z)
+    p_xy_z = wtensor(xy.module, z).outer.projection
+    p_x_yz = wtensor(x, yz.module).outer.projection
+    lhs = compose(word_iso(x, y, z),
+                  compose(p_xy_z, kron(xy.outer.projection, z.dim)))
+    rhs = compose(p_x_yz, kron(x.dim, yz.outer.projection))
+    return lhs, rhs
 
+
+def checker_triples(field):
+    """Every factor triple whose associator the coring checkers use, on
+    the comc images of the gallery over ``field``."""
+    ws = build_gallery(field)
+    triples = []
+    for e in ws.entwinings.values():
+        c = comc_obj(e).carrier
+        triples.append((c, c, c))
+    for f in ws.one_cells.values():
+        cell = comc_one_cell(f)
+        d, m, c = cell.cod.carrier, cell.carrier, cell.dom.carrier
+        triples += [(d, d, m), (d, m, c), (m, c, c)]
+    for _, p, _, m in _composable_pairs(ws):
+        cp, cm = comc_one_cell(p), comc_one_cell(m)
+        e, pc, d = cp.cod.carrier, cp.carrier, cp.dom.carrier
+        mc, c = cm.carrier, cm.dom.carrier
+        triples += [(e, pc, mc), (pc, d, mc), (pc, mc, c)]
+    return triples
+
+
+class TestTensorWords:
     def test_wtensor_quotient_dim(self):
         # [DERIVED] A (x)_A A has dim 2 over k[C2]
         a = group_algebra(QQ, 2)
         reg = Bimodule(a, a, 2, a.mult, a.mult)
-        w = wtensor(leaf(reg), leaf(reg))
+        w = wtensor(reg, reg)
         assert w.module.dim == 2
 
     def test_word_iso_between_bracketings(self):
-        a = group_algebra(QQ, 2)
-        reg = Bimodule(a, a, 2, a.mult, a.mult)
-        l = leaf(reg)
-        left = wtensor(wtensor(l, l), l)
-        right = wtensor(l, wtensor(l, l))
-        iso = word_iso(left, right)
-        assert inverse(iso) is not None
-        assert compose(iso, left.full.projection) == right.full.projection
+        # the associator of every triple the checkers use, over Q and
+        # GF(5), against its defining equation
+        for field in (QQ, FieldSpec("prime", 5)):
+            for x, y, z in checker_triples(field):
+                lhs, rhs = associator_equation(x, y, z)
+                assert lhs == rhs
 
     def test_word_iso_pentagon(self):
-        a = group_algebra(QQ, 2)
-        reg = Bimodule(a, a, 2, a.mult, a.mult)
-        l = leaf(reg)
-        w2 = wtensor(l, l)
-        shapes = [wtensor(wtensor(w2, l), l),
-                  wtensor(wtensor(l, w2), l),
-                  wtensor(l, wtensor(w2, l)),
-                  wtensor(l, wtensor(l, w2)),
-                  wtensor(w2, w2)]
-        # the two routes ((ab)c)d -> a(b(cd)) agree exactly
-        route1 = compose(word_iso(shapes[2], shapes[3]),
-                         compose(word_iso(shapes[1], shapes[2]),
-                                 word_iso(shapes[0], shapes[1])))
-        route2 = compose(word_iso(shapes[4], shapes[3]),
-                         word_iso(shapes[0], shapes[4]))
+        # Mac Lane's pentagon ((wx)y)z -> w(x(yz)) on four copies of a
+        # coring carrier; a whiskered associator is descended from kron
+        c = c2_coring().carrier
+        n = c.dim
+        cc = wtensor(c, c).module
+        cc_c = wtensor(cc, c).module
+        c_cc = wtensor(c, cc).module
+
+        def whisker(f, src, dst):
+            return descend(f, wtensor(*src).outer, wtensor(*dst).outer)
+
+        route1 = compose(word_iso(c, c, cc), word_iso(cc, c, c))
+        route2 = compose(
+            whisker(kron(n, word_iso(c, c, c)), (c, cc_c), (c, c_cc)),
+            compose(word_iso(c, cc, c),
+                    whisker(kron(word_iso(c, c, c), n), (cc_c, c),
+                            (c_cc, c))))
         assert route1 == route2
 
 

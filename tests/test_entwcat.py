@@ -94,12 +94,14 @@ class TestOneCells:
         with pytest.raises(NotAMorphism):
             morphism_one_cell(e, e, not_algebra_map, Matrix.identity(QQ, 2))
 
-    def test_strict_false_builds_broken_cell(self):
+    def test_constructor_builds_broken_cell(self):
+        # the constructor checks shapes only, so a non-morphism cell is
+        # built there, and check_one_cell catches it
         a2 = group_algebra(QQ, 2)
         gl2 = grouplike_coalgebra(QQ, 2)
         e = flip_entwining(a2, gl2)
-        bad = morphism_one_cell(e, e, Matrix(QQ, [[1, 2], [0, 1]]),
-                                Matrix.identity(QQ, 2), strict=False)
+        bad = EntwOneCell(e, e, 1, Matrix(QQ, [[1, 2], [0, 1]]),
+                          Matrix.identity(QQ, 2))
         assert not check_one_cell(bad).passed
 
     def test_mutating_alpha_fails(self):

@@ -1,4 +1,4 @@
-"""Every name a module or a test file imports is used in it, and the
+"""Every name a module, a test file or a demo imports is used in it, and the
 package memoises through one helper only.
 
 The project ships no linter, so this is its unused-import check: an
@@ -17,7 +17,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for p in (ROOT / "src" / "entwine").glob("*.py")
                if p.name != "__init__.py") + sorted(
-                   (ROOT / "tests").glob("*.py"))
+                   (ROOT / "tests").glob("*.py")) + sorted(
+                       (ROOT / "demos").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:

@@ -10,14 +10,13 @@ from entwine.algstruct import (Algebra, Bimodule, group_algebra,
                                regular_bimodule)
 from entwine.cli import build_gallery
 from entwine.comc import comc_obj, comc_one_cell
-from entwine.corcat import leaf, wtensor
+from entwine.corcat import word_iso, wtensor
 from entwine.errors import DimensionMismatch, DoesNotFactor, NotInvertible
 from entwine.exactlin import (FieldSpec, Matrix, QQ, compose, inverse, kron,
                               rank)
-from entwine.qtensor import (QuotientPresentation, assoc_coherence, descend,
-                             induced_map, pres_compose, pres_kron,
+from entwine.qtensor import (QuotientPresentation, descend, induced_map,
                              presentation_from_relations, tensor_over,
-                             trivial_presentation, unit_coherence)
+                             unit_coherence)
 
 
 def cyclic_actions(field, n, t):
@@ -249,25 +248,6 @@ class TestDenseSectionOracle:
             with pytest.raises(DoesNotFactor):
                 induced_map(f, q)
 
-    @given(st.data(), st.sampled_from([QQ, GF5]))
-    @settings(max_examples=60, deadline=None)
-    def test_pres_kron_section(self, data, field):
-        q1 = presentation_from_relations(relations(data.draw, field))
-        q2 = presentation_from_relations(relations(data.draw, field))
-        both = pres_kron(q1, q2)
-        assert both.section == kron(q1.section, q2.section)
-        assert both.projection == kron(q1.projection, q2.projection)
-
-    @given(st.data(), st.sampled_from([QQ, GF5]))
-    @settings(max_examples=60, deadline=None)
-    def test_pres_compose_section(self, data, field):
-        a = presentation_from_relations(relations(data.draw, field))
-        b = presentation_from_relations(
-            relations(data.draw, field, rows=a.quotient_dim))
-        ab = pres_compose(a, b)
-        assert ab.section == compose(a.section, b.section)
-        assert ab.projection == compose(b.projection, a.projection)
-
     @pytest.mark.parametrize("field", [QQ, GF5], ids=["q", "gf5"])
     def test_gallery_quotient_actions(self, field):
         # the actions wtensor gathers through the free coordinates equal
@@ -275,17 +255,15 @@ class TestDenseSectionOracle:
         ws = build_gallery(field)
         pairs = []
         for e in ws.entwinings.values():
-            lc = leaf(comc_obj(e).carrier)
-            w2 = wtensor(lc, lc)
-            pairs += [(lc, lc), (w2, lc), (lc, w2)]
+            c = comc_obj(e).carrier
+            c2 = wtensor(c, c).module
+            pairs += [(c, c), (c2, c), (c, c2)]
         for f in ws.one_cells.values():
             cell = comc_one_cell(f)
-            lm = leaf(cell.carrier)
-            pairs += [(leaf(cell.cod.carrier), lm),
-                      (lm, leaf(cell.dom.carrier))]
-        for x, y in pairs:
-            w = wtensor(x, y)
-            xm, ym = x.module, y.module
+            pairs += [(cell.cod.carrier, cell.carrier),
+                      (cell.carrier, cell.dom.carrier)]
+        for xm, ym in pairs:
+            w = wtensor(xm, ym)
             p, s = w.outer.projection, w.outer.section
             assert w.module.lact == compose(p, compose(
                 kron(xm.lact, ym.dim), kron(xm.left.dim, s)))
@@ -334,7 +312,7 @@ class TestDenseRelationOracle:
                             for _ in range(3))
         xm = bimodule(data.draw, field, left, mid)
         ym = bimodule(data.draw, field, mid, right)
-        w = wtensor(leaf(xm), leaf(ym))
+        w = wtensor(xm, ym)
         p = w.outer.projection
         assert w.module.lact == compose(p, dense_lift(
             kron(xm.lact, ym.dim), w.outer, left.dim, 1))
@@ -344,7 +322,7 @@ class TestDenseRelationOracle:
 
 class TestCoherences:
     def test_unit_coherence_base_field(self):
-        q = trivial_presentation(QQ, 3)
+        q = presentation_from_relations(Matrix.zeros(QQ, 3, 0))
         u = unit_coherence(q, Matrix.identity(QQ, 3))
         assert u == Matrix.identity(QQ, 3)
 
@@ -360,34 +338,27 @@ class TestCoherences:
         assert compose(u, ins) == Matrix.identity(QQ, 2)
 
     def test_unit_coherence_rejects_noniso(self):
-        q = trivial_presentation(QQ, 2)
+        q = presentation_from_relations(Matrix.zeros(QQ, 2, 0))
         with pytest.raises(NotInvertible):
             unit_coherence(q, Matrix.zeros(QQ, 2, 2))
 
     def test_assoc_coherence_and_pentagon(self):
-        a = group_algebra(QQ, 2)
-        i2 = Matrix.identity(QQ, 2)
-        q2 = tensor_over(a.mult, a.mult, 2, 2, 2)
-        # induced actions of A on the quotient A (x)_A A
-        ract_q = compose(q2.projection,
-                         compose(kron(i2, a.mult), kron(q2.section, i2)))
-        lact_q = compose(q2.projection,
-                         compose(kron(a.mult, i2), kron(i2, q2.section)))
-        # (A (x)_A A) (x)_A A: first collapse factors 1,2, then the rest
-        left = pres_compose(
-            pres_kron(q2, trivial_presentation(QQ, 2)),
-            tensor_over(ract_q, a.mult, q2.quotient_dim, 2, 2))
-        right = pres_compose(
-            pres_kron(trivial_presentation(QQ, 2), q2),
-            tensor_over(a.mult, lact_q, 2, 2, q2.quotient_dim))
-        iso = assoc_coherence(left, right)
-        assert inverse(iso) is not None
-        assert compose(iso, left.projection) == right.projection
-        # coherence isos between any presentations of one quotient compose
-        # functorially: round trip is the identity (pentagon collapses)
-        back = assoc_coherence(right, left)
-        assert compose(back, iso) == \
-            Matrix.identity(QQ, left.quotient_dim)
+        # A (x) (A (x) A) -> (A (x) A) (x) A is the inverse of word_iso:
+        # the round trip is the identity both ways, and the reverse map
+        # carries one bracketing's flat projection to the other's
+        reg = regular_bimodule(group_algebra(QQ, 2))
+        iso = word_iso(reg, reg, reg)
+        back = inverse(iso)
+        assert back is not None
+        ident = Matrix.identity(QQ, iso.rows)
+        assert compose(back, iso) == ident
+        assert compose(iso, back) == ident
+        rr = wtensor(reg, reg)
+        left = compose(wtensor(rr.module, reg).outer.projection,
+                       kron(rr.outer.projection, 2))
+        right = compose(wtensor(reg, rr.module).outer.projection,
+                        kron(2, rr.outer.projection))
+        assert compose(back, right) == left
 
     def test_naturality_of_unit_coherence(self):
         # for a module map f: M -> N, the square A(x)_A M -> M, f commutes
