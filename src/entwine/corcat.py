@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .algstruct import (Algebra, Bimodule, CheckReport, _Checker,
                         regular_bimodule)
 from .errors import DimensionMismatch, NotComposable, NotParallel
-from .exactlin import (Matrix, _sparse_columns, compose, expect_shapes,
-                       inverse, kron, memoised)
+from .exactlin import (Matrix, _canonical, _sparse_columns,
+                       compose, expect_shapes, inverse, kron, memoised)
 from .qtensor import (QuotientPresentation, _iso_or_raise, descend,
                       tensor_over, unit_coherence)
 
@@ -46,7 +46,10 @@ def _column_sums(p: Matrix, combos: list) -> Matrix:
         for a, c in combo.items():
             for s, x in p_cols[a].items():
                 out[s][t] = add(out[s][t], mul(c, x))
-    return Matrix(field, tuple(map(tuple, out)), cols=len(combos), _raw=True)
+    frac = p._has_fraction or field._fractional(
+        c for combo in combos for c in combo.values())
+    return Matrix(field, tuple(_canonical(row, frac) for row in out),
+                  cols=len(combos), _raw=True)
 
 
 @memoised
@@ -70,6 +73,7 @@ def wtensor(xm: Bimodule, ym: Bimodule) -> TensorWord:
                       q)
 
 
+@memoised
 def word_iso(x: Bimodule, y: Bimodule, z: Bimodule) -> Matrix:
     """The associator (x (x) y) (x) z -> x (x) (y (x) z), all over algebras.
 
@@ -81,8 +85,19 @@ def word_iso(x: Bimodule, y: Bimodule, z: Bimodule) -> Matrix:
     """
     xy, yz = wtensor(x, y), wtensor(y, z)
     xy_z, x_yz = wtensor(xy.module, z), wtensor(x, yz.module)
-    whisker = kron(x.dim, yz.outer.projection).gather(tuple(
-        c * z.dim + k for c in xy.outer.free for k in range(z.dim)))
+    # kept column (c, k), c = (i, j) free in x (x) y, is column j*dz + k of
+    # p_yz in row block i; c ascends, so each block keeps one run of columns
+    dz, p_yz = z.dim, yz.outer.projection
+    runs = [[] for _ in range(x.dim)]
+    for c in xy.outer.free:
+        i, j = divmod(c, y.dim)
+        runs[i] += range(j * dz, (j + 1) * dz)
+    pad, done, rows = (0,) * (len(xy.outer.free) * dz), 0, []
+    for cols in runs:
+        rows += [pad[:done] + tuple(map(prow.__getitem__, cols))
+                 + pad[done + len(cols):] for prow in p_yz.entries]
+        done += len(cols)
+    whisker = Matrix(x.field, tuple(rows), cols=len(pad), _raw=True)
     return _iso_or_raise(descend(whisker, xy_z.outer, x_yz.outer),
                          "bracketings do not present the same module")
 

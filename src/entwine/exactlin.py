@@ -5,11 +5,13 @@ A ``FieldSpec`` fixes the field per session, owns the arithmetic, and
 owns the session memo of ``memoised`` functions: a fresh ``FieldSpec``
 starts a fresh memo, which lives and dies with it.
 Over Q a matrix entry is an ``int`` when it is integral and a
-``fractions.Fraction`` otherwise; over GF(p) it is an int in ``[0, p)``.
-Matrices are dense, immutable, row-major, and hashable so the session
-memo can key on them.  Elimination alone works on sparse
-``{col: value}`` vectors: ``rref``, ``rank``, ``solve`` and
-``kernel_basis`` all go through the one routine ``_echelon``.
+``fractions.Fraction`` otherwise, whichever operation made it; over GF(p)
+it is an int in ``[0, p)``.  Matrices are dense, immutable, row-major,
+and hashable so the session memo can key on them.  Elimination alone
+works on sparse ``{col: value}`` vectors: ``rref``, ``rank``, ``solve``
+and ``kernel_basis`` all go through the one routine ``_echelon``.  It is
+fraction-free: over Q it reduces integer vectors, and builds one
+``Fraction`` per non-integral output entry only at the end.
 
 Index convention (normative for the whole package): the basis vector
 ``(i of X, j of Y)`` of ``X (x) Y`` has flat index ``i * dim(Y) + j``.
@@ -20,7 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
-from itertools import compress
+from itertools import chain, compress
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, InvalidParameter
@@ -151,6 +154,28 @@ class _Rationals(FieldSpec):
             raise ZeroDivisionError("inverse of zero")
         return _demote(Fraction(1) / a)
 
+    # hooks of fraction-free elimination (``_echelon``) and of canonical
+    # entries: ``_integral`` and ``_primitive`` act on sparse vectors
+    @staticmethod
+    def _fractional(xs) -> bool:
+        """Whether any of the scalars xs is a ``Fraction``, not an int."""
+        return Fraction in set(map(type, xs))
+
+    def _integral(self, v: dict):
+        """(s, s * v), s the lcm of the denominators: s * v has int entries."""
+        if not self._fractional(v.values()):
+            return 1, v
+        s = lcm(*[x.denominator for x in v.values()])
+        return s, {j: x.numerator * (s // x.denominator)
+                   for j, x in v.items()}
+
+    def _primitive(self, v: dict) -> dict:
+        """The int vector v over the gcd of its entries, leading entry > 0."""
+        g = gcd(*v.values())
+        if v and v[min(v)] < 0:
+            g = -g
+        return v if g == 1 else {j: x // g for j, x in v.items()}
+
 
 class _PrimeField(FieldSpec):
     """GF(p), with scalars the ints in ``[0, p)``."""
@@ -190,6 +215,20 @@ class _PrimeField(FieldSpec):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
+    @staticmethod
+    def _fractional(xs) -> bool:
+        return False
+
+    def _integral(self, v: dict):
+        return 1, v
+
+    def _primitive(self, v: dict) -> dict:
+        """The int vector v reduced mod p, zeros dropped, leading entry 1."""
+        p = self.p
+        v = {j: y for j, x in v.items() if (y := x % p)}
+        s = pow(v[min(v)], -1, p) if v else 1
+        return v if s == 1 else {j: x * s % p for j, x in v.items()}
+
 
 def memoised(fn):
     """Keep ``fn(*args)`` in the memo of ``args[0].field`` unless it raises."""
@@ -208,16 +247,25 @@ def _demote(x):
     return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
 
 
+def _canonical(row, fractional: bool) -> tuple:
+    """The row of Q scalars as a tuple, integral entries demoted to ints if
+    a Fraction went into it (an int is its own numerator over 1)."""
+    if fractional:
+        return tuple([x.numerator if x.denominator == 1 else x for x in row])
+    return tuple(row)
+
+
 QQ = FieldSpec("rational")
 
 
 class Matrix:
     """Immutable dense matrix with exact entries over a fixed FieldSpec."""
 
-    __slots__ = ("field", "rows", "cols", "entries", "_hash")
+    __slots__ = ("field", "rows", "cols", "entries", "_hash", "_frac")
 
     def __init__(self, field: FieldSpec, entries: Sequence[Sequence], *,
-                 cols: Optional[int] = None, _raw: bool = False):
+                 cols: Optional[int] = None, _raw: bool = False, _frac=None):
+        # _frac: whether an entry is a Fraction, if the producer knows
         rows = len(entries)
         if cols is None:
             cols = len(entries[0]) if rows else 0
@@ -235,6 +283,7 @@ class Matrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", ent)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_frac", _frac)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -251,7 +300,7 @@ class Matrix:
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
         z, o = field.zero, field.one
         return cls(field, tuple(tuple(o if i == j else z for j in range(n))
-                                for i in range(n)), _raw=True)
+                                for i in range(n)), _raw=True, _frac=False)
 
     @classmethod
     def build(cls, field: FieldSpec, rows: int, cols: int, fn) -> "Matrix":
@@ -281,6 +330,15 @@ class Matrix:
             object.__setattr__(self, "_hash", h)
         return h
 
+    @property
+    def _has_fraction(self) -> bool:
+        """Whether some entry is a ``Fraction``, not an int (kept once known)."""
+        frac = self._frac
+        if frac is None:
+            frac = self.field._fractional(chain.from_iterable(self.entries))
+            object.__setattr__(self, "_frac", frac)
+        return frac
+
     def __repr__(self):
         body = "; ".join(" ".join(self.field.fmt(x) for x in row)
                          for row in self.entries)
@@ -294,8 +352,9 @@ class Matrix:
 
     def _entrywise(self, op, other: "Matrix") -> "Matrix":
         self._same_shape(other)
+        frac = self._has_fraction or other._has_fraction
         return Matrix(self.field, tuple(
-            tuple(map(op, ra, rb))
+            _canonical(map(op, ra, rb), frac)
             for ra, rb in zip(self.entries, other.entries)),
             cols=self.cols, _raw=True)
 
@@ -311,9 +370,10 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         c = _demote(self.field.coerce(c))
         mul = self.field.mul
-        return Matrix(self.field, tuple(tuple(mul(c, a) for a in row)
-                                        for row in self.entries),
-                      cols=self.cols, _raw=True)
+        frac = self.field._fractional((c,)) or self._has_fraction
+        return Matrix(self.field, tuple(
+            _canonical([mul(c, a) for a in row], frac)
+            for row in self.entries), cols=self.cols, _raw=True)
 
     def transpose(self) -> "Matrix":
         ent = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
@@ -337,7 +397,7 @@ class Matrix:
         """The matrix of columns ``cols`` of self, in that order."""
         return Matrix(self.field, tuple(tuple(map(row.__getitem__, cols))
                                         for row in self.entries),
-                      cols=len(cols), _raw=True)
+                      cols=len(cols), _raw=True, _frac=self._frac or None)
 
     def column(self, j: int) -> "Matrix":
         return self.gather((j,))
@@ -386,6 +446,7 @@ def compose(f: Matrix, g: Matrix) -> Matrix:
         raise DimensionMismatch(
             f"compose: {f.shape} after {g.shape}")
     zero, add, mul = f.field.zero, f.field.add, f.field.mul
+    frac = f._has_fraction or g._has_fraction
     # the nonzeros of g's row k, listed when some row of f first needs them
     gnz = [None] * g.rows
     out = []
@@ -401,8 +462,9 @@ def compose(f: Matrix, g: Matrix) -> Matrix:
                                for j in compress(range(g.cols), grow)]
             for j, b in nz:
                 orow[j] = add(orow[j], mul(a, b))
-        out.append(tuple(orow))
-    return Matrix(f.field, tuple(out), cols=g.cols, _raw=True)
+        out.append(_canonical(orow, frac))
+    return Matrix(f.field, tuple(out), cols=g.cols, _raw=True,
+                  _frac=frac or None)
 
 
 def kron(f, g) -> Matrix:
@@ -410,14 +472,15 @@ def kron(f, g) -> Matrix:
 
     Either factor may be an int n, standing for the n x n identity: the
     whisker is then built by placing the other factor's rows, with no
-    scalar multiplication.
+    scalar multiplication.  Two matrices compose their two whiskers.
     """
     if isinstance(f, int):
         n, cg, zero = f, g.cols, g.field.zero
         pad = (zero,) * (n * cg)
         return Matrix(g.field, tuple(
             pad[:i * cg] + tuple(grow) + pad[(i + 1) * cg:]
-            for i in range(n) for grow in g.entries), cols=n * cg, _raw=True)
+            for i in range(n) for grow in g.entries), cols=n * cg, _raw=True,
+            _frac=g._frac)
     if isinstance(g, int):
         n, zero = g, f.field.zero
         out = []
@@ -426,28 +489,12 @@ def kron(f, g) -> Matrix:
                 orow = [zero] * (f.cols * n)
                 orow[j::n] = frow
                 out.append(tuple(orow))
-        return Matrix(f.field, tuple(out), cols=f.cols * n, _raw=True)
+        return Matrix(f.field, tuple(out), cols=f.cols * n, _raw=True,
+                      _frac=f._frac)
     if f.field != g.field:
         raise DimensionMismatch("fields differ")
-    field = f.field
-    zero = field.zero
-    mul = field.mul
-    rg, cg = g.rows, g.cols
-    out = [[zero] * (f.cols * cg) for _ in range(f.rows * rg)]
-    for i in range(f.rows):
-        for k in range(f.cols):
-            a = f.entries[i][k]
-            if not a:
-                continue
-            for j in range(rg):
-                orow = out[i * rg + j]
-                grow = g.entries[j]
-                for l in range(cg):
-                    b = grow[l]
-                    if b:
-                        orow[k * cg + l] = mul(a, b)
-    return Matrix(field, tuple(tuple(r) for r in out), cols=f.cols * cg,
-                  _raw=True)
+    # the interchange law: f (x) g = (f (x) 1) . (1 (x) g)
+    return compose(kron(f, g.rows), kron(f.cols, g))
 
 
 def _sparse_rows(m: Matrix):
@@ -465,13 +512,19 @@ def _sparse_columns(m: Matrix) -> list:
     return cols
 
 
-def _sub_scaled(v: dict, fac, row: dict, field: FieldSpec) -> None:
-    """v -= fac * row on sparse vectors, dropping the entries that vanish."""
-    sub, mul = field.sub, field.mul
-    for j, x in row.items():
-        y = sub(v.get(j, 0), mul(fac, x))
-        if y:
-            v[j] = y
+def _clear(v: dict, c: int, row: dict) -> None:
+    """v := a * v - b * row on int vectors, with a : b = row[c] : v[c] in
+    lowest terms and row[c] > 0, so v vanishes at c; zeros are dropped."""
+    d, x = row[c], v[c]
+    g = gcd(d, x)
+    a, b = d // g, x // g
+    if a != 1:
+        for j in v:
+            v[j] *= a
+    for j, y in row.items():
+        z = v.get(j, 0) - b * y
+        if z:
+            v[j] = z
         else:
             del v[j]
 
@@ -482,22 +535,34 @@ def _echelon(vectors: Iterable[dict], field: FieldSpec) -> dict:
     Each vector is a ``{col: value}`` dict of nonzeros (it is consumed).
     Returns ``{pivot: row}``: each row is 1 at its pivot, its leading
     column, and 0 at every other pivot.
+
+    Elimination is fraction-free: vectors are scaled to int entries, and
+    a stored row is an int vector (primitive over Q, monic over GF(p))
+    whose pivot entry is its denominator, divided out only at the end.
     """
     rows = {}
+    integral, primitive = field._integral, field._primitive
     for v in vectors:
+        if not v:
+            continue
+        v = integral(v)[1]
         # rows are fully reduced, so clearing one pivot of v sets no other
         for c in [c for c in v if c in rows]:
-            _sub_scaled(v, v[c], rows[c], field)
+            _clear(v, c, rows[c])
+        v = primitive(v)
         if not v:
             continue
         p = min(v)
-        if v[p] != 1:
-            s = field.inv(v[p])
-            v = {j: field.mul(s, x) for j, x in v.items()}
         for row in rows.values():
             if p in row:
-                _sub_scaled(row, row[p], v, field)
+                _clear(row, p, v)
+                rows[min(row)] = primitive(row)    # a row leads with its pivot
         rows[p] = v
+    for p, row in rows.items():
+        d = row[p]
+        if d != 1:
+            rows[p] = {j: x // d if x % d == 0 else Fraction(x, d)
+                       for j, x in row.items()}
     return rows
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import DimensionMismatch, DoesNotFactor, NotInvertible
-from .exactlin import (Matrix, _null_rows, _sparse_columns, _sub_scaled,
-                       compose, memoised, rank)
+from .exactlin import (Matrix, _null_rows, _sparse_columns, compose,
+                       memoised, rank)
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,20 @@ def tensor_over(ract_m: Matrix, lact_n: Matrix, dim_m: int, dim_a: int,
     field = ract_m.field
     if lact_n.field != field:
         raise DimensionMismatch("fields differ")
-    m_a, a_n = _sparse_columns(ract_m), _sparse_columns(lact_n)
+    # each column of an action as (s, s * column), with int entries
+    m_a, a_n = ([field._integral(col) for col in _sparse_columns(act)]
+                for act in (ract_m, lact_n))
 
     def relations():
         # (m_i . a_k) (x) n_j - m_i (x) (a_k . n_j), read off the actions
+        # and scaled by the product of the two columns' scales
         for i, k, j in product(range(dim_m), range(dim_a), range(dim_n)):
-            v = {r * dim_n + j: x for r, x in m_a[i * dim_a + k].items()}
-            _sub_scaled(v, 1, {i * dim_n + r: x for r, x in
-                               a_n[k * dim_n + j].items()}, field)
+            (s, ma), (t, an) = m_a[i * dim_a + k], a_n[k * dim_n + j]
+            v = {r * dim_n + j: t * x for r, x in ma.items()}
+            for r, y in an.items():
+                v[i * dim_n + r] = v.get(i * dim_n + r, 0) - s * y
+            if v.get(i * dim_n + j) == 0:   # the one key both sides reach
+                del v[i * dim_n + j]
             yield v
 
     return QuotientPresentation(*_null_rows(relations(), dim_m * dim_n, field))

@@ -1,10 +1,13 @@
 """The homomorphism into corings: objects, cells, pseudofunctor laws."""
 
 import itertools
+import time
+from fractions import Fraction
 
 import pytest
 
-from entwine.algstruct import (cyclic_group_bialgebra, group_algebra,
+from entwine.algstruct import (Algebra, Coalgebra, cyclic_group_bialgebra,
+                               group_algebra,
                                grouplike_coalgebra, matrix_algebra,
                                matrix_coalgebra)
 from entwine.comc import (comc_obj, comc_one_cell, comc_two_cell,
@@ -16,7 +19,7 @@ from entwine.corcat import (CorTwoCell, check_cor_one_cell,
                             check_cor_two_cell, check_coring, hcomp_cor,
                             identity_cor_one_cell, vcomp_cor, wtensor)
 from entwine.entwcat import (EntwObj, EntwOneCell, EntwTwoCell,
-                             bialgebra_entwining, check_one_cell,
+                             bialgebra_entwining, check_obj, check_one_cell,
                              check_two_cell,
                              compose_one_cells, flip_entwining, hcomp,
                              identity_one_cell, identity_two_cell,
@@ -106,6 +109,77 @@ class TestComposedCoring:
         broken = EntwObj(e.algebra, e.coalgebra, bump(e.psi, 0, 0))
         with pytest.raises(InvalidObject):
             comc_obj(broken)
+
+
+def mm(f, g):
+    """Plain Fraction matrix product of row lists."""
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0))
+             for col in zip(*g)] for row in f]
+
+
+def kr(f, g):
+    """Plain Kronecker product: kr(f, g)[i*rg + j][k*cg + l] = f[i][k] g[j][l]."""
+    return [[a * b for a in frow for b in grow]
+            for frow in f for grow in g]
+
+
+class TestFractionalBasis:
+    """flip(kC2, gl2) moved to a basis with |det| = 2, so every structure
+    matrix has non-integral entries: the composed coring and its identity
+    1-cell still pass, and a bumped psi entry fails the counit triangle."""
+
+    # kC2 on (e, g), gl2 on two grouplikes, psi : C (x) A -> A (x) C the flip
+    MULT = [[1, 0, 0, 1], [0, 1, 1, 0]]
+    UNIT = [[1], [0]]
+    COMULT = [[1, 0], [0, 0], [0, 0], [0, 1]]
+    COUNIT = [[1, 1]]
+    PSI = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+    # S acts on A and T on C; both have |det| = 2
+    S = [[2, 2], [2, 1]]
+    S_INV = [[Fraction(-1, 2), 1], [1, -1]]
+    T = [[2, 1], [0, 1]]
+    T_INV = [[Fraction(1, 2), Fraction(-1, 2)], [0, 1]]
+
+    def twisted(self, bump=0):
+        """(A', C', psi') = the flip in the bases S and T, with ``bump``
+        added to psi'[0][0] (coalgebra index 0, whose counit is 1/2)."""
+        s, si, t, ti = self.S, self.S_INV, self.T, self.T_INV
+        assert mm(s, si) == mm(t, ti) == [[1, 0], [0, 1]]
+        mult = mm(mm(s, self.MULT), kr(si, si))
+        unit = mm(s, self.UNIT)
+        comult = mm(mm(kr(t, t), self.COMULT), ti)
+        counit = mm(self.COUNIT, ti)
+        psi = mm(mm(kr(s, t), self.PSI), kr(ti, si))
+        psi[0][0] += bump
+        assert counit == [[Fraction(1, 2), Fraction(1, 2)]]
+        return EntwObj(Algebra(2, Matrix(QQ, mult), Matrix(QQ, unit)),
+                       Coalgebra(2, Matrix(QQ, comult), Matrix(QQ, counit)),
+                       Matrix(QQ, psi))
+
+    def test_base_data_is_the_gallery_flip(self):
+        e = flip_entwining(group_algebra(QQ, 2), grouplike_coalgebra(QQ, 2))
+        assert (e.algebra.mult, e.algebra.unit, e.coalgebra.comult,
+                e.coalgebra.counit, e.psi) == tuple(
+            Matrix(QQ, m) for m in (self.MULT, self.UNIT, self.COMULT,
+                                    self.COUNIT, self.PSI))
+
+    def test_composed_coring_and_identity_cell_pass(self):
+        start = time.perf_counter()
+        e = self.twisted()
+        # the flip is natural, so psi stays the flip; grouplike comult stays
+        # integral in these bases, mult and counit do not
+        for m in (e.algebra.mult, e.coalgebra.counit):
+            assert any(isinstance(x, Fraction) for row in m.entries
+                       for x in row)
+        assert check_obj(e).passed
+        assert check_coring(comc_obj(e)).passed
+        assert check_cor_one_cell(
+            comc_one_cell(identity_one_cell(e))).passed
+        assert time.perf_counter() - start < 2
+
+    def test_bumped_psi_fails_the_counit_triangle(self):
+        rep = check_obj(self.twisted(bump=1))
+        assert "E4-counit-triangle" in {f.axiom for f in rep.failures}
 
 
 class TestComcOneCell:

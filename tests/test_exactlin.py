@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from entwine.algstruct import Algebra
 from entwine.cli import Workspace, serialize
+from entwine.corcat import _column_sums
 from entwine.errors import DimensionMismatch, InvalidParameter
 from entwine.exactlin import (FieldSpec, Matrix, QQ, compose, flip, hstack,
                               inverse, kernel_basis, kron, rank, rref, solve)
@@ -44,6 +45,16 @@ def mixed_matrices(draw, rows=None, cols=None):
     entry = st.one_of(st.integers(-3, 3),
                       st.fractions(-3, 3, max_denominator=4))
     return draw(matrices(rows, cols, entry=entry))
+
+
+@st.composite
+def content_matrices(draw):
+    """Q matrices of up to 6 rows and 8 columns with entries n/d, |n| <= 20
+    and d <= 12: elimination grows their integer content."""
+    entry = st.one_of(st.just(0), st.builds(Fraction, st.integers(-20, 20),
+                                            st.integers(1, 12)))
+    return draw(matrices(draw(st.integers(0, 6)), draw(st.integers(0, 8)),
+                         entry=entry))
 
 
 def to_sympy(m):
@@ -351,6 +362,33 @@ class TestRrefRankKernel:
         assert hstack([a, b]) == Matrix(QQ, [[1, 3], [2, 4]])
 
 
+class TestCanonicalEntries:
+    """Every producer over Q stores an integral entry as an int."""
+
+    @staticmethod
+    def integral_fractions(m):
+        return [x for row in m.entries for x in row
+                if isinstance(x, Fraction) and x.denominator == 1]
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_no_output_entry_is_an_integral_fraction(self, r, k, c, data):
+        f, h = (data.draw(mixed_matrices(r, k)) for _ in range(2))
+        g, b = data.draw(mixed_matrices(k, c)), data.draw(mixed_matrices(r, c))
+        s = data.draw(st.fractions(-3, 3, max_denominator=4))
+        combos = data.draw(st.lists(st.dictionaries(
+            st.integers(0, k - 1), st.fractions(-3, 3, max_denominator=4),
+            max_size=3), max_size=3)) if k else []
+        square = data.draw(mixed_matrices(r, r))
+        outs = [compose(f, g), kron(f, g), f + h, f - h, f.scale(s),
+                rref(f)[0], kernel_basis(f), _column_sums(f, combos),
+                solve(f, b), inverse(square)]
+        for out in outs:
+            if out is not None:
+                assert self.integral_fractions(out) == []
+
+
 class TestRowOrder:
     """The echelon form depends on the row space only, not on the rows."""
 
@@ -397,8 +435,8 @@ class TestAgainstSympy:
         g = data.draw(sparse_matrices(mid, cols))
         assert compose(f, g) == from_sympy(to_sympy(f) * to_sympy(g))
 
-    @given(mixed_matrices())
-    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(mixed_matrices(), content_matrices()))
+    @settings(max_examples=200, deadline=None)
     def test_rref_rank_kernel(self, m):
         sm = to_sympy(m)
         red, pivots, rk = rref(m)

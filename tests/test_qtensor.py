@@ -69,8 +69,11 @@ GF5 = FieldSpec("prime", 5)
 
 
 def matrix(draw, field, rows, cols):
-    """A drawn rows x cols matrix with small entries."""
-    return Matrix(field, [[draw(st.integers(-2, 2)) for _ in range(cols)]
+    """A drawn rows x cols matrix with small entries, over Q also fractions."""
+    entry = st.integers(-2, 2)
+    if field == QQ:
+        entry = st.one_of(entry, st.fractions(-3, 3, max_denominator=4))
+    return Matrix(field, [[draw(entry) for _ in range(cols)]
                           for _ in range(rows)], cols=cols)
 
 
