@@ -25,12 +25,13 @@ from .entwcat import (EntwObj, EntwOneCell, EntwTwoCell, check_obj,
                       identity_two_cell, compose_one_cells, vcomp, hcomp,
                       associator, flip_entwining, bialgebra_entwining,
                       morphism_one_cell, scalar_two_cell)
-from .corcat import (TensorWord, wtensor, word_iso, Coring,
-                     CorOneCell, CorTwoCell, check_coring,
-                     check_cor_one_cell, check_cor_two_cell, trivial_coring,
-                     identity_cor_one_cell, identity_cor_two_cell,
-                     compose_cor_one_cells, vcomp_cor, hcomp_cor,
-                     cor_associator, cor_left_unitor, cor_right_unitor)
+from .corcat import (TensorWord, wtensor, tensor_map, word_iso,
+                     word_iso_inverse, Coring, CorOneCell, CorTwoCell,
+                     check_coring, check_cor_one_cell, check_cor_two_cell,
+                     trivial_coring, identity_cor_one_cell,
+                     identity_cor_two_cell, compose_cor_one_cells, vcomp_cor,
+                     hcomp_cor, cor_associator, cor_left_unitor,
+                     cor_right_unitor)
 from .comc import (composed_carrier, comc_obj, comc_one_cell, comc_two_cell,
                    zeta_ambient, compositor, unitor_comparison,
                    hom_dimension_report)

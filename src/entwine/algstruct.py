@@ -224,9 +224,8 @@ def bialgebra_compatibility(a: Algebra, c: Coalgebra) -> CheckReport:
     chk.equal(
         "comult is an algebra map",
         compose(c.comult, a.mult),
-        compose(kron(a.mult, a.mult),
-                compose(kron(n, kron(tau, n)),
-                        kron(c.comult, c.comult))),
+        compose(kron(a.mult, a.mult), kron(n, kron(tau, n)),
+                kron(c.comult, c.comult)),
     )
     chk.equal("counit is an algebra map",
               compose(c.counit, a.mult), kron(c.counit, c.counit))

@@ -45,8 +45,7 @@ def comc_obj(e: EntwObj) -> Coring:
     w2 = wtensor(carrier, carrier)
     # a (x) c (x) c' -> (a (x) c) (x)_A (1 (x) c')
     insert_unit = kron(a.dim * c.dim, kron(a.unit, c.dim))
-    comult = compose(w2.outer.projection,
-                     compose(insert_unit, kron(a.dim, c.comult)))
+    comult = compose(w2.outer.projection, insert_unit, kron(a.dim, c.comult))
     counit = kron(a.dim, c.counit)
     return Coring(a, carrier, comult, counit)
 

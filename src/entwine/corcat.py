@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from .algstruct import (Algebra, Bimodule, CheckReport, _Checker,
                         regular_bimodule)
 from .errors import DimensionMismatch, NotComposable, NotParallel
-from .exactlin import (Matrix, _canonical, _sparse_columns,
+from .exactlin import (Matrix, _combine, _from_columns, _sparse_columns,
                        compose, expect_shapes, inverse, kron, memoised)
-from .qtensor import (QuotientPresentation, _iso_or_raise, descend,
+from .qtensor import (QuotientPresentation, _iso_or_raise, descend_columns,
                       tensor_over, unit_coherence)
 
 
@@ -36,20 +36,10 @@ class TensorWord:
 
 
 def _column_sums(p: Matrix, combos: list) -> Matrix:
-    """The matrix whose column t is the sum of c * p[:, a] over combos[t],
-    a ``{a: c}`` dict."""
-    field = p.field
-    add, mul = field.add, field.mul
+    """The matrix whose column t is sum(c * p[:, a]) over combos[t]'s items."""
     p_cols = _sparse_columns(p)
-    out = [[field.zero] * len(combos) for _ in range(p.rows)]
-    for t, combo in enumerate(combos):
-        for a, c in combo.items():
-            for s, x in p_cols[a].items():
-                out[s][t] = add(out[s][t], mul(c, x))
-    frac = p._has_fraction or field._fractional(
-        c for combo in combos for c in combo.values())
-    return Matrix(field, tuple(_canonical(row, frac) for row in out),
-                  cols=len(combos), _raw=True)
+    return _from_columns(p.field, [_combine(combo, p_cols, p.field)
+                                   for combo in combos], p.rows)
 
 
 @memoised
@@ -73,33 +63,52 @@ def wtensor(xm: Bimodule, ym: Bimodule) -> TensorWord:
                       q)
 
 
+def tensor_map(f, g, src: tuple, tgt: tuple) -> Matrix:
+    """The map x (x)_A y -> x2 (x)_A y2 induced by f (x) g, for src = (x, y)
+    and tgt = (x2, y2); an int stands for the identity, as in ``kron``.
+    Only the columns the quotients need are formed (``descend_columns``)."""
+    (x, y), (x2, y2) = src, tgt
+    f, g = (Matrix.identity(x.field, h) if isinstance(h, int) else h
+            for h in (f, g))
+    if (f.shape, g.shape) != ((x2.dim, x.dim), (y2.dim, y.dim)):
+        raise DimensionMismatch(f"whisker {f.shape} (x) {g.shape} of words")
+    f_cols, g_cols, mul = _sparse_columns(f), _sparse_columns(g), f.field.mul
+    dy, dy2 = y.dim, y2.dim
+
+    def image(c):   # column (i, j) of f (x) g is f[:, i] (x) g[:, j]
+        i, j = divmod(c, dy)
+        return {a * dy2 + b: t if s == 1 else mul(s, t)
+                for a, s in f_cols[i].items() for b, t in g_cols[j].items()}
+
+    return descend_columns(image, wtensor(x, y).outer, wtensor(x2, y2).outer)
+
+
 @memoised
 def word_iso(x: Bimodule, y: Bimodule, z: Bimodule) -> Matrix:
     """The associator (x (x) y) (x) z -> x (x) (y (x) z), all over algebras.
 
-    It is the map induced by x (x) p_yz on representatives: the whisker
-    is gathered at the free coordinates of x (x) y, so its columns are
-    (x (x) y) (x) z ambient coordinates, and descends to the quotients.
-    Every other rebracketing is a composite of whiskered associators
-    (Mac Lane coherence); the reverse direction is its inverse.
+    It is induced by x (x) p_yz on representatives: column (t, k) of the
+    (x (x) y) (x) z ambient, free[t] = (i, j) in x (x) y, goes to
+    e_i (x) p_yz[:, j*dz + k].  Every other rebracketing is a composite of
+    whiskered associators and their inverses (Mac Lane coherence).
     """
     xy, yz = wtensor(x, y), wtensor(y, z)
-    xy_z, x_yz = wtensor(xy.module, z), wtensor(x, yz.module)
-    # kept column (c, k), c = (i, j) free in x (x) y, is column j*dz + k of
-    # p_yz in row block i; c ascends, so each block keeps one run of columns
-    dz, p_yz = z.dim, yz.outer.projection
-    runs = [[] for _ in range(x.dim)]
-    for c in xy.outer.free:
-        i, j = divmod(c, y.dim)
-        runs[i] += range(j * dz, (j + 1) * dz)
-    pad, done, rows = (0,) * (len(xy.outer.free) * dz), 0, []
-    for cols in runs:
-        rows += [pad[:done] + tuple(map(prow.__getitem__, cols))
-                 + pad[done + len(cols):] for prow in p_yz.entries]
-        done += len(cols)
-    whisker = Matrix(x.field, tuple(rows), cols=len(pad), _raw=True)
-    return _iso_or_raise(descend(whisker, xy_z.outer, x_yz.outer),
-                         "bracketings do not present the same module")
+    dz, dyz, p_yz = z.dim, yz.module.dim, _sparse_columns(yz.outer.projection)
+
+    def image(c):
+        t, k = divmod(c, dz)
+        i, j = divmod(xy.outer.free[t], y.dim)
+        return {i * dyz + r: a for r, a in p_yz[j * dz + k].items()}
+
+    iso = descend_columns(image, wtensor(xy.module, z).outer,
+                          wtensor(x, yz.module).outer)
+    return _iso_or_raise(iso, "bracketings do not present the same module")
+
+
+@memoised
+def word_iso_inverse(x: Bimodule, y: Bimodule, z: Bimodule) -> Matrix:
+    """The inverse associator x (x) (y (x) z) -> (x (x) y) (x) z."""
+    return inverse(word_iso(x, y, z))
 
 
 # -- cells ----------------------------------------------------------------
@@ -193,13 +202,13 @@ def module_map_squares(prefix: str, f: Matrix, x: Bimodule, y: Bimodule):
 def zeta_square(dom: CorOneCell, cod: CorOneCell, y: Matrix):
     """(axiom, lhs, rhs) of the zeta square of y : dom.carrier -> cod.carrier.
 
-    Both whiskers of y are induced through ``descend``: well defined on
-    bimodule maps, it may raise DoesNotFactor on any other y.
+    Both whiskers of y are induced through ``tensor_map``: well defined
+    on bimodule maps, it may raise DoesNotFactor on any other y.
     """
     m1, m2 = dom.carrier, cod.carrier
     d, c = dom.cod.carrier, dom.dom.carrier
-    dy = descend(kron(d.dim, y), wtensor(d, m1).outer, wtensor(d, m2).outer)
-    yc = descend(kron(y, c.dim), wtensor(m1, c).outer, wtensor(m2, c).outer)
+    dy = tensor_map(d.dim, y, (d, m1), (d, m2))
+    yc = tensor_map(y, c.dim, (m1, c), (m2, c))
     return (("zeta square", compose(yc, dom.zeta), compose(cod.zeta, dy)),)
 
 
@@ -214,19 +223,19 @@ def check_coring(c: Coring) -> CheckReport:
         chk.equal(*square)
 
     with chk.guard("coassociativity"):
-        route_left = compose(descend(kron(c.comult, n), w2.outer,
-                                     wtensor(w2.module, car).outer), c.comult)
-        route_right = compose(descend(kron(n, c.comult), w2.outer,
-                                      wtensor(car, w2.module).outer), c.comult)
+        route_left = compose(tensor_map(c.comult, n, (car, car),
+                                        (w2.module, car)), c.comult)
+        route_right = compose(tensor_map(n, c.comult, (car, car),
+                                         (car, w2.module)), c.comult)
         chk.equal("coassociativity",
                   compose(word_iso(car, car, car), route_left), route_right)
 
-    for side, w, collapse, whisker in (
-            ("left", wtensor(reg, car), car.lact, kron(c.counit, n)),
-            ("right", wtensor(car, reg), car.ract, kron(n, c.counit))):
+    for side, pair, collapse, f, g in (
+            ("left", (reg, car), car.lact, c.counit, n),
+            ("right", (car, reg), car.ract, n, c.counit)):
         with chk.guard(f"{side} counit law"):
-            u = unit_coherence(w.outer, collapse)
-            route = compose(descend(whisker, w2.outer, w.outer), c.comult)
+            u = unit_coherence(wtensor(*pair).outer, collapse)
+            route = compose(tensor_map(f, g, (car, car), pair), c.comult)
             chk.equal(f"{side} counit law", compose(u, route),
                       Matrix.identity(c.field, n))
     return chk.report()
@@ -234,12 +243,9 @@ def check_coring(c: Coring) -> CheckReport:
 
 def check_cor_one_cell(f: CorOneCell) -> CheckReport:
     """Bimodule property of zeta, the Street pentagon, counit compatibility."""
-    cC, cD = f.dom, f.cod
-    M = f.carrier
-    Cc, Dc = cC.carrier, cD.carrier
-    m = M.dim
-    w_dm = wtensor(Dc, M)
-    w_mc = wtensor(M, Cc)
+    cC, cD, M = f.dom, f.cod, f.carrier
+    Cc, Dc, m = cC.carrier, cD.carrier, M.dim
+    w_dm, w_mc = wtensor(Dc, M), wtensor(M, Cc)
     chk = _Checker()
     for square in module_map_squares("zeta ", f.zeta, w_dm.module,
                                      w_mc.module):
@@ -247,34 +253,29 @@ def check_cor_one_cell(f: CorOneCell) -> CheckReport:
 
     # pentagon: (M (x) Delta_C) . zeta = (zeta (x) C).(D (x) zeta).(Delta_D (x) M)
     with chk.guard("street pentagon"):
-        lhs = compose(descend(kron(m, cC.comult), w_mc.outer,
-                              wtensor(M, cC.square_word().module).outer),
-                      f.zeta)
+        lhs = compose(tensor_map(m, cC.comult, (M, Cc),
+                                 (M, cC.square_word().module)), f.zeta)
 
-        step1 = descend(kron(cD.comult, m), w_dm.outer,
-                        wtensor(cD.square_word().module, M).outer)
+        step1 = tensor_map(cD.comult, m, (Dc, M),
+                           (cD.square_word().module, M))
         step2 = word_iso(Dc, Dc, M)
-        step3 = descend(kron(Dc.dim, f.zeta), wtensor(Dc, w_dm.module).outer,
-                        wtensor(Dc, w_mc.module).outer)
-        step4 = inverse(word_iso(Dc, M, Cc))
-        step5 = descend(kron(f.zeta, Cc.dim), wtensor(w_dm.module, Cc).outer,
-                        wtensor(w_mc.module, Cc).outer)
+        step3 = tensor_map(Dc.dim, f.zeta, (Dc, w_dm.module),
+                           (Dc, w_mc.module))
+        step4 = word_iso_inverse(Dc, M, Cc)
+        step5 = tensor_map(f.zeta, Cc.dim, (w_dm.module, Cc),
+                           (w_mc.module, Cc))
         step6 = word_iso(M, Cc, Cc)
-        rhs = compose(step6, compose(step5, compose(
-            step4, compose(step3, compose(step2, step1)))))
+        rhs = compose(step6, step5, step4, step3, step2, step1)
         chk.equal("street pentagon", lhs, rhs)
 
     # counit compatibility through the unit coherences
     with chk.guard("counit compatibility"):
-        w_bm = wtensor(regular_bimodule(cD.base), M)
-        u_bm = unit_coherence(w_bm.outer, M.lact)
-        lhs = compose(u_bm, descend(kron(cD.counit, m), w_dm.outer,
-                                    w_bm.outer))
-        w_ma = wtensor(M, regular_bimodule(cC.base))
-        u_ma = unit_coherence(w_ma.outer, M.ract)
-        rhs = compose(u_ma,
-                      compose(descend(kron(m, cC.counit), w_mc.outer,
-                                      w_ma.outer), f.zeta))
+        b_m = (regular_bimodule(cD.base), M)
+        u_bm = unit_coherence(wtensor(*b_m).outer, M.lact)
+        lhs = compose(u_bm, tensor_map(cD.counit, m, (Dc, M), b_m))
+        m_a = (M, regular_bimodule(cC.base))
+        u_ma = unit_coherence(wtensor(*m_a).outer, M.ract)
+        rhs = compose(u_ma, tensor_map(m, cC.counit, (M, Cc), m_a), f.zeta)
         chk.equal("counit compatibility", lhs, rhs)
     return chk.report()
 
@@ -321,17 +322,14 @@ def compose_cor_one_cells(p: CorOneCell, m: CorOneCell) -> CorOneCell:
     E, P, D = p.cod.carrier, p.carrier, p.dom.carrier
     M, C = m.carrier, m.dom.carrier
 
-    step1 = inverse(word_iso(E, P, M))
-    step2 = descend(kron(p.zeta, M.dim),
-                    wtensor(wtensor(E, P).module, M).outer,
-                    wtensor(wtensor(P, D).module, M).outer)
+    step1 = word_iso_inverse(E, P, M)
+    step2 = tensor_map(p.zeta, M.dim, (wtensor(E, P).module, M),
+                       (wtensor(P, D).module, M))
     step3 = word_iso(P, D, M)
-    step4 = descend(kron(P.dim, m.zeta),
-                    wtensor(P, wtensor(D, M).module).outer,
-                    wtensor(P, wtensor(M, C).module).outer)
-    step5 = inverse(word_iso(P, M, C))
-    zeta = compose(step5, compose(step4, compose(
-        step3, compose(step2, step1))))
+    step4 = tensor_map(P.dim, m.zeta, (P, wtensor(D, M).module),
+                       (P, wtensor(M, C).module))
+    step5 = word_iso_inverse(P, M, C)
+    zeta = compose(step5, step4, step3, step2, step1)
     return CorOneCell(dom=m.dom, cod=p.cod, carrier=wtensor(P, M).module,
                      zeta=zeta)
 
@@ -348,10 +346,9 @@ def hcomp_cor(t2: CorTwoCell, t1: CorTwoCell) -> CorTwoCell:
         raise NotComposable("horizontal composition boundaries differ")
     dom = compose_cor_one_cells(t2.dom, t1.dom)
     cod = compose_cor_one_cells(t2.cod, t1.cod)
-    w1 = wtensor(t2.dom.carrier, t1.dom.carrier)
-    w2 = wtensor(t2.cod.carrier, t1.cod.carrier)
-    return CorTwoCell(dom, cod,
-                      descend(kron(t2.map, t1.map), w1.outer, w2.outer))
+    return CorTwoCell(dom, cod, tensor_map(
+        t2.map, t1.map, (t2.dom.carrier, t1.dom.carrier),
+        (t2.cod.carrier, t1.cod.carrier)))
 
 
 def cor_associator(x: CorOneCell, y: CorOneCell,
@@ -359,8 +356,8 @@ def cor_associator(x: CorOneCell, y: CorOneCell,
     """Coherence 2-cell x.(y.z) => (x.y).z, induced on presentations."""
     inner = compose_cor_one_cells(x, compose_cor_one_cells(y, z))
     outer = compose_cor_one_cells(compose_cor_one_cells(x, y), z)
-    return CorTwoCell(inner, outer, inverse(
-        word_iso(x.carrier, y.carrier, z.carrier)))
+    return CorTwoCell(inner, outer,
+                      word_iso_inverse(x.carrier, y.carrier, z.carrier))
 
 
 def cor_left_unitor(x: CorOneCell) -> CorTwoCell:

@@ -88,14 +88,12 @@ def check_obj(e: EntwObj) -> CheckReport:
     chk.equal(
         "E1-mult-pentagon",
         compose(e.psi, kron(c.dim, a.mult)),
-        compose(kron(a.mult, c.dim),
-                compose(kron(a.dim, e.psi), kron(e.psi, a.dim))),
+        compose(kron(a.mult, c.dim), kron(a.dim, e.psi), kron(e.psi, a.dim)),
     )
     chk.equal(
         "E2-comult-pentagon",
         compose(kron(a.dim, c.comult), e.psi),
-        compose(kron(e.psi, c.dim),
-                compose(kron(c.dim, e.psi), kron(c.comult, a.dim))),
+        compose(kron(e.psi, c.dim), kron(c.dim, e.psi), kron(c.comult, a.dim)),
     )
     chk.equal("E3-unit-triangle",
               compose(e.psi, kron(c.dim, a.unit)), kron(a.unit, c.dim))
@@ -112,22 +110,18 @@ def check_one_cell(f: EntwOneCell) -> CheckReport:
     chk = _Checker()
     chk.equal(
         "hexagon",
-        compose(kron(m, dom.psi),
-                compose(kron(f.gamma, a.dim), kron(d.dim, f.alpha))),
-        compose(kron(f.alpha, c.dim),
-                compose(kron(b.dim, f.gamma), kron(cod.psi, m))),
+        compose(kron(m, dom.psi), kron(f.gamma, a.dim), kron(d.dim, f.alpha)),
+        compose(kron(f.alpha, c.dim), kron(b.dim, f.gamma), kron(cod.psi, m)),
     )
     chk.equal(
         "alpha-pentagon",
         compose(f.alpha, kron(b.mult, m)),
-        compose(kron(m, a.mult),
-                compose(kron(f.alpha, a.dim), kron(b.dim, f.alpha))),
+        compose(kron(m, a.mult), kron(f.alpha, a.dim), kron(b.dim, f.alpha)),
     )
     chk.equal(
         "gamma-pentagon",
         compose(kron(m, c.comult), f.gamma),
-        compose(kron(f.gamma, c.dim),
-                compose(kron(d.dim, f.gamma), kron(d.comult, m))),
+        compose(kron(f.gamma, c.dim), kron(d.dim, f.gamma), kron(d.comult, m)),
     )
     chk.equal("unit-triangle",
               compose(f.alpha, kron(b.unit, m)), kron(m, a.unit))
@@ -229,8 +223,7 @@ def bialgebra_entwining(h) -> EntwObj:
         raise NotABialgebra(str(rep))
     n = alg.dim
     tau = flip(alg.field, n, n)
-    psi = compose(kron(n, alg.mult),
-                  compose(kron(tau, n), kron(n, coalg.comult)))
+    psi = compose(kron(n, alg.mult), kron(tau, n), kron(n, coalg.comult))
     return EntwObj(alg, coalg, psi)
 
 

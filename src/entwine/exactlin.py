@@ -3,7 +3,9 @@ sparse elimination.
 
 A ``FieldSpec`` fixes the field per session, owns the arithmetic, and
 owns the session memo of ``memoised`` functions: a fresh ``FieldSpec``
-starts a fresh memo, which lives and dies with it.
+starts a fresh memo.  Memo and field are a reference cycle (a memoised
+result holds matrices, a matrix its field), so the cyclic garbage
+collector, not reference counting, frees a finished session.
 Over Q a matrix entry is an ``int`` when it is integral and a
 ``fractions.Fraction`` otherwise, whichever operation made it; over GF(p)
 it is an int in ``[0, p)``.  Matrices are dense, immutable, row-major,
@@ -438,8 +440,11 @@ def hstack(mats: Iterable[Matrix]) -> Matrix:
     return Matrix(field, ent, cols=sum(m.cols for m in mats), _raw=True)
 
 
-def compose(f: Matrix, g: Matrix) -> Matrix:
-    """Matrix product f.g, i.e. the map f after the map g."""
+def compose(f: Matrix, g: Matrix, *more: Matrix) -> Matrix:
+    """Matrix product f.g, i.e. the map f after the map g; further factors
+    are applied first, ``compose(f, g, h) = compose(f, compose(g, h))``."""
+    if more:
+        g = compose(g, *more)
     if f.field != g.field:
         raise DimensionMismatch("fields differ")
     if f.cols != g.rows:
@@ -512,6 +517,25 @@ def _sparse_columns(m: Matrix) -> list:
     return cols
 
 
+def _combine(coeffs: dict, cols, field: FieldSpec) -> dict:
+    """The nonzeros of sum(a * cols[k]) over (k, a) in ``coeffs``."""
+    add, mul, v = field.add, field.mul, {}
+    for k, a in coeffs.items():
+        for r, x in cols[k].items():
+            y = x if a == 1 else mul(a, x)
+            v[r] = add(v[r], y) if r in v else y
+    return {r: x for r, x in v.items() if x}
+
+
+def _from_columns(field: FieldSpec, cols: list, rows: int) -> Matrix:
+    """The dense matrix of sparse ``{row: value}`` columns, canonical."""
+    m = _matrix(field, cols, rows).transpose()
+    if field._fractional(x for col in cols for x in col.values()):
+        m = Matrix(field, tuple(_canonical(row, True) for row in m.entries),
+                   cols=len(cols), _raw=True)
+    return m
+
+
 def _clear(v: dict, c: int, row: dict) -> None:
     """v := a * v - b * row on int vectors, with a : b = row[c] : v[c] in
     lowest terms and row[c] > 0, so v vanishes at c; zeros are dropped."""
@@ -540,7 +564,9 @@ def _echelon(vectors: Iterable[dict], field: FieldSpec) -> dict:
     a stored row is an int vector (primitive over Q, monic over GF(p))
     whose pivot entry is its denominator, divided out only at the end.
     """
-    rows = {}
+    # holders: column -> a superset of the pivots of the rows holding it
+    # (clearing a row with v only adds columns of v to its support)
+    rows, holders = {}, {}
     integral, primitive = field._integral, field._primitive
     for v in vectors:
         if not v:
@@ -553,11 +579,13 @@ def _echelon(vectors: Iterable[dict], field: FieldSpec) -> dict:
         if not v:
             continue
         p = min(v)
-        for row in rows.values():
-            if p in row:
-                _clear(row, p, v)
-                rows[min(row)] = primitive(row)    # a row leads with its pivot
+        held = [q for q in holders.pop(p, ()) if p in rows[q]]
+        for q in held:
+            _clear(rows[q], p, v)
+            rows[q] = primitive(rows[q])    # a row keeps its pivot q < p
         rows[p] = v
+        for c in v:
+            holders.setdefault(c, set()).update(held, (p,))
     for p, row in rows.items():
         d = row[p]
         if d != 1:

@@ -7,9 +7,9 @@ read off the columns of the two actions; the one elimination routine of
 ``exactlin`` reduces them, and the quotient is presented by its (dense)
 projection and its free (non-pivot) ambient coordinates, whose injection
 is the section.  A map on the ambient induces one on the quotient when it
-kills the relations (``induced_map``, ``descend``); the unit coherences
-are such induced maps.  A presentation is always over the product of two
-factors: rebracketing three factors is ``corcat.word_iso``.
+kills the relations; every such map (``descend``, ``induced_map``, the
+unit coherences, ``corcat.tensor_map``, ``corcat.word_iso``) goes through
+``descend_columns``, which forms only the columns it keeps or checks.
 Presentations are reproducible byte for byte, so golden files are stable.
 """
 
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import DimensionMismatch, DoesNotFactor, NotInvertible
-from .exactlin import (Matrix, _null_rows, _sparse_columns, compose,
-                       memoised, rank)
+from .exactlin import (Matrix, _combine, _from_columns, _null_rows,
+                       _sparse_columns, memoised, rank)
 
 
 @dataclass(frozen=True)
@@ -94,23 +94,36 @@ def tensor_over(ract_m: Matrix, lact_n: Matrix, dim_m: int, dim_a: int,
     return QuotientPresentation(*_null_rows(relations(), dim_m * dim_n, field))
 
 
+def descend_columns(image, src: QuotientPresentation, tgt) -> Matrix:
+    """The quotient-level map induced by the ambient-level map whose column
+    c is the sparse vector ``image(c)``, projected to ``tgt`` (an int n, as
+    in ``kron``, for k^n itself); DoesNotFactor unless it kills src's
+    relations.  Column j is image(free[j]), as projection[:, free[j]] = e_j;
+    the relations c - section . projection[:, c] are checked at the pivot
+    columns c, so no other column of the image is formed."""
+    field, h, rows = src.projection.field, image, tgt
+    if not isinstance(tgt, int):
+        p_cols, rows = _sparse_columns(tgt.projection), tgt.quotient_dim
+        h = lambda c: _combine(image(c), p_cols, field)
+    kept, free = [h(c) for c in src.free], set(src.free)
+    for c, combo in enumerate(_sparse_columns(src.projection)):
+        if c not in free and _combine(combo, kept, field) != h(c):
+            raise DoesNotFactor("map does not vanish on the relation span")
+    return _from_columns(field, kept, rows)
+
+
+def descend(f: Matrix, src: QuotientPresentation, tgt) -> Matrix:
+    """Quotient-level map induced by the ambient-level map f (``tgt`` as in
+    ``descend_columns``)."""
+    rows = tgt if isinstance(tgt, int) else tgt.ambient_dim
+    if f.shape != (rows, src.ambient_dim):
+        raise DimensionMismatch(f"map {f.shape} vs {rows} x {src.ambient_dim}")
+    return descend_columns(_sparse_columns(f).__getitem__, src, tgt)
+
+
 def induced_map(f: Matrix, q: QuotientPresentation) -> Matrix:
     """The unique g with g . projection = f, if f kills the relations."""
-    if f.cols != q.ambient_dim:
-        raise DimensionMismatch(
-            f"map domain {f.cols} vs ambient {q.ambient_dim}")
-    g = f.gather(q.free)    # f . section
-    # ker(projection) = image(1 - section.projection), so f kills the
-    # relations iff g.projection reproduces f
-    if compose(g, q.projection) != f:
-        raise DoesNotFactor("map does not vanish on the relation span")
-    return g
-
-
-def descend(f: Matrix, src: QuotientPresentation,
-            tgt: QuotientPresentation) -> Matrix:
-    """Quotient-level map induced by the ambient-level map f."""
-    return induced_map(compose(tgt.projection, f), src)
+    return descend(f, q, f.rows)
 
 
 def _iso_or_raise(u: Matrix, message: str) -> Matrix:

@@ -1,16 +1,23 @@
 """Corings over an algebra, their cells, and quotient-level coherence."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from entwine.algstruct import (Bimodule, cyclic_group_bialgebra,
-                               group_algebra, matrix_algebra)
+                               group_algebra, grouplike_coalgebra,
+                               matrix_algebra, regular_bimodule)
 from entwine.cli import _composable_pairs, build_gallery
-from entwine.comc import comc_obj, comc_one_cell
+from entwine.comc import _maps, _solve_squares, comc_obj, comc_one_cell
 from entwine.corcat import (Coring, CorOneCell, CorTwoCell, check_coring,
                             check_cor_one_cell, check_cor_two_cell,
                             compose_cor_one_cells, cor_associator,
                             cor_left_unitor, cor_right_unitor, hcomp_cor,
                             identity_cor_one_cell, identity_cor_two_cell,
-                            trivial_coring, vcomp_cor, word_iso, wtensor)
-from entwine.entwcat import bialgebra_entwining
+                            module_map_squares, tensor_map, trivial_coring,
+                            vcomp_cor, word_iso, word_iso_inverse, wtensor)
+from entwine.entwcat import bialgebra_entwining, flip_entwining
+from entwine.errors import DoesNotFactor
 from entwine.exactlin import FieldSpec, Matrix, QQ, compose, inverse, kron
 from entwine.qtensor import descend
 
@@ -175,3 +182,134 @@ class TestCorCoherence:
         lu = cor_left_unitor(cell)
         ru = cor_right_unitor(cell)
         assert lu.cod == ru.cod == cell
+
+
+# -- the sparse whisker against the dense one ---------------------------
+
+FIELDS = [QQ, FieldSpec("prime", 3), FieldSpec("prime", 5)]
+
+
+def bimodule_family(field, which):
+    """Bimodules over one algebra: k[C2] (commutative, three of them) or
+    M2 (two), the regular bimodule and composed-coring carriers."""
+    if which == "kC2":
+        a = group_algebra(field, 2)
+        return [regular_bimodule(a),
+                comc_obj(flip_entwining(a, grouplike_coalgebra(field, 2))
+                         ).carrier,
+                comc_obj(bialgebra_entwining(
+                    cyclic_group_bialgebra(field, 2))).carrier]
+    a = matrix_algebra(field, 2)
+    return [regular_bimodule(a),
+            comc_obj(flip_entwining(a, grouplike_coalgebra(field, 2))
+                     ).carrier]
+
+
+def bimodule_map_basis(x, x2):
+    """A basis of the bimodule maps x -> x2, as matrices."""
+    basis = _solve_squares(Matrix.identity(x.field, x2.dim * x.dim),
+                           x2.dim, x.dim,
+                           lambda f: module_map_squares("", f, x, x2))
+    return _maps(basis, x2.dim, x.dim)
+
+
+def coefficient(field):
+    entry = st.integers(-2, 2)
+    if field == QQ:
+        entry = st.one_of(entry, st.fractions(-3, 3, max_denominator=4))
+    return entry
+
+
+@st.composite
+def whisker_factor(draw, field, family):
+    """(factor, its source, its target): an int identity, or a drawn
+    combination of the bimodule maps between two drawn bimodules."""
+    x = draw(st.sampled_from(family))
+    if draw(st.booleans()):
+        return x.dim, x, x
+    x2 = draw(st.sampled_from(family))
+    f = Matrix.zeros(field, x2.dim, x.dim)
+    for b in bimodule_map_basis(x, x2):
+        f = f + b.scale(draw(coefficient(field)))
+    return f, x, x2
+
+
+@st.composite
+def whiskers(draw):
+    """(f, g, (x, y), (x2, y2)) over a drawn field and algebra."""
+    field = draw(st.sampled_from(FIELDS))
+    family = bimodule_family(field, draw(st.sampled_from(["kC2", "M2"])))
+    f, x, x2 = draw(whisker_factor(field, family))
+    g, y, y2 = draw(whisker_factor(field, family))
+    return f, g, (x, y), (x2, y2)
+
+
+def dense_descend(f, src, tgt):
+    """The full-width gate: project every column of f, keep the free ones,
+    and require that they reproduce the whole projected map."""
+    h = compose(tgt.projection, f)
+    g = h.gather(src.free)
+    if compose(g, src.projection) != h:
+        raise DoesNotFactor("map does not vanish on the relation span")
+    return g
+
+
+def outcome(fn, *args):
+    """fn(*args), or the DoesNotFactor message it raises."""
+    try:
+        return fn(*args)
+    except DoesNotFactor as exc:
+        return f"DoesNotFactor: {exc}"
+
+
+def as_matrix(f, field):
+    return Matrix.identity(field, f) if isinstance(f, int) else f
+
+
+class TestTensorMap:
+    @given(whiskers())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_descended_kron_on_bimodule_maps(self, case):
+        f, g, (x, y), (x2, y2) = case
+        src, tgt = wtensor(x, y).outer, wtensor(x2, y2).outer
+        whisker = kron(as_matrix(f, x.field), as_matrix(g, x.field))
+        got = tensor_map(f, g, (x, y), (x2, y2))
+        assert got == descend(whisker, src, tgt)
+        assert got == dense_descend(whisker, src, tgt)
+
+    @given(whiskers(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_raises_on_exactly_the_perturbations_the_dense_gate_rejects(
+            self, case, data):
+        f, g, (x, y), (x2, y2) = case
+        field = x.field
+        src, tgt = wtensor(x, y).outer, wtensor(x2, y2).outer
+        # perturb one entry of one factor, an identity becoming a matrix
+        fm, gm = as_matrix(f, field), as_matrix(g, field)
+        target = data.draw(st.sampled_from(["f", "g"]))
+        m = fm if target == "f" else gm
+        i = data.draw(st.integers(0, m.rows - 1))
+        j = data.draw(st.integers(0, m.cols - 1))
+        s = data.draw(coefficient(field).filter(bool))   # nonzero mod 3, 5
+        m = Matrix.build(field, m.rows, m.cols,
+                         lambda r, c: m[r, c] + (s if (r, c) == (i, j)
+                                                 else 0))
+        fm, gm = (m, gm) if target == "f" else (fm, m)
+        new = outcome(tensor_map, fm, gm, (x, y), (x2, y2))
+        assert new == outcome(descend, kron(fm, gm), src, tgt)
+        assert new == outcome(dense_descend, kron(fm, gm), src, tgt)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["q", "gf3", "gf5"])
+    def test_an_int_stands_for_the_identity(self, field):
+        x, y, _ = bimodule_family(field, "kC2")
+        for f, g in ((x.dim, y.dim), (Matrix.identity(field, x.dim), y.dim),
+                     (x.dim, Matrix.identity(field, y.dim))):
+            assert tensor_map(f, g, (x, y), (x, y)) == Matrix.identity(
+                field, wtensor(x, y).module.dim)
+
+    def test_word_iso_inverse_is_the_memoised_inverse(self):
+        c = c2_coring().carrier
+        back = word_iso_inverse(c, c, c)
+        assert back is word_iso_inverse(c, c, c)
+        assert compose(back, word_iso(c, c, c)) == Matrix.identity(
+            QQ, back.rows)

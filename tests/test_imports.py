@@ -1,12 +1,14 @@
-"""Every name a module, a test file or a demo imports is used in it, and the
-package memoises through one helper only.
+"""Every name a module, a test file or a demo imports is used in it, the
+package memoises through one helper only, and it descends no dense whisker.
 
 The project ships no linter, so this is its unused-import check: an
 ``ast`` scan of the names each file imports against the names it reads.
 The package ``__init__`` is skipped, since its imports are the public
 re-exports.  A second scan keeps every memo on the session's
 ``FieldSpec``: no ``functools`` cache in the package, and one
-``memoised``, defined in ``exactlin``.
+``memoised``, defined in ``exactlin``.  A third keeps whiskers sparse: a
+map f (x) g between tensor words goes through ``corcat.tensor_map``, never
+through ``descend(kron(f, g), ...)``, which builds the whole ambient map.
 """
 
 import ast
@@ -87,3 +89,30 @@ def test_memoisation_has_one_owner():
                                   for p in sorted(src.glob("*.py"))})
     assert caches == []
     assert owners == ["exactlin.py"]
+
+
+
+def _name(node) -> str:
+    """The called name of a call node: ``f`` of ``f(...)`` or ``m.f(...)``."""
+    return getattr(node.func, "id", getattr(node.func, "attr", ""))
+
+
+def dense_whiskers(source: str) -> list:
+    """The lines of ``source`` that call ``descend`` on a ``kron``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and _name(node) == "descend"
+                  and node.args and isinstance(node.args[0], ast.Call)
+                  and _name(node.args[0]) == "kron")
+
+
+def test_scan_finds_dense_whiskers():
+    source = ("a = descend(kron(f, 2), s, t)\n"
+              "b = qtensor.descend(\n    kron(2, g), s, t)\n"
+              "c = descend(f, s, t)\nd = tensor_map(f, 2, s, t)\n")
+    assert dense_whiskers(source) == [1, 2]
+
+
+def test_no_dense_whisker_is_descended():
+    found = {p.name: dense_whiskers(p.read_text(encoding="utf-8"))
+             for p in (ROOT / "src" / "entwine").glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}

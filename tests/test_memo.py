@@ -2,10 +2,13 @@
 
 import gc
 import io
+import os
+import subprocess
 import sys
 
 import pytest
 
+import entwine
 from entwine import comc
 from entwine.algstruct import group_algebra, grouplike_coalgebra
 from entwine.cli import build_gallery, cmd_laws, save_workspace
@@ -73,3 +76,48 @@ def test_memory_is_bounded_across_sessions():
         session(p)
     gc.collect()
     assert sys.getallocatedblocks() - before < 500
+
+
+# A session memo is a reference cycle (FieldSpec._memo -> key -> Matrix ->
+# .field -> FieldSpec), so only the cyclic collector frees it; this shows
+# that it does so on its own.  It runs in a fresh interpreter, because when
+# the collector's full pass comes depends on the size of the long-lived heap.
+SESSIONS = r"""
+import gc, sys
+from entwine import comc
+from entwine.algstruct import grouplike_coalgebra, matrix_algebra
+from entwine.corcat import check_coring
+from entwine.entwcat import flip_entwining
+from entwine.exactlin import FieldSpec
+
+def session(p):
+    f = FieldSpec("prime", p)
+    e = flip_entwining(matrix_algebra(f, 2), grouplike_coalgebra(f, 2))
+    assert check_coring(comc.comc_obj(e)).passed
+
+primes = [p for p in range(3, 2000) if all(p % d for d in range(2, p))]
+start = sys.getallocatedblocks()
+session(primes[0])
+base = sys.getallocatedblocks()
+peak, full = base, gc.get_stats()[2]["collections"]
+for n, p in enumerate(primes[1:200], 1):
+    session(p)
+    peak = max(peak, sys.getallocatedblocks())
+    if gc.get_stats()[2]["collections"] > full:
+        break
+print(n, start, base, peak, sys.getallocatedblocks())
+"""
+
+
+def test_memory_is_bounded_across_sessions_without_collecting():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(entwine.__file__)))
+    out = subprocess.run([sys.executable, "-c", SESSIONS], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    n, start, base, peak, end = map(int, out.split())
+    footprint = base - start
+    # the collector's own full pass came, and freed the finished memos
+    assert n < 199
+    assert end - base < 3 * footprint
+    # until it came, finished memos held under half the heap again
+    assert peak < 1.5 * base

@@ -1,6 +1,7 @@
 """Quotient tensor products: presentations, induced maps, coherences."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -250,6 +251,29 @@ class TestDenseSectionOracle:
         else:
             with pytest.raises(DoesNotFactor):
                 induced_map(f, q)
+
+    @given(st.data(), st.sampled_from([QQ, GF5]), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_descend_is_the_dense_gate(self, data, field, balanced):
+        rel = relations(data.draw, field)
+        src = presentation_from_relations(rel)
+        tgt = presentation_from_relations(relations(data.draw, field))
+        if balanced:
+            f = compose(matrix(data.draw, field, tgt.ambient_dim,
+                               src.quotient_dim), src.projection)
+        else:
+            f = matrix(data.draw, field, tgt.ambient_dim, src.ambient_dim)
+        # the projected map factors exactly when it kills the relations
+        h = compose(tgt.projection, f)
+        if compose(h, rel).is_zero():
+            g = descend(f, src, tgt)
+            assert g == compose(h, src.section)
+            # canonical entries: no integral Fraction is stored
+            assert not any(isinstance(x, Fraction) and x.denominator == 1
+                           for row in g.entries for x in row)
+        else:
+            with pytest.raises(DoesNotFactor):
+                descend(f, src, tgt)
 
     @pytest.mark.parametrize("field", [QQ, GF5], ids=["q", "gf5"])
     def test_gallery_quotient_actions(self, field):
