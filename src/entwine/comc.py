@@ -20,7 +20,8 @@ from .entwcat import (EntwObj, EntwOneCell, EntwTwoCell, check_obj,
                       check_two_cell, compose_one_cells, identity_one_cell,
                       two_cell_squares)
 from .errors import InvalidObject, InvalidTwoCell, NotComposable, NotParallel
-from .exactlin import Matrix, compose, kernel_basis, kron, memoised, rank
+from .exactlin import (Matrix, _from_columns, _sparse_columns, compose,
+                       kernel_basis, kron, memoised, rank)
 from .qtensor import _iso_or_raise, induced_map
 
 
@@ -120,22 +121,31 @@ def unitor_comparison(e: EntwObj) -> CorTwoCell:
                       Matrix.identity(e.field, e.algebra.dim))
 
 
-def _vec(m: Matrix) -> list:
-    """The entries of m, row-major."""
-    return [x for row in m.entries for x in row]
-
-
 def _columns(field, vecs: list) -> Matrix:
-    """The matrix whose columns are ``vecs``."""
-    return Matrix(field, tuple(zip(*vecs)), cols=len(vecs), _raw=True)
+    """The matrix whose column t holds the entries of the matrices
+    ``vecs[t]``, each read row-major, one after the other."""
+    cols, n = [], 0
+    for ms in vecs:
+        v, n = {}, 0
+        for m in ms:
+            for j, col in enumerate(_sparse_columns(m)):
+                for i, x in col.items():
+                    v[n + i * m.cols + j] = x
+            n += m.rows * m.cols
+        cols.append(v)
+    return _from_columns(field, cols, n)
 
 
 def _maps(basis: Matrix, rows: int, cols: int) -> list:
     """The columns of ``basis``, read row-major as rows x cols maps."""
-    return [Matrix(basis.field, tuple(v[i * cols:(i + 1) * cols]
-                                      for i in range(rows)),
-                   cols=cols, _raw=True)
-            for v in basis.transpose().entries]
+    maps = []
+    for v in _sparse_columns(basis):
+        m = [{} for _ in range(cols)]
+        for flat, x in v.items():
+            i, j = divmod(flat, cols)
+            m[j][i] = x
+        maps.append(_from_columns(basis.field, m, rows))
+    return maps
 
 
 def _solve_squares(basis: Matrix, rows: int, cols: int, squares) -> Matrix:
@@ -146,9 +156,8 @@ def _solve_squares(basis: Matrix, rows: int, cols: int, squares) -> Matrix:
     map and flattened, is one column of a linear system; its kernel picks
     the solutions, returned in the same form.
     """
-    system = _columns(basis.field, [
-        [x for _, lhs, rhs in squares(y) for x in _vec(lhs - rhs)]
-        for y in _maps(basis, rows, cols)])
+    system = _columns(basis.field, [[lhs - rhs for _, lhs, rhs in squares(y)]
+                                    for y in _maps(basis, rows, cols)])
     return compose(basis, kernel_basis(system))
 
 
@@ -174,6 +183,6 @@ def hom_dimension_report(src: EntwOneCell,
     # zeta_square descends y, which is well defined on bimodule maps only
     cor = _solve_squares(bimod, cn, cm,
                          lambda y: zeta_square(csrc, cdst, y))
-    img_rank = rank(_columns(field, [_vec(kron(t, src.dom.algebra.dim))
+    img_rank = rank(_columns(field, [[kron(t, src.dom.algebra.dim)]
                                      for t in _maps(entw, n, m)]))
     return entw.cols, cor.cols, img_rank == entw.cols, img_rank == cor.cols

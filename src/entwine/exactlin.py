@@ -1,5 +1,4 @@
-"""Exact linear algebra over Q or a prime field GF(p): dense matrices,
-sparse elimination.
+"""Exact linear algebra over Q or a prime field GF(p) on sparse columns.
 
 A ``FieldSpec`` fixes the field per session, owns the arithmetic, and
 owns the session memo of ``memoised`` functions: a fresh ``FieldSpec``
@@ -8,12 +7,13 @@ result holds matrices, a matrix its field), so the cyclic garbage
 collector, not reference counting, frees a finished session.
 Over Q a matrix entry is an ``int`` when it is integral and a
 ``fractions.Fraction`` otherwise, whichever operation made it; over GF(p)
-it is an int in ``[0, p)``.  Matrices are dense, immutable, row-major,
-and hashable so the session memo can key on them.  Elimination alone
-works on sparse ``{col: value}`` vectors: ``rref``, ``rank``, ``solve``
-and ``kernel_basis`` all go through the one routine ``_echelon``.  It is
-fraction-free: over Q it reduces integer vectors, and builds one
-``Fraction`` per non-integral output entry only at the end.
+it is an int in ``[0, p)``.  A matrix is immutable, hashable (the memo
+keys on it) and stores only its columns' nonzeros, as ``{row: value}``
+dicts that matrices share and never mutate; ``entries`` is a dense view.
+``rref``, ``rank``, ``solve`` and ``kernel_basis`` all reduce sparse
+vectors through the one routine ``_echelon``.  It is fraction-free: over
+Q it reduces integer vectors, and builds one ``Fraction`` per
+non-integral output entry only at the end.
 
 Index convention (normative for the whole package): the basis vector
 ``(i of X, j of Y)`` of ``X (x) Y`` has flat index ``i * dim(Y) + j``.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
-from itertools import chain, compress
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -246,46 +246,51 @@ def memoised(fn):
 
 def _demote(x):
     """An integral ``Fraction`` as an ``int``; any other scalar as it is."""
-    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
-def _canonical(row, fractional: bool) -> tuple:
-    """The row of Q scalars as a tuple, integral entries demoted to ints if
-    a Fraction went into it (an int is its own numerator over 1)."""
-    if fractional:
-        return tuple([x.numerator if x.denominator == 1 else x for x in row])
-    return tuple(row)
+def _demoted(columns: list) -> list:
+    """The Q columns with integral entries demoted to ints (an int is its
+    own numerator over 1)."""
+    return [{r: x.numerator if x.denominator == 1 else x
+             for r, x in col.items()} for col in columns]
+
+
+def _transposed(vectors, n: int) -> list:
+    """n sparse vectors: the j-th holds ``{i: vectors[i][j]}``."""
+    out = [{} for _ in range(n)]
+    for i, v in enumerate(vectors):
+        for j, x in v.items():
+            out[j][i] = x
+    return out
 
 
 QQ = FieldSpec("rational")
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries over a fixed FieldSpec."""
+    """Immutable sparse matrix with exact entries over a fixed FieldSpec.
 
-    __slots__ = ("field", "rows", "cols", "entries", "_hash", "_frac")
+    Column j is stored as ``_c[j]``, the ``{row: value}`` dict of its
+    nonzeros; matrices may share these dicts, so none is ever mutated.
+    """
+
+    __slots__ = ("field", "rows", "cols", "_c", "_hash", "_frac")
 
     def __init__(self, field: FieldSpec, entries: Sequence[Sequence], *,
-                 cols: Optional[int] = None, _raw: bool = False, _frac=None):
-        # _frac: whether an entry is a Fraction, if the producer knows
+                 cols: Optional[int] = None):
+        """The matrix of the dense rows ``entries``, ``cols`` wide."""
         rows = len(entries)
         if cols is None:
             cols = len(entries[0]) if rows else 0
-        if _raw:
-            ent = entries
-        else:
-            ent = []
-            for row in entries:
-                if len(row) != cols:
-                    raise DimensionMismatch("ragged rows")
-                ent.append(tuple(_demote(field.coerce(x)) for x in row))
-            ent = tuple(ent)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_frac", _frac)
+        c = [{} for _ in range(cols)]
+        for i, row in enumerate(entries):
+            if len(row) != cols:
+                raise DimensionMismatch("ragged rows")
+            for j, x in enumerate(row):
+                if x := _demote(field.coerce(x)):
+                    c[j][i] = x
+        _wrap(field, rows, c, m=self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -294,15 +299,12 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, tuple(tuple(z for _ in range(cols))
-                                for _ in range(rows)), cols=cols, _raw=True)
+        return _wrap(field, rows, [{}] * cols, False)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls(field, tuple(tuple(o if i == j else z for j in range(n))
-                                for i in range(n)), _raw=True, _frac=False)
+        one = field.one
+        return _wrap(field, n, [{i: one} for i in range(n)], False)
 
     @classmethod
     def build(cls, field: FieldSpec, rows: int, cols: int, fn) -> "Matrix":
@@ -316,19 +318,27 @@ class Matrix:
     def shape(self):
         return (self.rows, self.cols)
 
+    @property
+    def entries(self) -> tuple:
+        """The dense rows, a view derived from the columns."""
+        zero = self.field.zero
+        return tuple(tuple(c.get(i, zero) for c in self._c)
+                     for i in range(self.rows))
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return self._c[j].get(range(self.rows)[i], self.field.zero)
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and (
-            (self.field, self.rows, self.cols, self.entries)
-            == (other.field, other.rows, other.cols, other.entries))
+            (self.field, self.rows, self.cols, self._c)
+            == (other.field, other.rows, other.cols, other._c))
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.field, self.rows, self.cols, self.entries))
+            h = hash((self.field, self.rows, self.cols,
+                      tuple(hash(frozenset(c.items())) for c in self._c)))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -337,13 +347,15 @@ class Matrix:
         """Whether some entry is a ``Fraction``, not an int (kept once known)."""
         frac = self._frac
         if frac is None:
-            frac = self.field._fractional(chain.from_iterable(self.entries))
+            frac = self.field._fractional(
+                chain.from_iterable(c.values() for c in self._c))
             object.__setattr__(self, "_frac", frac)
         return frac
 
     def __repr__(self):
-        body = "; ".join(" ".join(self.field.fmt(x) for x in row)
-                         for row in self.entries)
+        fmt, zero = self.field.fmt, self.field.zero
+        body = "; ".join(" ".join(fmt(c.get(i, zero)) for c in self._c)
+                         for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -354,52 +366,55 @@ class Matrix:
 
     def _entrywise(self, op, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        frac = self._has_fraction or other._has_fraction
-        return Matrix(self.field, tuple(
-            _canonical(map(op, ra, rb), frac)
-            for ra, rb in zip(self.entries, other.entries)),
-            cols=self.cols, _raw=True)
+        zero, cols = self.field.zero, []
+        for a, b in zip(self._c, other._c):
+            v = dict(a)
+            for r, y in b.items():
+                v[r] = op(v.get(r, zero), y)
+            cols.append({r: x for r, x in v.items() if x})
+        return _from_columns(self.field, cols, self.rows)
 
     def __neg__(self) -> "Matrix":
         neg = self.field.neg
-        return Matrix(self.field, tuple(tuple(map(neg, row))
-                                        for row in self.entries),
-                      cols=self.cols, _raw=True)
+        return _wrap(self.field, self.rows, [
+            {r: neg(x) for r, x in c.items()} for c in self._c], self._frac)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return compose(self, other)
 
     def scale(self, c) -> "Matrix":
         c = _demote(self.field.coerce(c))
+        if not c:
+            return Matrix.zeros(self.field, self.rows, self.cols)
         mul = self.field.mul
-        frac = self.field._fractional((c,)) or self._has_fraction
-        return Matrix(self.field, tuple(
-            _canonical([mul(c, a) for a in row], frac)
-            for row in self.entries), cols=self.cols, _raw=True)
+        cols = [{r: mul(c, x) for r, x in col.items()} for col in self._c]
+        if self.field._fractional((c,)) or self._has_fraction:
+            cols = _demoted(cols)
+        return _wrap(self.field, self.rows, cols)
 
     def transpose(self) -> "Matrix":
-        ent = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
-        return Matrix(self.field, ent, cols=self.rows, _raw=True)
+        return _wrap(self.field, self.cols, _transposed(self._c, self.rows),
+                     self._frac)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        return not any(self._c)
 
     def first_difference(self, other: "Matrix"):
-        """Coordinates of the first differing entry, or None if equal."""
+        """Coordinates of the first differing entry in row-major order, or
+        None if equal."""
         self._same_shape(other)
-        for i in range(self.rows):
-            ra, rb = self.entries[i], other.entries[i]
-            if ra != rb:
-                for j in range(self.cols):
-                    if ra[j] != rb[j]:
-                        return (i, j)
-        return None
+        first = None
+        for j, (a, b) in enumerate(zip(self._c, other._c)):
+            if a != b:
+                i = min(r for r in a.keys() | b.keys() if a.get(r) != b.get(r))
+                if first is None or i < first[0]:
+                    first = (i, j)
+        return first
 
     def gather(self, cols: Sequence[int]) -> "Matrix":
         """The matrix of columns ``cols`` of self, in that order."""
-        return Matrix(self.field, tuple(tuple(map(row.__getitem__, cols))
-                                        for row in self.entries),
-                      cols=len(cols), _raw=True, _frac=self._frac or None)
+        return _wrap(self.field, self.rows, list(map(self._c.__getitem__, cols)),
+                     self._frac or None)
 
     def column(self, j: int) -> "Matrix":
         return self.gather((j,))
@@ -408,6 +423,17 @@ class Matrix:
         if self.shape != other.shape or self.field != other.field:
             raise DimensionMismatch(
                 f"shape {self.shape} vs {other.shape}")
+
+
+def _wrap(field: FieldSpec, rows: int, columns: list, frac=None,
+          m=None) -> Matrix:
+    """The matrix (m, or a new one) of canonical sparse ``{row: value}``
+    columns, unchecked; ``frac``: whether an entry is a Fraction, if known."""
+    m = object.__new__(Matrix) if m is None else m
+    for name, value in zip(Matrix.__slots__,
+                           (field, rows, len(columns), columns, None, frac)):
+        object.__setattr__(m, name, value)
+    return m
 
 
 def expect_shapes(obj, what: str, **shapes):
@@ -431,13 +457,12 @@ def expect_shapes(obj, what: str, **shapes):
 
 def hstack(mats: Iterable[Matrix]) -> Matrix:
     mats = list(mats)
-    field = mats[0].field
-    rows = mats[0].rows
+    if not mats:
+        raise DimensionMismatch("hstack: no matrices")
+    field, rows = mats[0].field, mats[0].rows
     if any(m.rows != rows or m.field != field for m in mats):
         raise DimensionMismatch("hstack: row counts differ")
-    ent = tuple(tuple(x for m in mats for x in m.entries[i])
-                for i in range(rows))
-    return Matrix(field, ent, cols=sum(m.cols for m in mats), _raw=True)
+    return _wrap(field, rows, [c for m in mats for c in m._c])
 
 
 def compose(f: Matrix, g: Matrix, *more: Matrix) -> Matrix:
@@ -450,75 +475,51 @@ def compose(f: Matrix, g: Matrix, *more: Matrix) -> Matrix:
     if f.cols != g.rows:
         raise DimensionMismatch(
             f"compose: {f.shape} after {g.shape}")
-    zero, add, mul = f.field.zero, f.field.add, f.field.mul
     frac = f._has_fraction or g._has_fraction
-    # the nonzeros of g's row k, listed when some row of f first needs them
-    gnz = [None] * g.rows
-    out = []
-    for frow in f.entries:
-        orow = [zero] * g.cols
-        for k, a in enumerate(frow):
-            if not a:
-                continue
-            nz = gnz[k]
-            if nz is None:
-                grow = g.entries[k]
-                nz = gnz[k] = [(j, grow[j])
-                               for j in compress(range(g.cols), grow)]
-            for j, b in nz:
-                orow[j] = add(orow[j], mul(a, b))
-        out.append(_canonical(orow, frac))
-    return Matrix(f.field, tuple(out), cols=g.cols, _raw=True,
-                  _frac=frac or None)
+    cols = [_combine(col, f._c, f.field) for col in g._c]
+    return _wrap(f.field, f.rows, _demoted(cols) if frac else cols,
+                 frac or None)
 
 
 def kron(f, g) -> Matrix:
     """Kronecker product under the row-major index convention.
 
     Either factor may be an int n, standing for the n x n identity: the
-    whisker is then built by placing the other factor's rows, with no
-    scalar multiplication.  Two matrices compose their two whiskers.
+    whisker re-indexes the other factor's columns, with no scalar
+    multiplication.  Two matrices compose their two whiskers.
     """
     if isinstance(f, int):
-        n, cg, zero = f, g.cols, g.field.zero
-        pad = (zero,) * (n * cg)
-        return Matrix(g.field, tuple(
-            pad[:i * cg] + tuple(grow) + pad[(i + 1) * cg:]
-            for i in range(n) for grow in g.entries), cols=n * cg, _raw=True,
-            _frac=g._frac)
+        rg = g.rows
+        return _wrap(g.field, f * rg, [
+            {i * rg + r: x for r, x in c.items()} if i else c
+            for i in range(f) for c in g._c], g._frac)
     if isinstance(g, int):
-        n, zero = g, f.field.zero
-        out = []
-        for frow in f.entries:
-            for j in range(n):
-                orow = [zero] * (f.cols * n)
-                orow[j::n] = frow
-                out.append(tuple(orow))
-        return Matrix(f.field, tuple(out), cols=f.cols * n, _raw=True,
-                      _frac=f._frac)
+        return _wrap(f.field, f.rows * g, [
+            {i * g + j: x for i, x in c.items()} if g != 1 else c
+            for c in f._c for j in range(g)], f._frac)
     if f.field != g.field:
         raise DimensionMismatch("fields differ")
     # the interchange law: f (x) g = (f (x) 1) . (1 (x) g)
     return compose(kron(f, g.rows), kron(f.cols, g))
 
 
-def _sparse_rows(m: Matrix):
+def _sparse_rows(m: Matrix) -> list:
     """The rows of m as ``{col: value}`` dicts of their nonzeros."""
-    return ({j: row[j] for j in compress(range(m.cols), row)}
-            for row in m.entries)
+    return _transposed(m._c, m.rows)
 
 
 def _sparse_columns(m: Matrix) -> list:
-    """The columns of m as ``{row: value}`` dicts of their nonzeros."""
-    cols, js = [{} for _ in range(m.cols)], range(m.cols)
-    for i, row in enumerate(m.entries):
-        for j in compress(js, row):
-            cols[j][i] = row[j]
-    return cols
+    """The columns of m as ``{row: value}`` dicts of their nonzeros: the
+    stored ones, shared, so not to be mutated."""
+    return m._c
 
 
 def _combine(coeffs: dict, cols, field: FieldSpec) -> dict:
     """The nonzeros of sum(a * cols[k]) over (k, a) in ``coeffs``."""
+    if len(coeffs) == 1:
+        (k, a), = coeffs.items()
+        if a == 1:
+            return cols[k]
     add, mul, v = field.add, field.mul, {}
     for k, a in coeffs.items():
         for r, x in cols[k].items():
@@ -528,12 +529,10 @@ def _combine(coeffs: dict, cols, field: FieldSpec) -> dict:
 
 
 def _from_columns(field: FieldSpec, cols: list, rows: int) -> Matrix:
-    """The dense matrix of sparse ``{row: value}`` columns, canonical."""
-    m = _matrix(field, cols, rows).transpose()
-    if field._fractional(x for col in cols for x in col.values()):
-        m = Matrix(field, tuple(_canonical(row, True) for row in m.entries),
-                   cols=len(cols), _raw=True)
-    return m
+    """The matrix of sparse ``{row: value}`` columns of nonzeros, canonical."""
+    if field._fractional(chain.from_iterable(c.values() for c in cols)):
+        cols = _demoted(cols)
+    return _wrap(field, rows, cols)
 
 
 def _clear(v: dict, c: int, row: dict) -> None:
@@ -556,7 +555,8 @@ def _clear(v: dict, c: int, row: dict) -> None:
 def _echelon(vectors: Iterable[dict], field: FieldSpec) -> dict:
     """The reduced row echelon basis of the span of sparse vectors.
 
-    Each vector is a ``{col: value}`` dict of nonzeros (it is consumed).
+    Each vector is a ``{col: value}`` dict of nonzeros, left unchanged
+    (it may be a matrix's stored column).
     Returns ``{pivot: row}``: each row is 1 at its pivot, its leading
     column, and 0 at every other pivot.
 
@@ -571,7 +571,7 @@ def _echelon(vectors: Iterable[dict], field: FieldSpec) -> dict:
     for v in vectors:
         if not v:
             continue
-        v = integral(v)[1]
+        v = dict(integral(v)[1])
         # rows are fully reduced, so clearing one pivot of v sets no other
         for c in [c for c in v if c in rows]:
             _clear(v, c, rows[c])
@@ -594,15 +594,9 @@ def _echelon(vectors: Iterable[dict], field: FieldSpec) -> dict:
     return rows
 
 
-def _matrix(field: FieldSpec, rows, cols: int) -> Matrix:
-    """The dense matrix of sparse ``{col: value}`` rows."""
-    out = []
-    for row in rows:
-        dense = [field.zero] * cols
-        for j, x in row.items():
-            dense[j] = x
-        out.append(tuple(dense))
-    return Matrix(field, tuple(out), cols=cols, _raw=True)
+def _matrix(field: FieldSpec, rows: list, cols: int) -> Matrix:
+    """The matrix of canonical sparse ``{col: value}`` rows."""
+    return _wrap(field, len(rows), _transposed(rows, cols))
 
 
 def rref(m: Matrix):
@@ -627,13 +621,11 @@ def _null_rows(vectors: Iterable[dict], ncols: int,
     """
     ech = _echelon(vectors, field)
     free = tuple(c for c in range(ncols) if c not in ech)
-    where = {c: j for j, c in enumerate(free)}
-    rows = [{c: field.one} for c in free]
-    for p, row in ech.items():
-        for c, x in row.items():
-            if c != p:
-                rows[where[c]][p] = field.neg(x)
-    return _matrix(field, rows, ncols), free
+    where, neg, one = {c: j for j, c in enumerate(free)}, field.neg, field.one
+    # a pivot column holds minus its echelon row at the free columns
+    return _wrap(field, len(free), [
+        {where[j]: neg(x) for j, x in ech[c].items() if j != c}
+        if c in ech else {where[c]: one} for c in range(ncols)]), free
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -651,10 +643,9 @@ def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:
     # a pivot in the b-block means the system is inconsistent
     if any(p >= m.cols for p in ech):
         return None
-    rows = [{} for _ in range(m.cols)]
-    for p, row in ech.items():
-        rows[p] = {j - m.cols: x for j, x in row.items() if j >= m.cols}
-    return _matrix(m.field, rows, b.cols)
+    n = m.cols
+    return _matrix(m.field, [{j - n: x for j, x in ech.get(p, {}).items()
+                             if j >= n} for p in range(n)], b.cols)
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:

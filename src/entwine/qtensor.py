@@ -4,7 +4,7 @@ M (x)_A N is the coequalizer of the two middle actions on M (x) A (x) N,
 computed as a cokernel.  The balancing relations (m.a) (x) n - m (x) (a.n)
 are built as sparse vectors, one per triple of basis vectors (m, a, n),
 read off the columns of the two actions; the one elimination routine of
-``exactlin`` reduces them, and the quotient is presented by its (dense)
+``exactlin`` reduces them, and the quotient is presented by its
 projection and its free (non-pivot) ambient coordinates, whose injection
 is the section.  A map on the ambient induces one on the quotient when it
 kills the relations; every such map (``descend``, ``induced_map``, the

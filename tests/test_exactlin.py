@@ -12,7 +12,8 @@ from entwine.cli import Workspace, serialize
 from entwine.corcat import _column_sums
 from entwine.errors import DimensionMismatch, InvalidParameter
 from entwine.exactlin import (FieldSpec, Matrix, QQ, compose, flip, hstack,
-                              inverse, kernel_basis, kron, rank, rref, solve)
+                              _wrap, inverse, kernel_basis, kron, rank, rref,
+                              solve)
 from entwine.qtensor import presentation_from_relations
 
 GF5 = FieldSpec("prime", 5)
@@ -167,7 +168,7 @@ class TestScalarRepresentation:
 
     def test_int_and_fraction_entries_agree(self):
         as_int = Matrix(QQ, [[3]])
-        as_fraction = Matrix(QQ, ((Fraction(3),),), _raw=True)
+        as_fraction = _wrap(QQ, 1, [{0: Fraction(3)}])   # not canonical
         assert Matrix(QQ, [[Fraction(3)]]) == as_int == as_fraction
         assert hash(as_int) == hash(as_fraction)
         texts = []

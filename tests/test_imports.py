@@ -9,6 +9,8 @@ re-exports.  A second scan keeps every memo on the session's
 ``memoised``, defined in ``exactlin``.  A third keeps whiskers sparse: a
 map f (x) g between tensor words goes through ``corcat.tensor_map``, never
 through ``descend(kron(f, g), ...)``, which builds the whole ambient map.
+A fourth keeps matrices sparse: no module but ``cli``, which serialises,
+reads a matrix's dense ``entries`` view.
 """
 
 import ast
@@ -115,4 +117,24 @@ def test_scan_finds_dense_whiskers():
 def test_no_dense_whisker_is_descended():
     found = {p.name: dense_whiskers(p.read_text(encoding="utf-8"))
              for p in (ROOT / "src" / "entwine").glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def entries_reads(source: str) -> list:
+    """The lines of ``source`` that read an ``.entries`` attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "entries"
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_scan_finds_entries_reads():
+    source = ("a = m.entries\nb = [r for r in f(m).entries]\n"
+              "entries = m.rows\nself.entries = ()\n")
+    assert entries_reads(source) == [1, 2]
+
+
+def test_only_serialisation_reads_dense_entries():
+    found = {p.name: entries_reads(p.read_text(encoding="utf-8"))
+             for p in (ROOT / "src" / "entwine").glob("*.py")
+             if p.name != "cli.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
