@@ -26,7 +26,8 @@ from .entwcat import (EntwObj, EntwOneCell, EntwTwoCell, check_obj,
                       associator, flip_entwining, bialgebra_entwining,
                       morphism_one_cell, scalar_two_cell)
 from .corcat import (TensorWord, wtensor, tensor_map, word_iso,
-                     word_iso_inverse, Coring, CorOneCell, CorTwoCell,
+                     word_iso_inverse, left_unit_iso, right_unit_iso,
+                     Coring, CorOneCell, CorTwoCell,
                      check_coring, check_cor_one_cell, check_cor_two_cell,
                      trivial_coring, identity_cor_one_cell,
                      identity_cor_two_cell, compose_cor_one_cells, vcomp_cor,

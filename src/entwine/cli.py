@@ -153,7 +153,7 @@ def _to_json(obj, path: str):
     for name in path.split("."):
         obj = getattr(obj, name)
     if isinstance(obj, Matrix):
-        return [[obj.field.fmt(x) for x in row] for row in obj.entries]
+        return [[str(x) for x in row] for row in obj.entries]
     return obj
 
 

@@ -20,7 +20,7 @@ from .entwcat import (EntwObj, EntwOneCell, EntwTwoCell, check_obj,
                       check_two_cell, compose_one_cells, identity_one_cell,
                       two_cell_squares)
 from .errors import InvalidObject, InvalidTwoCell, NotComposable, NotParallel
-from .exactlin import (Matrix, _from_columns, _sparse_columns, compose,
+from .exactlin import (Matrix, _sparse_columns, _wrap, compose,
                        kernel_basis, kron, memoised, rank)
 from .qtensor import _iso_or_raise, induced_map
 
@@ -133,7 +133,7 @@ def _columns(field, vecs: list) -> Matrix:
                     v[n + i * m.cols + j] = x
             n += m.rows * m.cols
         cols.append(v)
-    return _from_columns(field, cols, n)
+    return _wrap(field, n, cols)
 
 
 def _maps(basis: Matrix, rows: int, cols: int) -> list:
@@ -144,7 +144,7 @@ def _maps(basis: Matrix, rows: int, cols: int) -> list:
         for flat, x in v.items():
             i, j = divmod(flat, cols)
             m[j][i] = x
-        maps.append(_from_columns(basis.field, m, rows))
+        maps.append(_wrap(basis.field, rows, m))
     return maps
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .algstruct import (Algebra, Bimodule, CheckReport, _Checker,
                         regular_bimodule)
 from .errors import DimensionMismatch, NotComposable, NotParallel
-from .exactlin import (Matrix, _combine, _from_columns, _sparse_columns,
+from .exactlin import (Matrix, _combine, _sparse_columns, _wrap,
                        compose, expect_shapes, inverse, kron, memoised)
 from .qtensor import (QuotientPresentation, _iso_or_raise, descend_columns,
                       tensor_over, unit_coherence)
@@ -38,8 +38,8 @@ class TensorWord:
 def _column_sums(p: Matrix, combos: list) -> Matrix:
     """The matrix whose column t is sum(c * p[:, a]) over combos[t]'s items."""
     p_cols = _sparse_columns(p)
-    return _from_columns(p.field, [_combine(combo, p_cols, p.field)
-                                   for combo in combos], p.rows)
+    return _wrap(p.field, p.rows,
+                 [_combine(combo, p_cols, p.field) for combo in combos])
 
 
 @memoised
@@ -109,6 +109,18 @@ def word_iso(x: Bimodule, y: Bimodule, z: Bimodule) -> Matrix:
 def word_iso_inverse(x: Bimodule, y: Bimodule, z: Bimodule) -> Matrix:
     """The inverse associator x (x) (y (x) z) -> (x (x) y) (x) z."""
     return inverse(word_iso(x, y, z))
+
+
+@memoised
+def left_unit_iso(x: Bimodule) -> Matrix:
+    """The left unitor A (x)_A x -> x, A = x.left, induced by x.lact."""
+    return unit_coherence(wtensor(regular_bimodule(x.left), x).outer, x.lact)
+
+
+@memoised
+def right_unit_iso(x: Bimodule) -> Matrix:
+    """The right unitor x (x)_A A -> x, A = x.right, induced by x.ract."""
+    return unit_coherence(wtensor(x, regular_bimodule(x.right)).outer, x.ract)
 
 
 # -- cells ----------------------------------------------------------------
@@ -230,11 +242,11 @@ def check_coring(c: Coring) -> CheckReport:
         chk.equal("coassociativity",
                   compose(word_iso(car, car, car), route_left), route_right)
 
-    for side, pair, collapse, f, g in (
-            ("left", (reg, car), car.lact, c.counit, n),
-            ("right", (car, reg), car.ract, n, c.counit)):
+    for side, pair, unit_iso, f, g in (
+            ("left", (reg, car), left_unit_iso, c.counit, n),
+            ("right", (car, reg), right_unit_iso, n, c.counit)):
         with chk.guard(f"{side} counit law"):
-            u = unit_coherence(wtensor(*pair).outer, collapse)
+            u = unit_iso(car)
             route = compose(tensor_map(f, g, (car, car), pair), c.comult)
             chk.equal(f"{side} counit law", compose(u, route),
                       Matrix.identity(c.field, n))
@@ -271,11 +283,11 @@ def check_cor_one_cell(f: CorOneCell) -> CheckReport:
     # counit compatibility through the unit coherences
     with chk.guard("counit compatibility"):
         b_m = (regular_bimodule(cD.base), M)
-        u_bm = unit_coherence(wtensor(*b_m).outer, M.lact)
-        lhs = compose(u_bm, tensor_map(cD.counit, m, (Dc, M), b_m))
+        lhs = compose(left_unit_iso(M),
+                      tensor_map(cD.counit, m, (Dc, M), b_m))
         m_a = (M, regular_bimodule(cC.base))
-        u_ma = unit_coherence(wtensor(*m_a).outer, M.ract)
-        rhs = compose(u_ma, tensor_map(m, cC.counit, (M, Cc), m_a), f.zeta)
+        rhs = compose(right_unit_iso(M),
+                      tensor_map(m, cC.counit, (M, Cc), m_a), f.zeta)
         chk.equal("counit compatibility", lhs, rhs)
     return chk.report()
 
@@ -297,16 +309,14 @@ def check_cor_two_cell(t: CorTwoCell) -> CheckReport:
 def trivial_coring(a: Algebra) -> Coring:
     """A itself: comult the inverse unit coherence, counit the identity."""
     car = regular_bimodule(a)
-    u = unit_coherence(wtensor(car, car).outer, a.mult)
-    return Coring(a, car, inverse(u), Matrix.identity(a.field, a.dim))
+    return Coring(a, car, inverse(left_unit_iso(car)),
+                  Matrix.identity(a.field, a.dim))
 
 
 def identity_cor_one_cell(c: Coring) -> CorOneCell:
     """Carrier = the base algebra; zeta the composite of unit coherences."""
-    car = regular_bimodule(c.base)
-    u_right = unit_coherence(wtensor(c.carrier, car).outer, c.carrier.ract)
-    u_left = unit_coherence(wtensor(car, c.carrier).outer, c.carrier.lact)
-    return CorOneCell(dom=c, cod=c, carrier=car,
+    u_right, u_left = right_unit_iso(c.carrier), left_unit_iso(c.carrier)
+    return CorOneCell(dom=c, cod=c, carrier=regular_bimodule(c.base),
                       zeta=compose(inverse(u_left), u_right))
 
 
@@ -363,12 +373,10 @@ def cor_associator(x: CorOneCell, y: CorOneCell,
 def cor_left_unitor(x: CorOneCell) -> CorTwoCell:
     """id_cor(cod) . x => x via the unit coherence."""
     composite = compose_cor_one_cells(identity_cor_one_cell(x.cod), x)
-    w = wtensor(regular_bimodule(x.cod.base), x.carrier)
-    return CorTwoCell(composite, x, unit_coherence(w.outer, x.carrier.lact))
+    return CorTwoCell(composite, x, left_unit_iso(x.carrier))
 
 
 def cor_right_unitor(x: CorOneCell) -> CorTwoCell:
     """x . id_cor(dom) => x via the unit coherence."""
     composite = compose_cor_one_cells(x, identity_cor_one_cell(x.dom))
-    w = wtensor(x.carrier, regular_bimodule(x.dom.base))
-    return CorTwoCell(composite, x, unit_coherence(w.outer, x.carrier.ract))
+    return CorTwoCell(composite, x, right_unit_iso(x.carrier))

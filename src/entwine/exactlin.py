@@ -5,11 +5,13 @@ owns the session memo of ``memoised`` functions: a fresh ``FieldSpec``
 starts a fresh memo.  Memo and field are a reference cycle (a memoised
 result holds matrices, a matrix its field), so the cyclic garbage
 collector, not reference counting, frees a finished session.
-Over Q a matrix entry is an ``int`` when it is integral and a
-``fractions.Fraction`` otherwise, whichever operation made it; over GF(p)
-it is an int in ``[0, p)``.  A matrix is immutable, hashable (the memo
-keys on it) and stores only its columns' nonzeros, as ``{row: value}``
-dicts that matrices share and never mutate; ``entries`` is a dense view.
+Q arithmetic returns canonical scalars: an integral result is an ``int``
+and any other a ``fractions.Fraction``, so every matrix entry built by
+the field's own operations is canonical with no further pass; over
+GF(p) an entry is an int in ``[0, p)``.  A matrix is immutable, hashable
+(the memo keys on it) and stores only its columns' nonzeros, as
+``{row: value}`` dicts that matrices share and never mutate; ``entries``
+is a dense view.
 ``rref``, ``rank``, ``solve`` and ``kernel_basis`` all reduce sparse
 vectors through the one routine ``_echelon``.  It is fraction-free: over
 Q it reduces integer vectors, and builds one ``Fraction`` per
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
-from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -120,13 +121,11 @@ class FieldSpec:
                 raise InvalidParameter(f"zero denominator in {x!r}") from None
         return self._from_number(x)
 
-    def fmt(self, a) -> str:
-        return str(a)
-
 
 class _Rationals(FieldSpec):
-    """Q.  Matrices hold an integral scalar as an ``int`` and any other
-    as a ``Fraction``; the two agree under ``==``, ``hash`` and ``str``."""
+    """Q.  Arithmetic returns canonical scalars: an integral result is an
+    ``int``, any other a ``Fraction``; the two agree under ``==``, ``hash``
+    and ``str``.  ``coerce`` alone returns a ``Fraction``."""
 
     __slots__ = ()
     kind = "rational"
@@ -140,13 +139,13 @@ class _Rationals(FieldSpec):
         raise InvalidParameter(f"cannot coerce {x!r} to a rational")
 
     def add(self, a, b):
-        return a + b
+        return _demote(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _demote(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _demote(a * b)
 
     def neg(self, a):
         return -a
@@ -156,16 +155,11 @@ class _Rationals(FieldSpec):
             raise ZeroDivisionError("inverse of zero")
         return _demote(Fraction(1) / a)
 
-    # hooks of fraction-free elimination (``_echelon``) and of canonical
-    # entries: ``_integral`` and ``_primitive`` act on sparse vectors
-    @staticmethod
-    def _fractional(xs) -> bool:
-        """Whether any of the scalars xs is a ``Fraction``, not an int."""
-        return Fraction in set(map(type, xs))
-
+    # hooks of fraction-free elimination (``_echelon``): ``_integral`` and
+    # ``_primitive`` act on sparse vectors
     def _integral(self, v: dict):
         """(s, s * v), s the lcm of the denominators: s * v has int entries."""
-        if not self._fractional(v.values()):
+        if Fraction not in set(map(type, v.values())):
             return 1, v
         s = lcm(*[x.denominator for x in v.values()])
         return s, {j: x.numerator * (s // x.denominator)
@@ -217,10 +211,6 @@ class _PrimeField(FieldSpec):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    @staticmethod
-    def _fractional(xs) -> bool:
-        return False
-
     def _integral(self, v: dict):
         return 1, v
 
@@ -249,13 +239,6 @@ def _demote(x):
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
-def _demoted(columns: list) -> list:
-    """The Q columns with integral entries demoted to ints (an int is its
-    own numerator over 1)."""
-    return [{r: x.numerator if x.denominator == 1 else x
-             for r, x in col.items()} for col in columns]
-
-
 def _transposed(vectors, n: int) -> list:
     """n sparse vectors: the j-th holds ``{i: vectors[i][j]}``."""
     out = [{} for _ in range(n)]
@@ -275,7 +258,7 @@ class Matrix:
     nonzeros; matrices may share these dicts, so none is ever mutated.
     """
 
-    __slots__ = ("field", "rows", "cols", "_c", "_hash", "_frac")
+    __slots__ = ("field", "rows", "cols", "_c", "_hash")
 
     def __init__(self, field: FieldSpec, entries: Sequence[Sequence], *,
                  cols: Optional[int] = None):
@@ -299,12 +282,12 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return _wrap(field, rows, [{}] * cols, False)
+        return _wrap(field, rows, [{}] * cols)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
         one = field.one
-        return _wrap(field, n, [{i: one} for i in range(n)], False)
+        return _wrap(field, n, [{i: one} for i in range(n)])
 
     @classmethod
     def build(cls, field: FieldSpec, rows: int, cols: int, fn) -> "Matrix":
@@ -342,19 +325,9 @@ class Matrix:
             object.__setattr__(self, "_hash", h)
         return h
 
-    @property
-    def _has_fraction(self) -> bool:
-        """Whether some entry is a ``Fraction``, not an int (kept once known)."""
-        frac = self._frac
-        if frac is None:
-            frac = self.field._fractional(
-                chain.from_iterable(c.values() for c in self._c))
-            object.__setattr__(self, "_frac", frac)
-        return frac
-
     def __repr__(self):
-        fmt, zero = self.field.fmt, self.field.zero
-        body = "; ".join(" ".join(fmt(c.get(i, zero)) for c in self._c)
+        zero = self.field.zero
+        body = "; ".join(" ".join(str(c.get(i, zero)) for c in self._c)
                          for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
@@ -372,12 +345,12 @@ class Matrix:
             for r, y in b.items():
                 v[r] = op(v.get(r, zero), y)
             cols.append({r: x for r, x in v.items() if x})
-        return _from_columns(self.field, cols, self.rows)
+        return _wrap(self.field, self.rows, cols)
 
     def __neg__(self) -> "Matrix":
         neg = self.field.neg
         return _wrap(self.field, self.rows, [
-            {r: neg(x) for r, x in c.items()} for c in self._c], self._frac)
+            {r: neg(x) for r, x in c.items()} for c in self._c])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return compose(self, other)
@@ -387,14 +360,11 @@ class Matrix:
         if not c:
             return Matrix.zeros(self.field, self.rows, self.cols)
         mul = self.field.mul
-        cols = [{r: mul(c, x) for r, x in col.items()} for col in self._c]
-        if self.field._fractional((c,)) or self._has_fraction:
-            cols = _demoted(cols)
-        return _wrap(self.field, self.rows, cols)
+        return _wrap(self.field, self.rows, [
+            {r: mul(c, x) for r, x in col.items()} for col in self._c])
 
     def transpose(self) -> "Matrix":
-        return _wrap(self.field, self.cols, _transposed(self._c, self.rows),
-                     self._frac)
+        return _wrap(self.field, self.cols, _transposed(self._c, self.rows))
 
     def is_zero(self) -> bool:
         return not any(self._c)
@@ -413,8 +383,8 @@ class Matrix:
 
     def gather(self, cols: Sequence[int]) -> "Matrix":
         """The matrix of columns ``cols`` of self, in that order."""
-        return _wrap(self.field, self.rows, list(map(self._c.__getitem__, cols)),
-                     self._frac or None)
+        return _wrap(self.field, self.rows,
+                     list(map(self._c.__getitem__, cols)))
 
     def column(self, j: int) -> "Matrix":
         return self.gather((j,))
@@ -425,13 +395,12 @@ class Matrix:
                 f"shape {self.shape} vs {other.shape}")
 
 
-def _wrap(field: FieldSpec, rows: int, columns: list, frac=None,
-          m=None) -> Matrix:
+def _wrap(field: FieldSpec, rows: int, columns: list, m=None) -> Matrix:
     """The matrix (m, or a new one) of canonical sparse ``{row: value}``
-    columns, unchecked; ``frac``: whether an entry is a Fraction, if known."""
+    columns of nonzeros, unchecked."""
     m = object.__new__(Matrix) if m is None else m
     for name, value in zip(Matrix.__slots__,
-                           (field, rows, len(columns), columns, None, frac)):
+                           (field, rows, len(columns), columns, None)):
         object.__setattr__(m, name, value)
     return m
 
@@ -475,10 +444,8 @@ def compose(f: Matrix, g: Matrix, *more: Matrix) -> Matrix:
     if f.cols != g.rows:
         raise DimensionMismatch(
             f"compose: {f.shape} after {g.shape}")
-    frac = f._has_fraction or g._has_fraction
-    cols = [_combine(col, f._c, f.field) for col in g._c]
-    return _wrap(f.field, f.rows, _demoted(cols) if frac else cols,
-                 frac or None)
+    return _wrap(f.field, f.rows,
+                 [_combine(col, f._c, f.field) for col in g._c])
 
 
 def kron(f, g) -> Matrix:
@@ -492,11 +459,11 @@ def kron(f, g) -> Matrix:
         rg = g.rows
         return _wrap(g.field, f * rg, [
             {i * rg + r: x for r, x in c.items()} if i else c
-            for i in range(f) for c in g._c], g._frac)
+            for i in range(f) for c in g._c])
     if isinstance(g, int):
         return _wrap(f.field, f.rows * g, [
             {i * g + j: x for i, x in c.items()} if g != 1 else c
-            for c in f._c for j in range(g)], f._frac)
+            for c in f._c for j in range(g)])
     if f.field != g.field:
         raise DimensionMismatch("fields differ")
     # the interchange law: f (x) g = (f (x) 1) . (1 (x) g)
@@ -526,13 +493,6 @@ def _combine(coeffs: dict, cols, field: FieldSpec) -> dict:
             y = x if a == 1 else mul(a, x)
             v[r] = add(v[r], y) if r in v else y
     return {r: x for r, x in v.items() if x}
-
-
-def _from_columns(field: FieldSpec, cols: list, rows: int) -> Matrix:
-    """The matrix of sparse ``{row: value}`` columns of nonzeros, canonical."""
-    if field._fractional(chain.from_iterable(c.values() for c in cols)):
-        cols = _demoted(cols)
-    return _wrap(field, rows, cols)
 
 
 def _clear(v: dict, c: int, row: dict) -> None:

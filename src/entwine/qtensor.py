@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import DimensionMismatch, DoesNotFactor, NotInvertible
-from .exactlin import (Matrix, _combine, _from_columns, _null_rows,
-                       _sparse_columns, memoised, rank)
+from .exactlin import (Matrix, _combine, _null_rows, _sparse_columns,
+                       _wrap, memoised, rank)
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def descend_columns(image, src: QuotientPresentation, tgt) -> Matrix:
     for c, combo in enumerate(_sparse_columns(src.projection)):
         if c not in free and _combine(combo, kept, field) != h(c):
             raise DoesNotFactor("map does not vanish on the relation span")
-    return _from_columns(field, kept, rows)
+    return _wrap(field, rows, kept)
 
 
 def descend(f: Matrix, src: QuotientPresentation, tgt) -> Matrix:

@@ -14,7 +14,7 @@ from entwine.errors import DimensionMismatch, InvalidParameter
 from entwine.exactlin import (FieldSpec, Matrix, QQ, compose, flip, hstack,
                               _wrap, inverse, kernel_basis, kron, rank, rref,
                               solve)
-from entwine.qtensor import presentation_from_relations
+from entwine.qtensor import descend, presentation_from_relations
 
 GF5 = FieldSpec("prime", 5)
 
@@ -134,7 +134,7 @@ class TestFieldSpec:
 
     def test_fmt_round_trip(self):
         x = QQ.coerce("-7/3")
-        assert QQ.coerce(QQ.fmt(x)) == x
+        assert QQ.coerce(str(x)) == x
 
     def test_one_class_per_kind_same_public_face(self):
         assert FieldSpec("rational") == QQ
@@ -160,6 +160,24 @@ class TestScalarRepresentation:
         assert three == 3 and type(three) is int
         with pytest.raises(ZeroDivisionError):
             QQ.inv(0)
+
+    def test_rational_ops_return_canonical_scalars(self):
+        for x in (QQ.add(Fraction(1, 2), Fraction(1, 2)),
+                  QQ.sub(Fraction(3, 2), Fraction(1, 2)),
+                  QQ.mul(Fraction(2, 3), 3)):
+            assert x in (1, 2) and type(x) is int
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rational_ops_agree_with_fraction_and_are_canonical(self, data):
+        scalar = st.one_of(st.integers(-6, 6),
+                           st.fractions(-6, 6, max_denominator=6))
+        a, b = data.draw(scalar), data.draw(scalar)
+        for op, want in ((QQ.add, Fraction(a) + b), (QQ.sub, Fraction(a) - b),
+                         (QQ.mul, Fraction(a) * b)):
+            got = op(a, b)
+            assert got == want
+            assert type(got) is (int if want.denominator == 1 else Fraction)
 
     def test_integral_entries_are_ints(self):
         m = Matrix(QQ, [[Fraction(3), "4/2", Fraction(1, 2)]])
@@ -382,9 +400,16 @@ class TestCanonicalEntries:
             st.integers(0, k - 1), st.fractions(-3, 3, max_denominator=4),
             max_size=3), max_size=3)) if k else []
         square = data.draw(mixed_matrices(r, r))
+        picks = data.draw(st.lists(st.integers(0, k - 1), max_size=4)
+                          if k else st.just([]))
+        # a balanced map: anything after the projection kills the relations
+        src, tgt = map(presentation_from_relations, (f, b))
+        balanced = compose(data.draw(mixed_matrices(r, src.quotient_dim)),
+                           src.projection)
         outs = [compose(f, g), kron(f, g), f + h, f - h, f.scale(s),
+                -f, f.transpose(), f.gather(picks),
                 rref(f)[0], kernel_basis(f), _column_sums(f, combos),
-                solve(f, b), inverse(square)]
+                solve(f, b), inverse(square), descend(balanced, src, tgt)]
         for out in outs:
             if out is not None:
                 assert self.integral_fractions(out) == []
