@@ -3,11 +3,12 @@
 A workspace is one UTF-8 JSON document holding named algebras,
 coalgebras, entwinings, 1-cells and 2-cells (plus derived corings and
 coring cells) over a single field; the table ``_CHECKERS`` gives each
-section's keys and checker.  Scalars are strings ("3", "-1/2",
-or decimal residues mod p), matrices are arrays of row arrays under the
-row-major Kronecker convention of :mod:`entwine.exactlin`.  Output is
-canonical JSON (sorted keys, two-space indent, trailing newline), so
-serialization round-trips byte for byte and files diff cleanly.
+section's keys and checker, and ``_IMAGES`` the composed-coring image of
+each cell section.  Scalars are strings ("3", "-1/2", or decimal
+residues mod p), matrices are arrays of row arrays under the row-major
+Kronecker convention of :mod:`entwine.exactlin`.  Output is canonical
+JSON (sorted keys, two-space indent, trailing newline), so serialization
+round-trips byte for byte and files diff cleanly.
 
 Verbs: check | compose | comc | laws | gallery.  Exit codes: 0 all
 checks pass, 1 semantic failure (axiom violation, non-composable cells,
@@ -76,6 +77,15 @@ _CHECKERS = [
      {"dom": "cor_one_cells", "cod": "cor_one_cells"}, {}, {"map": "map"},
      CorTwoCell),
 ]
+_ROWS = {row[0]: row for row in _CHECKERS}
+
+# The composed-coring homomorphism: cell section -> (image of an entry,
+# the image's section, whose row gives its report kind and checker).  An
+# image references the images of its entry's first references, or those
+# entries where their section is not mapped (a coring's base algebra).
+_IMAGES = {"entwinings": (comc_obj, "corings"),
+           "one_cells": (comc_one_cell, "cor_one_cells"),
+           "two_cells": (comc_two_cell, "cor_two_cells")}
 
 
 # -- workspace -------------------------------------------------------------
@@ -111,13 +121,13 @@ class Workspace:
     add_two_cell = partialmethod(add, "two_cells")
 
 
-def _copy(src: Workspace, dst: Workspace, section: str, name: str):
-    """Copy one entry, and first every entry it references, into dst."""
-    ref_keys = next(row[3] for row in _CHECKERS if row[0] == section)
+def _copy(src: Workspace, dst: Workspace, section: str, name: str) -> str:
+    """Copy an entry, after all it references, into dst; return its name."""
     refs = src.refs[section, name]
-    for target, ref in zip(ref_keys.values(), refs):
+    for target, ref in zip(_ROWS[section][3].values(), refs):
         _copy(src, dst, target, ref)
     dst.add(section, name, *refs, getattr(src, section)[name])
+    return name
 
 
 def field_to_json(field: FieldSpec):
@@ -321,7 +331,7 @@ class Report:
         return 0 if self.ok else 1
 
 
-def _selected(entries: dict, selector: str, kind: str, matched=None):
+def _selected(entries: dict, selector: str, kind: str, matched: set):
     if selector == "all":
         return list(entries.items())
     wanted = []
@@ -334,12 +344,10 @@ def _selected(entries: dict, selector: str, kind: str, matched=None):
             if tname not in entries:
                 raise EntwineError(f"no {kind} named {tname!r}")
             wanted.append(tname)
-            if matched is not None:
-                matched.add(token)
+            matched.add(token)
         elif token in entries:
             wanted.append(token)
-            if matched is not None:
-                matched.add(token)
+            matched.add(token)
     return [(name, entries[name]) for name in wanted]
 
 
@@ -376,14 +384,10 @@ def _composable_triples(ws: Workspace):
 def laws_cells(ws: Workspace, report: Report):
     """Every entry and every comc image passes its checker."""
     run_checks(ws, "all", report)
-    for name, e in ws.entwinings.items():
-        report.add("CORING", f"comc({name})", check_coring(comc_obj(e)))
-    for name, f in ws.one_cells.items():
-        report.add("CORONECELL", f"comc({name})",
-                   check_cor_one_cell(comc_one_cell(f)))
-    for name, t in ws.two_cells.items():
-        report.add("CORTWOCELL", f"comc({name})",
-                   check_cor_two_cell(comc_two_cell(t)))
+    for section, (image, target) in _IMAGES.items():
+        _, kind, checker, *_ = _ROWS[target]
+        for name, obj in getattr(ws, section).items():
+            report.add(kind, f"comc({name})", checker(image(obj)))
 
 
 def laws_bicategory(ws: Workspace, report: Report):
@@ -415,11 +419,12 @@ def laws_bicategory(ws: Workspace, report: Report):
 
 def laws_pseudofunctor(ws: Workspace, report: Report):
     """Compositors, unitors, coherence, 2-cell functoriality."""
+    comc1, comc2 = _IMAGES["one_cells"][0], _IMAGES["two_cells"][0]
     for pn, p, mn, m in _composable_pairs(ws):
         report.add("CORTWOCELL", f"compositor({pn},{mn})",
                    check_cor_two_cell(compositor(p, m)))
     for qn, q, pn, p, mn, m in _composable_triples(ws):
-        cq, cp, cm = map(comc_one_cell, (q, p, m))
+        cq, cp, cm = map(comc1, (q, p, m))
         lhs = vcomp_cor(hcomp_cor(compositor(q, p),
                                   identity_cor_two_cell(cm)),
                         compositor(compose_one_cells(q, p), m))
@@ -433,7 +438,7 @@ def laws_pseudofunctor(ws: Workspace, report: Report):
         u = unitor_comparison(e)
         report.add("CORTWOCELL", f"unitor({name})", check_cor_two_cell(u))
     for name, f in ws.one_cells.items():
-        cf = comc_one_cell(f)
+        cf = comc1(f)
         right = vcomp_cor(
             cor_right_unitor(cf),
             vcomp_cor(hcomp_cor(identity_cor_two_cell(cf),
@@ -450,14 +455,13 @@ def laws_pseudofunctor(ws: Workspace, report: Report):
     for n1, t1 in ws.two_cells.items():
         for n2, t2 in ws.two_cells.items():
             if t1.cod == t2.dom:
-                lhs = comc_two_cell(vcomp(t2, t1)).map
-                rhs = vcomp_cor(comc_two_cell(t2), comc_two_cell(t1)).map
+                lhs = comc2(vcomp(t2, t1)).map
+                rhs = vcomp_cor(comc2(t2), comc2(t1)).map
                 report.law(f"comc-vcomp({n2},{n1})", lhs == rhs)
             if t1.dom.cod == t2.dom.dom:
-                ch = comc_two_cell(hcomp(t2, t1))
+                ch = comc2(hcomp(t2, t1))
                 lhs = vcomp_cor(compositor(t2.cod, t1.cod), ch).map
-                rhs = vcomp_cor(hcomp_cor(comc_two_cell(t2),
-                                          comc_two_cell(t1)),
+                rhs = vcomp_cor(hcomp_cor(comc2(t2), comc2(t1)),
                                 compositor(t2.dom, t1.dom)).map
                 report.law(f"comc-hcomp({n2},{n1})", lhs == rhs)
     seen = set()
@@ -538,49 +542,32 @@ def cmd_comc(path: str, selector: str, out_path: str, out=None) -> int:
     try:
         ws = load_workspace(path)
         name = selector.strip()
-        if name not in (ws.entwinings.keys() | ws.one_cells.keys()
-                        | ws.two_cells.keys()):
+        section = next((s for s in _IMAGES if name in getattr(ws, s)), None)
+        if section is None:
             raise EntwineError(f"no entwining entry named {name!r}")
     except _INPUT_ERRORS as exc:
         return _fail(out, "input", exc, 2)
     report = Report(out)
     sub = Workspace(ws.field)
 
-    # an entry shared by several references is emitted and checked once
-    def emit_coring(ename):
-        if f"comc_{ename}" in sub.corings:
-            return f"comc_{ename}"
-        cor = comc_obj(ws.entwinings[ename])
-        base = ws.refs["entwinings", ename][0]
-        _copy(ws, sub, "algebras", base)
-        sub.add("corings", f"comc_{ename}", base, cor,
-                origin=f"comc({ename})")
-        report.add("CORING", f"comc_{ename}", check_coring(cor))
-        return f"comc_{ename}"
-
-    def emit_cell(cname):
-        if f"comc_{cname}" in sub.cor_one_cells:
-            return f"comc_{cname}"
-        cell = comc_one_cell(ws.one_cells[cname])
-        dn, cn = map(emit_coring, ws.refs["one_cells", cname])
-        sub.add("cor_one_cells", f"comc_{cname}", dn, cn, cell,
-                origin=f"comc({cname})")
-        report.add("CORONECELL", f"comc_{cname}",
-                   check_cor_one_cell(cell))
-        return f"comc_{cname}"
+    def emit(section, name):
+        """Add an entry's image after its references; return its name.
+        An entry shared by several references is emitted once."""
+        image, target = _IMAGES[section]
+        if f"comc_{name}" in getattr(sub, target):
+            return f"comc_{name}"
+        obj = image(getattr(ws, section)[name])
+        # the entry's references, cut to the number of the image's
+        refs = [emit(s, ref) if s in _IMAGES else _copy(ws, sub, s, ref)
+                for s, ref, _ in zip(_ROWS[section][3].values(),
+                                     ws.refs[section, name], _ROWS[target][3])]
+        sub.add(target, f"comc_{name}", *refs, obj, origin=f"comc({name})")
+        _, kind, checker, *_ = _ROWS[target]
+        report.add(kind, f"comc_{name}", checker(obj))
+        return f"comc_{name}"
 
     try:
-        if name in ws.entwinings:
-            emit_coring(name)
-        elif name in ws.one_cells:
-            emit_cell(name)
-        else:
-            ct = comc_two_cell(ws.two_cells[name])
-            dn, cn = map(emit_cell, ws.refs["two_cells", name])
-            sub.add("cor_two_cells", f"comc_{name}", dn, cn, ct,
-                    origin=f"comc({name})")
-            report.add("CORTWOCELL", f"comc_{name}",
-                       check_cor_two_cell(ct))
+        emit(section, name)
     except EntwineError as exc:
         return _fail(out, "semantic", exc, 1)
     if not report.ok:

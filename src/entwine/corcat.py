@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .algstruct import (Algebra, Bimodule, CheckReport, _Checker,
                         regular_bimodule)
 from .errors import DimensionMismatch, NotComposable, NotParallel
-from .exactlin import (Matrix, _combine, _sparse_columns, _wrap,
-                       compose, expect_shapes, inverse, kron, memoised)
+from .exactlin import (Matrix, _sparse_columns, _wrap, compose,
+                       expect_shapes, inverse, kron, memoised)
 from .qtensor import (QuotientPresentation, _iso_or_raise, descend_columns,
                       tensor_over, unit_coherence)
 
@@ -35,13 +35,6 @@ class TensorWord:
     outer: QuotientPresentation
 
 
-def _column_sums(p: Matrix, combos: list) -> Matrix:
-    """The matrix whose column t is sum(c * p[:, a]) over combos[t]'s items."""
-    p_cols = _sparse_columns(p)
-    return _wrap(p.field, p.rows,
-                 [_combine(combo, p_cols, p.field) for combo in combos])
-
-
 @memoised
 def wtensor(xm: Bimodule, ym: Bimodule) -> TensorWord:
     """Tensor over the shared middle algebra xm.right = ym.left."""
@@ -53,12 +46,12 @@ def wtensor(xm: Bimodule, ym: Bimodule) -> TensorWord:
     # X.lact[i', (l, i)] p[:, (i', j)]; column (t, r) of ract mirrors it
     ij = [divmod(c, dn) for c in q.free]
     x_l, y_r = _sparse_columns(xm.lact), _sparse_columns(ym.ract)
-    lact = _column_sums(q.projection, [
+    lact = compose(q.projection, _wrap(xm.field, q.ambient_dim, [
         {i2 * dn + j: x for i2, x in x_l[l * dm + i].items()}
-        for l in range(dl) for i, j in ij])
-    ract = _column_sums(q.projection, [
+        for l in range(dl) for i, j in ij]))
+    ract = compose(q.projection, _wrap(xm.field, q.ambient_dim, [
         {i * dn + j2: y for j2, y in y_r[j * dr + r].items()}
-        for i, j in ij for r in range(dr)])
+        for i, j in ij for r in range(dr)]))
     return TensorWord(Bimodule(xm.left, ym.right, q.quotient_dim, lact, ract),
                       q)
 
@@ -313,6 +306,7 @@ def trivial_coring(a: Algebra) -> Coring:
                   Matrix.identity(a.field, a.dim))
 
 
+@memoised
 def identity_cor_one_cell(c: Coring) -> CorOneCell:
     """Carrier = the base algebra; zeta the composite of unit coherences."""
     u_right, u_left = right_unit_iso(c.carrier), left_unit_iso(c.carrier)

@@ -204,6 +204,20 @@ class TestCompose:
         assert cmd_compose(gallery_file, "nope,id_bialg_C2", str(out)) == 2
 
 
+# the report of a coring and of a coring 1-cell, law by law
+CORING_LAWS = ("comult left module map", "comult right module map",
+               "counit left module map", "counit right module map",
+               "coassociativity", "left counit law", "right counit law")
+CORONECELL_LAWS = ("zeta left module map", "zeta right module map",
+                   "street pentagon", "counit compatibility")
+
+
+def _gallery_cells() -> list:
+    """The names of every entwining, 1-cell and 2-cell of the gallery."""
+    ws = build_gallery(QQ)
+    return sorted([*ws.entwinings, *ws.one_cells, *ws.two_cells])
+
+
 class TestComc:
     def test_coring_output_passes_check(self, gallery_file, tmp_path,
                                         capsys):
@@ -249,6 +263,36 @@ class TestComc:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == ("55fd928d0f6e366deda8d8da8031f024"
                           "94423e29a0e371a88756a5b414b59d81")
+
+    @pytest.mark.parametrize("name, corings, one_cells, digest", [
+        ("flip_kC2_gl2", ["flip_kC2_gl2"], [],
+         "efa60bc509a453fa2aebf6d5ff3c32d098043a329591b2912e9dbfc9b139c779"),
+        ("m_aug", ["flip_kC1_gl2", "flip_kC2_gl2"], ["m_aug"],
+         "70790bf5f0b4a4874eb8d619bc1dce4969c3d78861fc7df2efddbfd8ddd8fb54"),
+    ])
+    def test_file_and_report_are_the_recorded_ones(
+            self, gf5_gallery_file, tmp_path, name, corings, one_cells,
+            digest):
+        # every coring comes with its base algebra; m_aug's dom and cod
+        # differ, so it brings two of each
+        out = tmp_path / f"{name}.json"
+        sink = io.StringIO()
+        assert cmd_comc(gf5_gallery_file, name, str(out), sink) == 0
+        assert sink.getvalue().splitlines() == [
+            f"CORING comc_{e} {law} PASS"
+            for e in corings for law in CORING_LAWS] + [
+            f"CORONECELL comc_{f} {law} PASS"
+            for f in one_cells for law in CORONECELL_LAWS]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        bases = {doc["corings"][f"comc_{e}"]["base"] for e in corings}
+        assert sorted(doc["algebras"]) == sorted(bases)
+
+    @pytest.mark.parametrize("name", _gallery_cells())
+    def test_every_image_passes_check(self, gallery_file, tmp_path, name):
+        out = tmp_path / f"{name}.json"
+        assert cmd_comc(gallery_file, name, str(out), io.StringIO()) == 0
+        assert cmd_check(str(out), "all", io.StringIO()) == 0
 
     def test_guard_failure_is_one_line(self, gf5_gallery_file, tmp_path):
         # a bumped comult leaves no coassociativity map to compare: the

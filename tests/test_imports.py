@@ -10,7 +10,10 @@ re-exports.  A second scan keeps every memo on the session's
 map f (x) g between tensor words goes through ``corcat.tensor_map``, never
 through ``descend(kron(f, g), ...)``, which builds the whole ambient map.
 A fourth keeps matrices sparse: no module but ``cli``, which serialises,
-reads a matrix's dense ``entries`` view.
+reads a matrix's dense ``entries`` view.  A fifth keeps the composed-coring
+homomorphism's action on workspace sections in one place: ``cli`` names
+``comc_obj``, ``comc_one_cell`` and ``comc_two_cell`` only in its image
+table ``_IMAGES``, and every other use reads them from there.
 """
 
 import ast
@@ -138,3 +141,34 @@ def test_only_serialisation_reads_dense_entries():
              for p in (ROOT / "src" / "entwine").glob("*.py")
              if p.name != "cli.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+IMAGE_FUNCTIONS = {"comc_obj", "comc_one_cell", "comc_two_cell"}
+
+
+def image_names(source: str, table: str = "_IMAGES") -> tuple:
+    """(lines of ``source`` naming an image function outside the assignment
+    of ``table``, the image functions that assignment names), sorted."""
+    tree = ast.parse(source)
+    inside = {id(n) for node in tree.body if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == table for t in node.targets)
+              for n in ast.walk(node.value)}
+    found = [n for n in ast.walk(tree)
+             if getattr(n, "id", getattr(n, "attr", None)) in IMAGE_FUNCTIONS
+             and isinstance(n, (ast.Name, ast.Attribute))]
+    return (sorted(n.lineno for n in found if id(n) not in inside),
+            sorted({n.id for n in found if id(n) in inside}))
+
+
+def test_scan_finds_image_functions_outside_the_table():
+    source = ("from .comc import comc_obj, comc_two_cell\n"
+              "_IMAGES = {'entwinings': (comc_obj, 'corings')}\n"
+              "a = comc_obj(e)\nb = [comc.comc_two_cell]\n"
+              "c = _IMAGES['entwinings'][0](e)\n"
+              "def f():\n    _IMAGES = (comc_two_cell,)\n")
+    assert image_names(source) == ([3, 4, 7], ["comc_obj"])
+
+
+def test_cli_names_image_functions_in_its_table_only():
+    source = (ROOT / "src" / "entwine" / "cli.py").read_text(encoding="utf-8")
+    assert image_names(source) == ([], sorted(IMAGE_FUNCTIONS))
