@@ -1,14 +1,14 @@
 """Tensor products over an algebra as deterministic quotient presentations.
 
 M (x)_A N is presented by a projection and its free coordinates, computed
-from the row reduction of the balancing relations.  Induced maps factor through
-the quotient only when they kill the relations -- attempting otherwise
-raises DoesNotFactor, which downstream code treats as a meaningful
-semantic signal, not a crash.
+from the row reduction of the balancing relations.  A map on the ambient
+descends to the quotient (``descend``) only when it kills the relations --
+attempting otherwise raises DoesNotFactor, which downstream code treats as
+a meaningful semantic signal, not a crash.
 """
 
-from entwine import (DoesNotFactor, Matrix, QQ, compose, group_algebra,
-                     induced_map, tensor_over, unit_coherence)
+from entwine import (DoesNotFactor, Matrix, QQ, compose, descend,
+                     group_algebra, tensor_over, unit_coherence)
 
 a = group_algebra(QQ, 2)
 print("=== A (x)_A A for A = k[C2] ===\n")
@@ -34,10 +34,10 @@ for row in u.entries:
 
 print("\n=== Maps that do not balance are refused ===\n")
 try:
-    induced_map(Matrix.identity(QQ, 4), q)
+    descend(Matrix.identity(QQ, 4), q, 4)
 except DoesNotFactor as exc:
     print(f"identity on the ambient: DoesNotFactor ({exc})")
 print("multiplication itself balances:")
-g = induced_map(a.mult, q)
+g = descend(a.mult, q, a.mult.rows)
 print(f"    induced map has shape {g.shape} and "
       f"g . projection = mult: {compose(g, q.projection) == a.mult}")

@@ -19,14 +19,14 @@ from .algstruct import (Algebra, Coalgebra, Bimodule, CheckReport, Failure,
                         cyclic_group_bialgebra, dualize_algebra,
                         dualize_coalgebra, regular_bimodule)
 from .qtensor import (QuotientPresentation, presentation_from_relations,
-                      tensor_over, induced_map, descend, unit_coherence)
+                      tensor_over, descend, unit_coherence)
 from .entwcat import (EntwObj, EntwOneCell, EntwTwoCell, check_obj,
                       check_one_cell, check_two_cell, identity_one_cell,
                       identity_two_cell, compose_one_cells, vcomp, hcomp,
                       associator, flip_entwining, bialgebra_entwining,
                       morphism_one_cell, scalar_two_cell)
 from .corcat import (TensorWord, wtensor, tensor_map, word_iso,
-                     word_iso_inverse, left_unit_iso, right_unit_iso,
+                     left_unit_iso, right_unit_iso,
                      Coring, CorOneCell, CorTwoCell,
                      check_coring, check_cor_one_cell, check_cor_two_cell,
                      trivial_coring, identity_cor_one_cell,

@@ -263,19 +263,11 @@ def matrix_algebra(field: FieldSpec, n: int) -> Algebra:
 
 
 def matrix_coalgebra(field: FieldSpec, n: int) -> Coalgebra:
-    """delta(e_ij) = sum_k e_ik (x) e_kj, eps(e_ij) = [i == j]."""
+    """The dual of ``matrix_algebra``: delta(e_ij) = sum_k e_ik (x) e_kj,
+    eps(e_ij) = [i == j]."""
     if n < 1:
         raise InvalidParameter("matrix_coalgebra needs n >= 1")
-    d = n * n
-    ent = [[0] * d for _ in range(d * d)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                ent[(i * n + k) * d + (k * n + j)][i * n + j] = 1
-    comult = Matrix(field, ent)
-    counit = Matrix.build(field, 1, d,
-                          lambda _, c: 1 if c % n == c // n else 0)
-    return Coalgebra(d, comult, counit)
+    return dualize_algebra(matrix_algebra(field, n))
 
 
 def dualize_coalgebra(c: Coalgebra) -> Algebra:

@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from functools import partialmethod
+from itertools import combinations_with_replacement
 
 from .algstruct import (Algebra, Bimodule, Coalgebra, CheckReport,
                         check_algebra, check_coalgebra, cyclic_group_bialgebra,
@@ -139,11 +140,7 @@ def field_to_json(field: FieldSpec):
 def field_from_json(data) -> FieldSpec:
     if not isinstance(data, dict) or "kind" not in data:
         raise EntwineError("malformed field spec")
-    if data["kind"] == "rational":
-        return FieldSpec("rational")
-    if data["kind"] == "prime":
-        return FieldSpec("prime", data.get("p"))
-    raise EntwineError(f"unknown field kind {data['kind']!r}")
+    return FieldSpec(data["kind"], data.get("p"))
 
 
 def parse_field_flag(text: str) -> FieldSpec:
@@ -464,15 +461,9 @@ def laws_pseudofunctor(ws: Workspace, report: Report):
                 rhs = vcomp_cor(hcomp_cor(comc2(t2), comc2(t1)),
                                 compositor(t2.dom, t1.dom)).map
                 report.law(f"comc-hcomp({n2},{n1})", lhs == rhs)
-    seen = set()
-    for n1, f1 in ws.one_cells.items():
-        for n2, f2 in ws.one_cells.items():
-            if (f1.dom, f1.cod) != (f2.dom, f2.cod):
-                continue
-            key = tuple(sorted((n1, n2)))
-            if key in seen:
-                continue
-            seen.add(key)
+    for (n1, f1), (n2, f2) in combinations_with_replacement(
+            ws.one_cells.items(), 2):
+        if (f1.dom, f1.cod) == (f2.dom, f2.cod):
             de, dc, inj, _ = hom_dimension_report(f1, f2)
             report.law(f"comc-injective({n1},{n2})", inj,
                        f"dims {de}->{dc}")
@@ -515,6 +506,9 @@ def cmd_compose(path: str, selector: str, out_path: str, out=None) -> int:
         names = [t.strip() for t in selector.split(",")]
         if len(names) != 2:
             raise EntwineError("compose needs --selector outer,inner")
+        for name in names:
+            if name not in ws.one_cells:
+                raise EntwineError(f"no 1-cell named {name!r}")
         pn, mn = names
         p, m = ws.one_cells[pn], ws.one_cells[mn]
     except _INPUT_ERRORS as exc:

@@ -22,7 +22,7 @@ from .entwcat import (EntwObj, EntwOneCell, EntwTwoCell, check_obj,
 from .errors import InvalidObject, InvalidTwoCell, NotComposable, NotParallel
 from .exactlin import (Matrix, _sparse_columns, _wrap, compose,
                        kernel_basis, kron, memoised, rank)
-from .qtensor import _iso_or_raise, induced_map
+from .qtensor import _iso_or_raise, descend
 
 
 def composed_carrier(f: EntwOneCell) -> Bimodule:
@@ -68,15 +68,15 @@ def comc_one_cell(f: EntwOneCell) -> CorOneCell:
     street pentagon (counit compatibility) of check_cor_one_cell.
     The auxiliary map balances only after the target is also passed to
     its quotient (see the two 5-map chains: truncating the common tail
-    breaks the equality), so the target projection is applied first.
+    breaks the equality), so ``descend`` is given that quotient as its
+    target.
     """
     dom_cor = comc_obj(f.dom)
     cod_cor = comc_obj(f.cod)
     carrier = composed_carrier(f)
     w_dm = wtensor(cod_cor.carrier, carrier)
     w_mc = wtensor(carrier, dom_cor.carrier)
-    zbar = zeta_ambient(f)
-    zeta = induced_map(compose(w_mc.outer.projection, zbar), w_dm.outer)
+    zeta = descend(zeta_ambient(f), w_dm.outer, w_mc.outer)
     return CorOneCell(dom=dom_cor, cod=cod_cor, carrier=carrier, zeta=zeta)
 
 

@@ -99,12 +99,6 @@ def word_iso(x: Bimodule, y: Bimodule, z: Bimodule) -> Matrix:
 
 
 @memoised
-def word_iso_inverse(x: Bimodule, y: Bimodule, z: Bimodule) -> Matrix:
-    """The inverse associator x (x) (y (x) z) -> (x (x) y) (x) z."""
-    return inverse(word_iso(x, y, z))
-
-
-@memoised
 def left_unit_iso(x: Bimodule) -> Matrix:
     """The left unitor A (x)_A x -> x, A = x.left, induced by x.lact."""
     return unit_coherence(wtensor(regular_bimodule(x.left), x).outer, x.lact)
@@ -266,7 +260,7 @@ def check_cor_one_cell(f: CorOneCell) -> CheckReport:
         step2 = word_iso(Dc, Dc, M)
         step3 = tensor_map(Dc.dim, f.zeta, (Dc, w_dm.module),
                            (Dc, w_mc.module))
-        step4 = word_iso_inverse(Dc, M, Cc)
+        step4 = inverse(word_iso(Dc, M, Cc))
         step5 = tensor_map(f.zeta, Cc.dim, (w_dm.module, Cc),
                            (w_mc.module, Cc))
         step6 = word_iso(M, Cc, Cc)
@@ -326,13 +320,13 @@ def compose_cor_one_cells(p: CorOneCell, m: CorOneCell) -> CorOneCell:
     E, P, D = p.cod.carrier, p.carrier, p.dom.carrier
     M, C = m.carrier, m.dom.carrier
 
-    step1 = word_iso_inverse(E, P, M)
+    step1 = inverse(word_iso(E, P, M))
     step2 = tensor_map(p.zeta, M.dim, (wtensor(E, P).module, M),
                        (wtensor(P, D).module, M))
     step3 = word_iso(P, D, M)
     step4 = tensor_map(P.dim, m.zeta, (P, wtensor(D, M).module),
                        (P, wtensor(M, C).module))
-    step5 = word_iso_inverse(P, M, C)
+    step5 = inverse(word_iso(P, M, C))
     zeta = compose(step5, step4, step3, step2, step1)
     return CorOneCell(dom=m.dom, cod=p.cod, carrier=wtensor(P, M).module,
                      zeta=zeta)
@@ -361,7 +355,7 @@ def cor_associator(x: CorOneCell, y: CorOneCell,
     inner = compose_cor_one_cells(x, compose_cor_one_cells(y, z))
     outer = compose_cor_one_cells(compose_cor_one_cells(x, y), z)
     return CorTwoCell(inner, outer,
-                      word_iso_inverse(x.carrier, y.carrier, z.carrier))
+                      inverse(word_iso(x.carrier, y.carrier, z.carrier)))
 
 
 def cor_left_unitor(x: CorOneCell) -> CorTwoCell:

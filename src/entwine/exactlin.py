@@ -608,6 +608,7 @@ def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:
                              if j >= n} for p in range(n)], b.cols)
 
 
+@memoised
 def inverse(m: Matrix) -> Optional[Matrix]:
     """Two-sided inverse when square and full-rank, else None."""
     if m.rows != m.cols:

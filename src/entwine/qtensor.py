@@ -7,8 +7,8 @@ read off the columns of the two actions; the one elimination routine of
 ``exactlin`` reduces them, and the quotient is presented by its
 projection and its free (non-pivot) ambient coordinates, whose injection
 is the section.  A map on the ambient induces one on the quotient when it
-kills the relations; every such map (``descend``, ``induced_map``, the
-unit coherences, ``corcat.tensor_map``, ``corcat.word_iso``) goes through
+kills the relations; every such map (``descend``, the unit coherences,
+``corcat.tensor_map``, ``corcat.word_iso``) goes through
 ``descend_columns``, which forms only the columns it keeps or checks.
 Presentations are reproducible byte for byte, so golden files are stable.
 """
@@ -121,11 +121,6 @@ def descend(f: Matrix, src: QuotientPresentation, tgt) -> Matrix:
     return descend_columns(_sparse_columns(f).__getitem__, src, tgt)
 
 
-def induced_map(f: Matrix, q: QuotientPresentation) -> Matrix:
-    """The unique g with g . projection = f, if f kills the relations."""
-    return descend(f, q, f.rows)
-
-
 def _iso_or_raise(u: Matrix, message: str) -> Matrix:
     """u itself if it is square of full rank, else NotInvertible(message)."""
     if u.rows != u.cols or rank(u) != u.rows:
@@ -140,5 +135,5 @@ def unit_coherence(q: QuotientPresentation, collapse: Matrix) -> Matrix:
     M (x)_A A it is the right action.  Raises NotInvertible if the
     induced map is not an isomorphism (malformed module data).
     """
-    u = induced_map(collapse, q)
+    u = descend(collapse, q, collapse.rows)
     return _iso_or_raise(u, f"unit coherence {u.shape} is not invertible")

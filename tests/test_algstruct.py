@@ -77,6 +77,24 @@ class TestMatrixUnits:
         assert c.dim == 4
         assert check_coalgebra(c).passed
 
+    @pytest.mark.parametrize("field", [QQ, FieldSpec("prime", 5)],
+                             ids=["q", "gf5"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matrix_coalgebra_is_the_matrix_units(self, field, n):
+        # delta(e_ij) = sum_k e_ik (x) e_kj, eps(e_ij) = [i == j]
+        d = n * n
+        comult = [[0] * d for _ in range(d * d)]
+        counit = [[0] * d]
+        for i in range(n):
+            for j in range(n):
+                counit[0][i * n + j] = int(i == j)
+                for k in range(n):
+                    comult[(i * n + k) * d + k * n + j][i * n + j] = 1
+        c = matrix_coalgebra(field, n)
+        assert c.dim == d
+        assert c.comult == Matrix(field, comult)
+        assert c.counit == Matrix(field, counit)
+
 
 class TestDuality:
     def test_dual_of_grouplikes_is_function_algebra(self):

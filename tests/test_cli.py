@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,8 @@ MALFORMED = {
                          "zero denominator"),
     "dim-string": ([(["algebras", "kC2", "dim"], "2")], "dim must be"),
     "p-string": ([(["field"], {"kind": "prime", "p": "5"})], "not a prime"),
+    "rational-modulus": ([(["field"], {"kind": "rational", "p": 5})],
+                         "rational field takes no modulus"),
     "p-past-bound": ([(["field"], {"kind": "prime", "p": 10**25 + 13})],
                      "bound"),
     "section-list": ([(["algebras"], ["kC2"])], "algebras must be"),
@@ -201,7 +204,11 @@ class TestCompose:
     def test_missing_name_is_input_error(self, gallery_file, tmp_path,
                                          capsys):
         out = tmp_path / "c4.json"
-        assert cmd_compose(gallery_file, "nope,id_bialg_C2", str(out)) == 2
+        for selector in ("nope,id_bialg_C2", "id_bialg_C2,nope"):
+            msg = io.StringIO()
+            assert cmd_compose(gallery_file, selector, str(out), msg) == 2
+            assert msg.getvalue() == "input error: no 1-cell named 'nope'\n"
+        assert not out.exists()
 
 
 # the report of a coring and of a coring 1-cell, law by law
@@ -346,6 +353,19 @@ class TestLaws:
         assert cmd_laws(path, "pseudofunctor", out) == 0
         with open(recorded, encoding="utf-8") as fh:
             assert out.getvalue() == fh.read()
+
+    def test_stretch_report_is_the_recorded_one(self, tmp_path):
+        # the 4096-wide ambients of flip(M2, mc2), built by the benchmark's
+        # own script and checked against its recorded report, both read only
+        bench = Path(__file__).resolve().parent.parent / "perfbench"
+        build_stretch = runpy.run_path(str(bench / "stretch.py"))[
+            "build_stretch"]
+        path = str(tmp_path / "stretch.json")
+        save_workspace(build_stretch(), path)
+        out = io.StringIO()
+        assert cmd_laws(path, "pseudofunctor", out) == 0
+        recorded = bench / "expected" / "stretch-gf5.txt"
+        assert out.getvalue() == recorded.read_text(encoding="utf-8")
 
 
 class TestMain:

@@ -26,7 +26,7 @@ from entwine.entwcat import (EntwObj, EntwOneCell, EntwTwoCell,
                              morphism_one_cell, scalar_two_cell, vcomp)
 from entwine.errors import DoesNotFactor, InvalidObject
 from entwine.exactlin import FieldSpec, Matrix, QQ, compose, inverse, kron
-from entwine.qtensor import induced_map
+from entwine.qtensor import descend
 
 
 def bump(m, i, j):
@@ -264,8 +264,8 @@ class TestWarningChains:
                              kron(i2, kron(e.psi, i2)))
         self.zbar = zeta_ambient(f)
         carrier = composed_carrier(f)
-        w_mc = wtensor(carrier, comc_obj(e).carrier)
-        self.nu2 = w_mc.outer.projection
+        self.mc = wtensor(carrier, comc_obj(e).carrier).outer
+        self.nu2 = self.mc.projection
         w_dm = wtensor(comc_obj(e).carrier, carrier)
         self.nu1 = w_dm.outer
 
@@ -277,14 +277,14 @@ class TestWarningChains:
         assert compose(self.zbar, self.head1) != \
             compose(self.zbar, self.head2)
         with pytest.raises(DoesNotFactor):
-            induced_map(self.zbar, self.nu1)
+            descend(self.zbar, self.nu1, self.zbar.rows)
 
     def test_full_chains_agree_after_nu2(self):
         lhs = compose(compose(self.nu2, self.zbar), self.head1)
         rhs = compose(compose(self.nu2, self.zbar), self.head2)
         assert lhs == rhs
         # and therefore the projected map factors through nu1
-        induced_map(compose(self.nu2, self.zbar), self.nu1)
+        descend(self.zbar, self.nu1, self.mc)
 
 
 class TestTwoCellFunctor:
@@ -358,6 +358,29 @@ class TestTwoCellFunctor:
             de, dc, inj, _ = hom_dimension_report(f, f)
             assert inj, name
             assert de <= dc, name
+
+    @pytest.mark.parametrize("field", [QQ, FieldSpec("prime", 5)],
+                             ids=["q", "gf5"])
+    def test_gallery_hom_dimensions_are_the_recorded_ones(self, field):
+        # the comc-injective law prints the dims only when it fails, so
+        # the recorded law reports would miss a change in them
+        cells = build_gallery(field).one_cells
+        found = {(n1, n2): hom_dimension_report(f1, f2)
+                 for (n1, f1), (n2, f2)
+                 in itertools.combinations_with_replacement(cells.items(), 2)
+                 if (f1.dom, f1.cod) == (f2.dom, f2.cod)}
+        assert found == {
+            ("id_flip_kC2_mc2", "id_flip_kC2_mc2"): (1, 2, True, False),
+            ("id_flip_M2_gl3", "id_flip_M2_gl3"): (1, 1, True, True),
+            ("id_flip_kC1_gl2", "id_flip_kC1_gl2"): (1, 1, True, True),
+            ("id_flip_kC2_gl2", "id_flip_kC2_gl2"): (1, 2, True, False),
+            ("id_flip_kC2_gl2", "m_swap"): (0, 0, True, True),
+            ("id_bialg_C1", "id_bialg_C1"): (1, 1, True, True),
+            ("id_bialg_C2", "id_bialg_C2"): (1, 1, True, True),
+            ("id_bialg_C3", "id_bialg_C3"): (1, 1, True, True),
+            ("m_aug", "m_aug"): (1, 1, True, True),
+            ("m_swap", "m_swap"): (1, 2, True, False),
+        }
 
 
 class TestPseudofunctorLaws:

@@ -15,7 +15,7 @@ from entwine.corcat import (Coring, CorOneCell, CorTwoCell, check_coring,
                             cor_left_unitor, cor_right_unitor, hcomp_cor,
                             identity_cor_one_cell, identity_cor_two_cell,
                             module_map_squares, tensor_map, trivial_coring,
-                            vcomp_cor, word_iso, word_iso_inverse, wtensor)
+                            vcomp_cor, word_iso, wtensor)
 from entwine.entwcat import bialgebra_entwining, flip_entwining
 from entwine.errors import DoesNotFactor
 from entwine.exactlin import FieldSpec, Matrix, QQ, compose, inverse, kron
@@ -307,9 +307,9 @@ class TestTensorMap:
             assert tensor_map(f, g, (x, y), (x, y)) == Matrix.identity(
                 field, wtensor(x, y).module.dim)
 
-    def test_word_iso_inverse_is_the_memoised_inverse(self):
+    def test_inverse_associator_is_memoised(self):
         c = c2_coring().carrier
-        back = word_iso_inverse(c, c, c)
-        assert back is word_iso_inverse(c, c, c)
+        back = inverse(word_iso(c, c, c))
+        assert back is inverse(word_iso(c, c, c))
         assert compose(back, word_iso(c, c, c)) == Matrix.identity(
             QQ, back.rows)

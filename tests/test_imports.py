@@ -8,7 +8,9 @@ re-exports.  A second scan keeps every memo on the session's
 ``FieldSpec``: no ``functools`` cache in the package, and one
 ``memoised``, defined in ``exactlin``.  A third keeps whiskers sparse: a
 map f (x) g between tensor words goes through ``corcat.tensor_map``, never
-through ``descend(kron(f, g), ...)``, which builds the whole ambient map.
+through ``descend(kron(f, g), ...)``, which builds the whole ambient map,
+and a map projected to a quotient passes that quotient to ``descend`` as
+its target instead of composing with its projection first.
 A fourth keeps matrices sparse: no module but ``cli``, which serialises,
 reads a matrix's dense ``entries`` view.  A fifth keeps the composed-coring
 homomorphism's action on workspace sections in one place: ``cli`` names
@@ -102,19 +104,38 @@ def _name(node) -> str:
     return getattr(node.func, "id", getattr(node.func, "attr", ""))
 
 
+def _projects(node) -> bool:
+    """Whether ``node`` is a call ``compose(<...>.projection, ...)``."""
+    return (isinstance(node, ast.Call) and _name(node) == "compose"
+            and bool(node.args) and isinstance(node.args[0], ast.Attribute)
+            and node.args[0].attr == "projection")
+
+
 def dense_whiskers(source: str) -> list:
-    """The lines of ``source`` that call ``descend`` on a ``kron``."""
+    """The lines of ``source`` that call ``descend`` on a ``kron``, or
+    ``descend``, ``induced_map`` or ``unit_coherence`` on a map already
+    projected to its target, which belongs in ``descend``'s third
+    argument."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Call) and _name(node) == "descend"
-                  and node.args and isinstance(node.args[0], ast.Call)
-                  and _name(node.args[0]) == "kron")
+                  if isinstance(node, ast.Call) and node.args and (
+                      _name(node) == "descend"
+                      and isinstance(node.args[0], ast.Call)
+                      and _name(node.args[0]) == "kron"
+                      or _name(node) in ("descend", "induced_map",
+                                         "unit_coherence")
+                      and _projects(node.args[0])))
 
 
 def test_scan_finds_dense_whiskers():
     source = ("a = descend(kron(f, 2), s, t)\n"
               "b = qtensor.descend(\n    kron(2, g), s, t)\n"
-              "c = descend(f, s, t)\nd = tensor_map(f, 2, s, t)\n")
-    assert dense_whiskers(source) == [1, 2]
+              "c = descend(f, s, t)\nd = tensor_map(f, 2, s, t)\n"
+              "e = induced_map(compose(w.outer.projection, z), q)\n"
+              "f = descend(compose(p.projection, z, y), q, 3)\n"
+              "g = unit_coherence(compose(q.projection, z), c)\n"
+              "h = descend(compose(z, p.projection), q, t)\n"
+              "i = descend(z, q, w.outer)\n")
+    assert dense_whiskers(source) == [1, 2, 6, 7, 8]
 
 
 def test_no_dense_whisker_is_descended():

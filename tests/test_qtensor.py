@@ -15,7 +15,7 @@ from entwine.corcat import word_iso, wtensor
 from entwine.errors import DimensionMismatch, DoesNotFactor, NotInvertible
 from entwine.exactlin import (FieldSpec, Matrix, QQ, compose, inverse, kron,
                               rank)
-from entwine.qtensor import (QuotientPresentation, descend, induced_map,
+from entwine.qtensor import (QuotientPresentation, descend,
                              presentation_from_relations, tensor_over,
                              unit_coherence)
 
@@ -193,27 +193,27 @@ class TestInducedMap:
     def test_projection_induces_identity(self):
         a = group_algebra(QQ, 2)
         q = tensor_over(a.mult, a.mult, 2, 2, 2)
-        assert induced_map(q.projection, q) == \
+        assert descend(q.projection, q, q.quotient_dim) == \
             Matrix.identity(QQ, q.quotient_dim)
 
     def test_zero_induces_zero(self):
         a = group_algebra(QQ, 2)
         q = tensor_over(a.mult, a.mult, 2, 2, 2)
         z = Matrix.zeros(QQ, 3, 4)
-        assert induced_map(z, q).is_zero()
+        assert descend(z, q, 3).is_zero()
 
     def test_round_trip(self):
         a = group_algebra(QQ, 3)
         q = tensor_over(a.mult, a.mult, 3, 3, 3)
         g = Matrix.build(QQ, 2, q.quotient_dim, lambda i, j: i + 2 * j)
-        assert induced_map(compose(g, q.projection), q) == g
+        assert descend(compose(g, q.projection), q, 2) == g
 
     def test_unbalanced_map_rejected(self):
         a = group_algebra(QQ, 2)
         q = tensor_over(a.mult, a.mult, 2, 2, 2)
         # the identity on the ambient does not kill the relations
         with pytest.raises(DoesNotFactor):
-            induced_map(Matrix.identity(QQ, 4), q)
+            descend(Matrix.identity(QQ, 4), q, 4)
 
     def test_descend(self):
         a = group_algebra(QQ, 2)
@@ -236,7 +236,8 @@ class TestDenseSectionOracle:
 
     @given(st.data(), st.sampled_from([QQ, GF5]), st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_induced_map_is_the_section_product(self, data, field, balanced):
+    def test_descended_map_is_the_section_product(self, data, field,
+                                                  balanced):
         rel = relations(data.draw, field)
         q = presentation_from_relations(rel)
         rows = data.draw(st.integers(0, 3))
@@ -247,10 +248,10 @@ class TestDenseSectionOracle:
             f = matrix(data.draw, field, rows, q.ambient_dim)
         # f factors exactly when it kills the relation span
         if compose(f, rel).is_zero():
-            assert induced_map(f, q) == compose(f, q.section)
+            assert descend(f, q, rows) == compose(f, q.section)
         else:
             with pytest.raises(DoesNotFactor):
-                induced_map(f, q)
+                descend(f, q, rows)
 
     @given(st.data(), st.sampled_from([QQ, GF5]), st.booleans())
     @settings(max_examples=80, deadline=None)
