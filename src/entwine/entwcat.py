@@ -16,7 +16,7 @@ from .algstruct import (Algebra, Coalgebra, CheckReport, _Checker,
 from .errors import (DimensionMismatch, NotABialgebra, NotAMorphism,
                      NotComposable, NotParallel)
 from .exactlin import (FieldSpec, Matrix, compose, expect_shapes, flip,
-                       kron)
+                       kron, memoised)
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,7 @@ class EntwTwoCell:
 # -- checkers -------------------------------------------------------------
 
 
+@memoised
 def check_obj(e: EntwObj) -> CheckReport:
     a = e.algebra
     c = e.coalgebra

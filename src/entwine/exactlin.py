@@ -13,9 +13,11 @@ GF(p) an entry is an int in ``[0, p)``.  A matrix is immutable, hashable
 ``{row: value}`` dicts that matrices share and never mutate; ``entries``
 is a dense view.
 ``rref``, ``rank``, ``solve`` and ``kernel_basis`` all reduce sparse
-vectors through the one routine ``_echelon``.  It is fraction-free: over
-Q it reduces integer vectors, and builds one ``Fraction`` per
-non-integral output entry only at the end.
+vectors through the one routine ``_echelon``, and every product
+(``compose``, ``qtensor.descend_columns``) sums its columns through the
+one routine ``_combine``.  Both are fraction-free: over Q they work on
+integer numerators, and build one ``Fraction`` per non-integral output
+entry only at the end; over GF(p) a product reduces mod p once per entry.
 
 Index convention (normative for the whole package): the basis vector
 ``(i of X, j of Y)`` of ``X (x) Y`` has flat index ``i * dim(Y) + j``.
@@ -110,16 +112,25 @@ class FieldSpec:
     def coerce(self, x):
         """Canonical scalar from an int, Fraction or string.
 
-        A zero denominator, or over GF(p) a reduced denominator that p
+        A string is an int or int/int, such as "3" or "-1/2".  Other text,
+        a zero denominator, or over GF(p) a reduced denominator that p
         divides, is an ``InvalidParameter``, and so is a bool: JSON's
         ``true`` is not a scalar.  Over Q the result is a ``Fraction``.
         """
         if isinstance(x, str):
-            try:
-                x = self._parse(x)
-            except ZeroDivisionError:
-                raise InvalidParameter(f"zero denominator in {x!r}") from None
+            x = self._parse(x)
         return self._from_number(x)
+
+    @staticmethod
+    def _parse(text: str):
+        num, slash, den = text.partition("/")
+        try:
+            return Fraction(int(num), int(den)) if slash else int(text)
+        except ValueError:
+            raise InvalidParameter(
+                f"{text!r} is not an int or int/int") from None
+        except ZeroDivisionError:
+            raise InvalidParameter(f"zero denominator in {text!r}") from None
 
 
 class _Rationals(FieldSpec):
@@ -129,7 +140,6 @@ class _Rationals(FieldSpec):
 
     __slots__ = ()
     kind = "rational"
-    _parse = Fraction
 
     def _from_number(self, x):
         if isinstance(x, Fraction):
@@ -155,8 +165,35 @@ class _Rationals(FieldSpec):
             raise ZeroDivisionError("inverse of zero")
         return _demote(Fraction(1) / a)
 
-    # hooks of fraction-free elimination (``_echelon``): ``_integral`` and
-    # ``_primitive`` act on sparse vectors
+    # fraction-free hooks on sparse vectors: ``_combine`` of products,
+    # ``_integral`` and ``_primitive`` of elimination (``_echelon``)
+    def _combine(self, coeffs: dict, cols) -> dict:
+        """The nonzeros of sum(a * cols[k]): row r sums int numerators
+        over den[r], the lcm of its terms' denominators, and becomes one
+        canonical scalar at the end."""
+        num, den = {}, {}
+        for k, a in coeffs.items():
+            an, ad = a.numerator, a.denominator
+            for r, x in cols[k].items():
+                if type(x) is int:
+                    n, d = an * x, ad
+                else:
+                    n, d = an * x.numerator, ad * x.denominator
+                if r not in num:
+                    num[r], den[r] = n, d
+                elif d == (e := den[r]):
+                    num[r] += n
+                else:
+                    g = gcd(d, e)
+                    num[r] = num[r] * (d // g) + n * (e // g)
+                    den[r] = e // g * d
+        v = {}
+        for r, n in num.items():
+            if n:
+                q, m = divmod(n, den[r])
+                v[r] = Fraction(n, den[r]) if m else q
+        return v
+
     def _integral(self, v: dict):
         """(s, s * v), s the lcm of the denominators: s * v has int entries."""
         if Fraction not in set(map(type, v.values())):
@@ -178,11 +215,6 @@ class _PrimeField(FieldSpec):
 
     __slots__ = ()
     kind = "prime"
-
-    @staticmethod
-    def _parse(text: str):
-        num, slash, den = text.partition("/")
-        return Fraction(int(num), int(den)) if slash else int(text)
 
     def _from_number(self, x):
         if type(x) is int:
@@ -210,6 +242,15 @@ class _PrimeField(FieldSpec):
         if not a:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
+
+    def _combine(self, coeffs: dict, cols) -> dict:
+        """sum(a * cols[k]) in plain ints, reduced mod p once per entry."""
+        v = {}
+        for k, a in coeffs.items():
+            for r, x in cols[k].items():
+                v[r] = v.get(r, 0) + a * x
+        p = self.p
+        return {r: y for r, x in v.items() if (y := x % p)}
 
     def _integral(self, v: dict):
         return 1, v
@@ -487,12 +528,7 @@ def _combine(coeffs: dict, cols, field: FieldSpec) -> dict:
         (k, a), = coeffs.items()
         if a == 1:
             return cols[k]
-    add, mul, v = field.add, field.mul, {}
-    for k, a in coeffs.items():
-        for r, x in cols[k].items():
-            y = x if a == 1 else mul(a, x)
-            v[r] = add(v[r], y) if r in v else y
-    return {r: x for r, x in v.items() if x}
+    return field._combine(coeffs, cols)
 
 
 def _clear(v: dict, c: int, row: dict) -> None:

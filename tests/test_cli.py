@@ -45,6 +45,10 @@ MALFORMED = {
     "bool-scalar": ([(["algebras", "kC1", "mult"], [[True]]),
                      (["algebras", "kC1", "unit"], [[True]])],
                     "cannot coerce True"),
+    "exponent-scalar": ([(["algebras", "kC2", "mult", 0, 0], "1e99999999")],
+                        "not an int or int/int"),
+    "decimal-scalar": ([(["algebras", "kC2", "mult", 0, 0], "0.5")],
+                       "not an int or int/int"),
 }
 
 
@@ -384,12 +388,13 @@ class TestMain:
 
 # values swapped in by the fuzz: wrong JSON types, bad scalars, edge ints
 FUZZ_POOL = [None, True, 0, -1, 2, 1.5, 10**30, "", "x", "1/0", "3/5",
-             "-2", [], [[]], [["1"]], {}, {"kind": "prime", "p": 4}]
+             "-2", "1e99999999", "0.5", [], [[]], [["1"]], {},
+             {"kind": "prime", "p": 4}]
 
 
-def _small_gf5_doc() -> dict:
-    """The GF(5) gallery restricted to kC1, kC2, gl1 and gl2."""
-    doc = json.loads(serialize(build_gallery(FieldSpec("prime", 5))))
+def _small_doc(field: FieldSpec) -> dict:
+    """The gallery over ``field`` restricted to kC1, kC2, gl1 and gl2."""
+    doc = json.loads(serialize(build_gallery(field)))
     names = {"kC1", "kC2", "gl1", "gl2"}
     for section in ("algebras", "coalgebras"):
         doc[section] = {n: e for n, e in doc[section].items() if n in names}
@@ -416,7 +421,17 @@ class TestFuzz:
     @settings(max_examples=40, deadline=None)
     def test_mutated_workspace_ends_in_an_exit_code(self, tmp_path_factory,
                                                     data):
-        doc = _small_gf5_doc()
+        self.fuzz(tmp_path_factory, data, FieldSpec("prime", 5))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mutated_q_workspace_ends_in_an_exit_code(self, tmp_path_factory,
+                                                      data):
+        self.fuzz(tmp_path_factory, data, QQ)
+
+    @staticmethod
+    def fuzz(tmp_path_factory, data, field):
+        doc = _small_doc(field)
         for _ in range(data.draw(st.integers(1, 3), label="mutations")):
             path = data.draw(st.sampled_from(list(_paths(doc))), label="at")
             parent = doc

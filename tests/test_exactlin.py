@@ -13,7 +13,8 @@ from entwine.errors import DimensionMismatch, InvalidParameter
 from entwine.exactlin import (FieldSpec, Matrix, QQ, compose, flip, hstack,
                               _wrap, inverse, kernel_basis, kron, rank, rref,
                               solve)
-from entwine.qtensor import descend, presentation_from_relations
+from entwine.qtensor import (QuotientPresentation, descend,
+                             presentation_from_relations)
 
 GF5 = FieldSpec("prime", 5)
 
@@ -55,6 +56,22 @@ def content_matrices(draw):
                                             st.integers(1, 12)))
     return draw(matrices(draw(st.integers(0, 6)), draw(st.integers(0, 8)),
                          entry=entry))
+
+
+def denominated(max_num=30, max_den=30, prime_to=None):
+    """Q scalars n/d with |n| <= max_num and d <= max_den, zeros and ints
+    among them; ``prime_to`` keeps only denominators prime to it."""
+    dens = [d for d in range(1, max_den + 1)
+            if prime_to is None or d % prime_to]
+    return st.one_of(st.just(0), st.integers(-5, 5),
+                     st.builds(Fraction, st.integers(-max_num, max_num),
+                               st.sampled_from(dens)))
+
+
+def stored_canonically(m) -> bool:
+    """No stored zero, and no stored integral ``Fraction``."""
+    return all(x and not (isinstance(x, Fraction) and x.denominator == 1)
+               for col in m._c for x in col.values())
 
 
 def to_sympy(m):
@@ -460,6 +477,25 @@ class TestAgainstSympy:
         g = data.draw(sparse_matrices(mid, cols))
         assert compose(f, g) == from_sympy(to_sympy(f) * to_sympy(g))
 
+    @given(st.integers(0, 4), st.integers(0, 12), st.integers(0, 4),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_compose_sums_many_denominators(self, rows, mid, cols, data):
+        # up to 12 terms per entry with denominators up to 30; f times its
+        # kernel cancels to 0, and f times a solution to an int b to b
+        f = data.draw(matrices(rows, mid, entry=denominated()))
+        g = data.draw(matrices(mid, cols, entry=denominated()))
+        b = data.draw(matrices(rows, cols, entry=st.integers(-9, 9)))
+        out = compose(f, g)
+        assert out == from_sympy(to_sympy(f) * to_sympy(g))
+        assert stored_canonically(out)
+        null = compose(f, kernel_basis(f))
+        assert not any(null._c)
+        x = solve(f, b)
+        if x is not None:
+            hit = compose(f, x)
+            assert hit == b and stored_canonically(hit)
+
     @given(st.one_of(mixed_matrices(), content_matrices()))
     @settings(max_examples=200, deadline=None)
     def test_rref_rank_kernel(self, m):
@@ -520,3 +556,40 @@ class TestCrossField:
         assert mod5(f + h) == mod5(f) + mod5(h)
         assert mod5(f - h) == mod5(f) - mod5(h)
         assert rank(mod5(f)) <= rank(f)
+
+    @pytest.mark.parametrize("p", [5, 2**61 - 1], ids=["5", "2**61-1"])
+    @given(st.integers(0, 4), st.integers(0, 6), st.integers(0, 4),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_fractional_products_commute_with_reduction(self, p, r, k, c,
+                                                        data):
+        # numerators up to 2**64: over GF(2**61 - 1) a product's int sum
+        # passes p many times before its one reduction
+        field, entry = FieldSpec("prime", p), denominated(2**64, 30, p)
+
+        def modp(m):
+            return Matrix(field, m.entries, cols=m.cols)
+
+        def presentation(ambient):
+            # identity at the free coordinates, anything elsewhere
+            free = tuple(sorted(data.draw(st.sets(
+                st.integers(0, ambient - 1), max_size=ambient)
+                if ambient else st.just(set()))))
+            proj = data.draw(matrices(len(free), ambient, entry=entry))
+            proj = Matrix.build(QQ, len(free), ambient, lambda i, j: (
+                int(j == free[i]) if j in free else proj[i, j]))
+            return QuotientPresentation(proj, free)
+
+        f = data.draw(matrices(r, k, entry=entry))
+        g = data.draw(matrices(k, c, entry=entry))
+        assert modp(compose(f, g)) == compose(modp(f), modp(g))
+        # descend reaches the hook through descend_columns: projecting to
+        # tgt, and gating src's relations; h . src.projection kills them
+        src, tgt = presentation(k), presentation(r)
+        h = data.draw(matrices(r, src.quotient_dim, entry=entry))
+        lift = compose(h, src.projection)
+        src_p, tgt_p = (QuotientPresentation(modp(q.projection), q.free)
+                        for q in (src, tgt))
+        for t, t_p in ((tgt, tgt_p), (r, r)):
+            assert modp(descend(lift, src, t)) == \
+                descend(modp(lift), src_p, t_p)
