@@ -10,26 +10,26 @@ from .errors import (EntwineError, DimensionMismatch, InvalidParameter,
                      DoesNotFactor, NotInvertible, NotComposable,
                      NotParallel, NotABialgebra, NotAMorphism,
                      InvalidObject, InvalidTwoCell)
-from .exactlin import (FieldSpec, QQ, Matrix, compose, kron, flip, rref,
-                       rank, kernel_basis, solve, inverse, hstack)
+from .exactlin import (FieldSpec, QQ, Matrix, compose, kron, flip, rank,
+                       kernel_basis, inverse)
 from .algstruct import (Algebra, Coalgebra, Bimodule, CheckReport, Failure,
-                        check_algebra, check_coalgebra, check_bimodule,
-                        group_algebra, grouplike_coalgebra, matrix_algebra,
+                        check_algebra, check_coalgebra, group_algebra,
+                        grouplike_coalgebra, matrix_algebra,
                         matrix_coalgebra, bialgebra_compatibility,
                         cyclic_group_bialgebra, dualize_algebra,
-                        dualize_coalgebra, regular_bimodule)
-from .qtensor import (QuotientPresentation, presentation_from_relations,
-                      tensor_over, descend, unit_coherence)
+                        regular_bimodule)
+from .qtensor import (QuotientPresentation, tensor_over, descend,
+                      unit_coherence)
 from .entwcat import (EntwObj, EntwOneCell, EntwTwoCell, check_obj,
                       check_one_cell, check_two_cell, identity_one_cell,
                       identity_two_cell, compose_one_cells, vcomp, hcomp,
-                      associator, flip_entwining, bialgebra_entwining,
+                      flip_entwining, bialgebra_entwining,
                       morphism_one_cell, scalar_two_cell)
 from .corcat import (TensorWord, wtensor, tensor_map, word_iso,
                      left_unit_iso, right_unit_iso,
                      Coring, CorOneCell, CorTwoCell,
                      check_coring, check_cor_one_cell, check_cor_two_cell,
-                     trivial_coring, identity_cor_one_cell,
+                     identity_cor_one_cell,
                      identity_cor_two_cell, compose_cor_one_cells, vcomp_cor,
                      hcomp_cor, cor_associator, cor_left_unitor,
                      cor_right_unitor)

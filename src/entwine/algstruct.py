@@ -165,33 +165,6 @@ def check_coalgebra(c: Coalgebra) -> CheckReport:
     return chk.report()
 
 
-def check_bimodule(m: Bimodule) -> CheckReport:
-    n, b, a = m.dim, m.left.dim, m.right.dim
-    im = Matrix.identity(m.field, n)
-    chk = _Checker()
-    chk.equal(
-        "left associativity",
-        compose(m.lact, kron(m.left.mult, n)),
-        compose(m.lact, kron(b, m.lact)),
-    )
-    chk.equal("left unit", compose(m.lact, kron(m.left.unit, n)), im)
-    chk.equal(
-        "right associativity",
-        compose(m.ract, kron(n, m.right.mult)),
-        compose(m.ract, kron(m.ract, a)),
-    )
-    chk.equal("right unit", compose(m.ract, kron(n, m.right.unit)), im)
-    chk.equal(
-        "action compatibility",
-        compose(m.lact, kron(b, m.ract)),
-        compose(m.ract, kron(m.lact, a)),
-    )
-    return chk.report()
-
-
-# -- canonical builders ---------------------------------------------------
-
-
 def group_algebra(field: FieldSpec, n: int) -> Algebra:
     """k[C_n] with basis g^0..g^(n-1), multiplication by index addition."""
     if n < 1:
@@ -268,11 +241,6 @@ def matrix_coalgebra(field: FieldSpec, n: int) -> Coalgebra:
     if n < 1:
         raise InvalidParameter("matrix_coalgebra needs n >= 1")
     return dualize_algebra(matrix_algebra(field, n))
-
-
-def dualize_coalgebra(c: Coalgebra) -> Algebra:
-    """Finite-dimensional linear dual: transpose the structure maps."""
-    return Algebra(c.dim, c.comult.transpose(), c.counit.transpose())
 
 
 def dualize_algebra(a: Algebra) -> Coalgebra:

@@ -328,37 +328,40 @@ class Report:
         return 0 if self.ok else 1
 
 
-def _selected(entries: dict, selector: str, kind: str, matched: set):
-    if selector == "all":
-        return list(entries.items())
-    wanted = []
-    for token in selector.split(","):
-        token = token.strip()
-        if ":" in token:
-            tkind, tname = token.split(":", 1)
-            if tkind != kind:
+def _selected(ws: Workspace, selector: str) -> list:
+    """(kind, name, checker, object) of each entry the selector picks, in
+    ``_CHECKERS`` order; an unmatched token is an error, raised before
+    anything is checked."""
+    every = selector == "all"
+    tokens = [] if every else [token.strip() for token in selector.split(",")]
+    picks, matched = [], set()
+    for section, kind, checker, *_ in _CHECKERS:
+        entries = getattr(ws, section)
+        names = list(entries) if every else []
+        for token in tokens:
+            if ":" in token:
+                tkind, name = token.split(":", 1)
+                if tkind != kind:
+                    continue
+                if name not in entries:
+                    raise EntwineError(f"no {kind} named {name!r}")
+            elif token in entries:
+                name = token
+            else:
                 continue
-            if tname not in entries:
-                raise EntwineError(f"no {kind} named {tname!r}")
-            wanted.append(tname)
+            names.append(name)
             matched.add(token)
-        elif token in entries:
-            wanted.append(token)
-            matched.add(token)
-    return [(name, entries[name]) for name in wanted]
+        picks += [(kind, name, checker, entries[name]) for name in names]
+    missing = set(tokens) - matched
+    if missing:
+        raise EntwineError("selector matched nothing: "
+                           + ", ".join(map(repr, sorted(missing))))
+    return picks
 
 
 def run_checks(ws: Workspace, selector: str, report: Report):
-    matched = set()
-    for section, kind, checker, *_ in _CHECKERS:
-        for name, obj in _selected(getattr(ws, section), selector, kind,
-                                   matched):
-            report.add(kind, name, checker(obj))
-    if selector != "all":
-        missing = {t.strip() for t in selector.split(",")} - matched
-        if missing:
-            raise EntwineError(
-                f"selector matched nothing: {', '.join(sorted(missing))}")
+    for kind, name, checker, obj in _selected(ws, selector):
+        report.add(kind, name, checker(obj))
 
 
 # -- law suites ------------------------------------------------------------

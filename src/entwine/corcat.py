@@ -293,13 +293,6 @@ def check_cor_two_cell(t: CorTwoCell) -> CheckReport:
 # -- identities, compositions, coherences ---------------------------------
 
 
-def trivial_coring(a: Algebra) -> Coring:
-    """A itself: comult the inverse unit coherence, counit the identity."""
-    car = regular_bimodule(a)
-    return Coring(a, car, inverse(left_unit_iso(car)),
-                  Matrix.identity(a.field, a.dim))
-
-
 @memoised
 def identity_cor_one_cell(c: Coring) -> CorOneCell:
     """Carrier = the base algebra; zeta the composite of unit coherences."""

@@ -193,15 +193,6 @@ def hcomp(t2: EntwTwoCell, t1: EntwTwoCell) -> EntwTwoCell:
     )
 
 
-def associator(q: EntwOneCell, p: EntwOneCell,
-               m: EntwOneCell) -> EntwTwoCell:
-    """The coherence 2-cell q.(p.m) => (q.p).m; an identity over a field."""
-    inner = compose_one_cells(q, compose_one_cells(p, m))
-    outer = compose_one_cells(compose_one_cells(q, p), m)
-    return EntwTwoCell(inner, outer,
-                       Matrix.identity(m.field, q.dimM * p.dimM * m.dimM))
-
-
 # -- gallery builders ------------------------------------------------------
 
 

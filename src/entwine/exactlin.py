@@ -12,8 +12,8 @@ GF(p) an entry is an int in ``[0, p)``.  A matrix is immutable, hashable
 (the memo keys on it) and stores only its columns' nonzeros, as
 ``{row: value}`` dicts that matrices share and never mutate; ``entries``
 is a dense view.
-``rref``, ``rank``, ``solve`` and ``kernel_basis`` all reduce sparse
-vectors through the one routine ``_echelon``, and every product
+``rank``, ``kernel_basis`` and ``inverse`` all reduce sparse vectors
+through the one routine ``_echelon``, and every product
 (``compose``, ``qtensor.descend_columns``) sums its columns through the
 one routine ``_combine``.  Both are fraction-free: over Q they work on
 integer numerators, and build one ``Fraction`` per non-integral output
@@ -26,6 +26,7 @@ Hence ``kron(f, g)[i*rg + j, k*cg + l] = f[i, k] * g[j, l]``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import wraps
 from math import gcd, lcm
@@ -38,6 +39,8 @@ from .errors import DimensionMismatch, InvalidParameter
 # (Sorenson & Webster, Math. Comp. 86 (2017), the value of psi_13).
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_BOUND = 3317044064679887385961981
+# a string scalar: an int or int/int, in ASCII digits
+_SCALAR = re.compile(r"-?[0-9]+(/-?[0-9]+)?")
 
 
 def _is_prime(n: int) -> bool:
@@ -112,7 +115,8 @@ class FieldSpec:
     def coerce(self, x):
         """Canonical scalar from an int, Fraction or string.
 
-        A string is an int or int/int, such as "3" or "-1/2".  Other text,
+        A string is an int or int/int in ASCII digits, each side with at
+        most a leading "-", such as "3" or "-1/2".  Other text,
         a zero denominator, or over GF(p) a reduced denominator that p
         divides, is an ``InvalidParameter``, and so is a bool: JSON's
         ``true`` is not a scalar.  Over Q the result is a ``Fraction``.
@@ -125,12 +129,13 @@ class FieldSpec:
     def _parse(text: str):
         num, slash, den = text.partition("/")
         try:
-            return Fraction(int(num), int(den)) if slash else int(text)
-        except ValueError:
-            raise InvalidParameter(
-                f"{text!r} is not an int or int/int") from None
+            if _SCALAR.fullmatch(text):
+                return Fraction(int(num), int(den)) if slash else int(text)
+        except ValueError:      # past ``int``'s limit on digits
+            pass
         except ZeroDivisionError:
             raise InvalidParameter(f"zero denominator in {text!r}") from None
+        raise InvalidParameter(f"{text!r} is not an int or int/int")
 
 
 class _Rationals(FieldSpec):
@@ -148,9 +153,6 @@ class _Rationals(FieldSpec):
             return Fraction(x)
         raise InvalidParameter(f"cannot coerce {x!r} to a rational")
 
-    def add(self, a, b):
-        return _demote(a + b)
-
     def sub(self, a, b):
         return _demote(a - b)
 
@@ -159,11 +161,6 @@ class _Rationals(FieldSpec):
 
     def neg(self, a):
         return -a
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        return _demote(Fraction(1) / a)
 
     # fraction-free hooks on sparse vectors: ``_combine`` of products,
     # ``_integral`` and ``_primitive`` of elimination (``_echelon``)
@@ -226,9 +223,6 @@ class _PrimeField(FieldSpec):
             return x.numerator * inv % self.p
         raise InvalidParameter(f"cannot coerce {x!r} to GF({self.p})")
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
     def sub(self, a, b):
         return (a - b) % self.p
 
@@ -237,11 +231,6 @@ class _PrimeField(FieldSpec):
 
     def neg(self, a):
         return (-a) % self.p
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
 
     def _combine(self, coeffs: dict, cols) -> dict:
         """sum(a * cols[k]) in plain ints, reduced mod p once per entry."""
@@ -372,29 +361,15 @@ class Matrix:
                          for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(self.field.add, other)
-
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(self.field.sub, other)
-
-    def _entrywise(self, op, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        zero, cols = self.field.zero, []
+        sub, zero, cols = self.field.sub, self.field.zero, []
         for a, b in zip(self._c, other._c):
             v = dict(a)
             for r, y in b.items():
-                v[r] = op(v.get(r, zero), y)
+                v[r] = sub(v.get(r, zero), y)
             cols.append({r: x for r, x in v.items() if x})
         return _wrap(self.field, self.rows, cols)
-
-    def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return _wrap(self.field, self.rows, [
-            {r: neg(x) for r, x in c.items()} for c in self._c])
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return compose(self, other)
 
     def scale(self, c) -> "Matrix":
         c = _demote(self.field.coerce(c))
@@ -406,9 +381,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return _wrap(self.field, self.cols, _transposed(self._c, self.rows))
-
-    def is_zero(self) -> bool:
-        return not any(self._c)
 
     def first_difference(self, other: "Matrix"):
         """Coordinates of the first differing entry in row-major order, or
@@ -463,16 +435,6 @@ def expect_shapes(obj, what: str, **shapes):
             wrong.append(f"{attr} {m.shape}, expected {shape}")
     if wrong:
         raise DimensionMismatch(f"{what}: {', '.join(wrong)}")
-
-
-def hstack(mats: Iterable[Matrix]) -> Matrix:
-    mats = list(mats)
-    if not mats:
-        raise DimensionMismatch("hstack: no matrices")
-    field, rows = mats[0].field, mats[0].rows
-    if any(m.rows != rows or m.field != field for m in mats):
-        raise DimensionMismatch("hstack: row counts differ")
-    return _wrap(field, rows, [c for m in mats for c in m._c])
 
 
 def compose(f: Matrix, g: Matrix, *more: Matrix) -> Matrix:
@@ -590,19 +552,6 @@ def _echelon(vectors: Iterable[dict], field: FieldSpec) -> dict:
     return rows
 
 
-def _matrix(field: FieldSpec, rows: list, cols: int) -> Matrix:
-    """The matrix of canonical sparse ``{col: value}`` rows."""
-    return _wrap(field, len(rows), _transposed(rows, cols))
-
-
-def rref(m: Matrix):
-    """Reduced row echelon form; returns (reduced, pivots, rank)."""
-    ech = _echelon(_sparse_rows(m), m.field)
-    pivots = tuple(sorted(ech))
-    rows = [ech[p] for p in pivots] + [{}] * (m.rows - len(pivots))
-    return _matrix(m.field, rows, m.cols), pivots, len(pivots)
-
-
 def rank(m: Matrix) -> int:
     return len(_echelon(_sparse_rows(m), m.field))
 
@@ -629,28 +578,23 @@ def kernel_basis(m: Matrix) -> Matrix:
     return _null_rows(_sparse_rows(m), m.cols, m.field)[0].transpose()
 
 
-def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:
-    """Some x with m.x = b, free variables zeroed; None if inconsistent."""
-    if m.field != b.field:
-        raise DimensionMismatch("fields differ")
-    if m.rows != b.rows:
-        raise DimensionMismatch(f"solve: {m.shape} vs {b.shape}")
-    ech = _echelon(_sparse_rows(hstack([m, b])), m.field)
-    # a pivot in the b-block means the system is inconsistent
-    if any(p >= m.cols for p in ech):
-        return None
-    n = m.cols
-    return _matrix(m.field, [{j - n: x for j, x in ech.get(p, {}).items()
-                             if j >= n} for p in range(n)], b.cols)
-
-
 @memoised
 def inverse(m: Matrix) -> Optional[Matrix]:
     """Two-sided inverse when square and full-rank, else None."""
-    if m.rows != m.cols:
+    n = m.rows
+    if n != m.cols:
         return None
-    # m.x = I is consistent exactly when m has full rank
-    return solve(m, Matrix.identity(m.field, m.rows))
+    rows = _sparse_rows(m)
+    for i, row in enumerate(rows):
+        row[n + i] = m.field.one
+    # the rows of [m | I] reduce to [I | m^-1] when m has full rank, and
+    # otherwise leave a pivot in the I block
+    ech = _echelon(rows, m.field)
+    if any(p >= n for p in ech):
+        return None
+    return _wrap(m.field, n, _transposed(
+        [{j - n: x for j, x in ech[p].items() if j >= n} for p in range(n)],
+        n))
 
 
 def flip(field: FieldSpec, dim_x: int, dim_y: int) -> Matrix:

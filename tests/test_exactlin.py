@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from entwine.algstruct import Algebra
 from entwine.cli import Workspace, serialize
 from entwine.errors import DimensionMismatch, InvalidParameter
-from entwine.exactlin import (FieldSpec, Matrix, QQ, compose, flip, hstack,
-                              _wrap, inverse, kernel_basis, kron, rank, rref,
-                              solve)
-from entwine.qtensor import (QuotientPresentation, descend,
-                             presentation_from_relations)
+from entwine.exactlin import (FieldSpec, Matrix, QQ, _echelon, _sparse_rows,
+                              _transposed, _wrap, compose, flip, inverse,
+                              kernel_basis, kron, rank)
+from entwine.qtensor import QuotientPresentation, descend
+from test_qtensor import is_zero, quotient_by, section
 
 GF5 = FieldSpec("prime", 5)
 
@@ -85,6 +85,15 @@ def from_sympy(s):
                        for i in range(s.rows)], cols=s.cols)
 
 
+def rref(m):
+    """(reduced, pivots, rank) of m, read off the rows ``_echelon`` keeps."""
+    ech = _echelon(_sparse_rows(m), m.field)
+    pivots = tuple(sorted(ech))
+    rows = [ech[p] for p in pivots] + [{}] * (m.rows - len(pivots))
+    reduced = _wrap(m.field, m.rows, _transposed(rows, m.cols))
+    return reduced, pivots, len(pivots)
+
+
 def sympy_solve(sm, sb):
     """The solution with every free parameter zero, or None."""
     if sb.cols == 0:    # sympy cannot solve for no right-hand side
@@ -107,7 +116,8 @@ class TestFieldSpec:
     def test_prime_coerce(self):
         assert GF5.coerce(7) == 2
         assert GF5.coerce("1/2") == 3  # 2 * 3 = 6 = 1 mod 5
-        assert GF5.coerce(Fraction(-1, 3)) == GF5.mul(GF5.neg(1), GF5.inv(3))
+        assert GF5.coerce(Fraction(-1, 3)) == GF5.mul(GF5.neg(1),
+                                                      pow(3, -1, 5))
 
     def test_zero_denominator_is_invalid(self):
         for field in (QQ, GF5):
@@ -123,8 +133,9 @@ class TestFieldSpec:
         assert isinstance(QQ.coerce("3/10"), Fraction)
 
     def test_prime_inverse(self):
-        for a in range(1, 5):
-            assert GF5.mul(a, GF5.inv(a)) == 1
+        for a in range(5):
+            inv = inverse(Matrix(GF5, [[a]]))
+            assert inv == (Matrix(GF5, [[pow(a, -1, 5)]]) if a else None)
 
     def test_rejects_bad_field(self):
         with pytest.raises(InvalidParameter):
@@ -170,16 +181,14 @@ class TestFieldSpec:
 
 class TestScalarRepresentation:
     def test_rational_inverse_is_exact(self):
-        half = QQ.inv(2)
-        assert half == Fraction(1, 2) and type(half) is not float
-        three = QQ.inv(Fraction(1, 3))
+        half = inverse(Matrix(QQ, [[2]]))[0, 0]
+        assert half == Fraction(1, 2) and type(half) is Fraction
+        three = inverse(Matrix(QQ, [[Fraction(1, 3)]]))[0, 0]
         assert three == 3 and type(three) is int
-        with pytest.raises(ZeroDivisionError):
-            QQ.inv(0)
+        assert inverse(Matrix(QQ, [[0]])) is None
 
     def test_rational_ops_return_canonical_scalars(self):
-        for x in (QQ.add(Fraction(1, 2), Fraction(1, 2)),
-                  QQ.sub(Fraction(3, 2), Fraction(1, 2)),
+        for x in (QQ.sub(Fraction(3, 2), Fraction(1, 2)),
                   QQ.mul(Fraction(2, 3), 3)):
             assert x in (1, 2) and type(x) is int
 
@@ -189,8 +198,7 @@ class TestScalarRepresentation:
         scalar = st.one_of(st.integers(-6, 6),
                            st.fractions(-6, 6, max_denominator=6))
         a, b = data.draw(scalar), data.draw(scalar)
-        for op, want in ((QQ.add, Fraction(a) + b), (QQ.sub, Fraction(a) - b),
-                         (QQ.mul, Fraction(a) * b)):
+        for op, want in ((QQ.sub, Fraction(a) - b), (QQ.mul, Fraction(a) * b)):
             got = op(a, b)
             assert got == want
             assert type(got) is (int if want.denominator == 1 else Fraction)
@@ -231,18 +239,16 @@ class TestMatrixBasics:
         assert Matrix.zeros(QQ, 0, 3).transpose().shape == (3, 0)
         assert Matrix.zeros(QQ, 3, 0).transpose().shape == (0, 3)
         e = Matrix.zeros(QQ, 0, 3)
-        for out in (e + e, e - e, -e, e.scale(2), rref(e)[0],
+        for out in (e - e, e.scale(2), rref(e)[0],
                     Matrix.build(QQ, 0, 3, lambda i, j: 1)):
             assert out == e
         assert e.column(1).shape == (0, 1)
         assert e.gather((2, 0, 2)).shape == (0, 3)
         assert Matrix.zeros(QQ, 2, 3).gather(()).shape == (2, 0)
-        q = presentation_from_relations(Matrix.identity(QQ, 3))
+        q = quotient_by(Matrix.identity(QQ, 3))
         assert q.free == ()
-        assert q.section.shape == (3, 0)
-        assert hstack([Matrix.zeros(QQ, 0, 2), e]).shape == (0, 5)
-        assert solve(Matrix.zeros(QQ, 2, 0), Matrix.zeros(QQ, 2, 3)) == \
-            Matrix.zeros(QQ, 0, 3)
+        assert section(q).shape == (3, 0)
+        assert inverse(Matrix.zeros(QQ, 0, 0)) == Matrix.zeros(QQ, 0, 0)
 
     def test_immutable_and_hashable(self):
         m = Matrix(QQ, [[1]])
@@ -361,7 +367,7 @@ class TestRrefRankKernel:
     @settings(max_examples=40, deadline=None)
     def test_kernel_annihilated(self, m):
         kb = kernel_basis(m)
-        assert compose(m, kb).is_zero()
+        assert is_zero(compose(m, kb))
 
     @given(matrices(3, 3))
     @settings(max_examples=40, deadline=None)
@@ -373,28 +379,11 @@ class TestRrefRankKernel:
             assert compose(m, inv) == Matrix.identity(QQ, 3)
             assert compose(inv, m) == Matrix.identity(QQ, 3)
 
-    @given(matrices(3, 3), matrices(3, 2))
-    @settings(max_examples=40, deadline=None)
-    def test_solve_exact(self, m, b):
-        x = solve(m, b)
-        if x is not None:
-            assert compose(m, x) == b
-
-    def test_solve_inconsistent(self):
-        m = Matrix(QQ, [[1, 0], [1, 0]])
-        b = Matrix(QQ, [[1], [2]])
-        assert solve(m, b) is None
-
     def test_prime_field_rref(self):
         m = Matrix(GF5, [[2, 1], [4, 2]])
         red, pivots, rk = rref(m)
         assert rk == 1
         assert red.entries[0] == (1, 3)  # 1/2 = 3 mod 5
-
-    def test_hstack(self):
-        a = Matrix(QQ, [[1], [2]])
-        b = Matrix(QQ, [[3], [4]])
-        assert hstack([a, b]) == Matrix(QQ, [[1, 3], [2, 4]])
 
 
 class TestCanonicalEntries:
@@ -419,13 +408,13 @@ class TestCanonicalEntries:
         picks = data.draw(st.lists(st.integers(0, k - 1), max_size=4)
                           if k else st.just([]))
         # a balanced map: anything after the projection kills the relations
-        src, tgt = map(presentation_from_relations, (f, b))
+        src, tgt = map(quotient_by, (f, b))
         balanced = compose(data.draw(mixed_matrices(r, src.quotient_dim)),
                            src.projection)
-        outs = [compose(f, g), kron(f, g), f + h, f - h, f.scale(s),
-                -f, f.transpose(), f.gather(picks),
-                rref(f)[0], kernel_basis(f), compose(f, _wrap(QQ, k, combos)),
-                solve(f, b), inverse(square), descend(balanced, src, tgt)]
+        outs = [compose(f, g), kron(f, g), f - h, f.scale(s), f.transpose(),
+                f.gather(picks), rref(f)[0], kernel_basis(f),
+                compose(f, _wrap(QQ, k, combos)), inverse(square),
+                descend(balanced, src, tgt)]
         for out in outs:
             if out is not None:
                 assert self.integral_fractions(out) == []
@@ -491,9 +480,9 @@ class TestAgainstSympy:
         assert stored_canonically(out)
         null = compose(f, kernel_basis(f))
         assert not any(null._c)
-        x = solve(f, b)
+        x = sympy_solve(to_sympy(f), to_sympy(b))
         if x is not None:
-            hit = compose(f, x)
+            hit = compose(f, from_sympy(x))
             assert hit == b and stored_canonically(hit)
 
     @given(st.one_of(mixed_matrices(), content_matrices()))
@@ -510,18 +499,6 @@ class TestAgainstSympy:
         assert kb.shape == (m.cols, len(null))
         for j, v in enumerate(null):
             assert kb.column(j) == from_sympy(v)
-
-    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
-           st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_solve(self, rows, cols, rhs, data):
-        m = data.draw(mixed_matrices(rows, cols))
-        b = data.draw(mixed_matrices(rows, rhs))
-        x, sx = solve(m, b), sympy_solve(to_sympy(m), to_sympy(b))
-        if sx is None:
-            assert x is None
-        else:
-            assert x == from_sympy(sx)
 
     @given(st.integers(0, 4).flatmap(lambda n: mixed_matrices(n, n)))
     @settings(max_examples=150, deadline=None)
@@ -553,7 +530,6 @@ class TestCrossField:
         assert mod5(kron(f, g)) == kron(mod5(f), mod5(g))
         assert mod5(kron(n, f)) == kron(n, mod5(f))
         assert mod5(kron(f, n)) == kron(mod5(f), n)
-        assert mod5(f + h) == mod5(f) + mod5(h)
         assert mod5(f - h) == mod5(f) - mod5(h)
         assert rank(mod5(f)) <= rank(f)
 

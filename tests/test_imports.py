@@ -15,10 +15,14 @@ A fourth keeps matrices sparse: no module but ``cli``, which serialises,
 reads a matrix's dense ``entries`` view.  A fifth keeps the composed-coring
 homomorphism's action on workspace sections in one place: ``cli`` names
 ``comc_obj``, ``comc_one_cell`` and ``comc_two_cell`` only in its image
-table ``_IMAGES``, and every other use reads them from there.
+table ``_IMAGES``, and every other use reads them from there.  A sixth
+keeps the package free of dead names: every module-level function and
+class, and every method but a dunder, is read somewhere in the package
+outside its own definition, unless ``UNREAD`` gives a reason.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -193,3 +197,64 @@ def test_scan_finds_image_functions_outside_the_table():
 def test_cli_names_image_functions_in_its_table_only():
     source = (ROOT / "src" / "entwine" / "cli.py").read_text(encoding="utf-8")
     assert image_names(source) == ([], sorted(IMAGE_FUNCTIONS))
+
+
+# ``file: name`` -> why the package keeps it though no code of it reads it
+UNREAD = {"exactlin.py: Matrix.column": "the demos read structure maps "
+                                        "one column at a time"}
+
+
+def _reads(node) -> Counter:
+    """(name, whether read as an attribute) of each load in ``node``."""
+    return Counter((n.attr, True) if isinstance(n, ast.Attribute)
+                   else (n.id, False) for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute))
+                   and isinstance(n.ctx, ast.Load))
+
+
+def _definitions(tree):
+    """(name, node, is a method) of each module-level function and class,
+    and each method but a dunder, as ``Class.name``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{sub.name}", sub, True)
+                        for sub in node.body
+                        if isinstance(sub, ast.FunctionDef)
+                        and not (sub.name.startswith("__")
+                                 and sub.name.endswith("__")))
+
+
+def unread_definitions(sources: dict) -> list:
+    """``file: name`` of each definition of ``sources``, a dict file name
+    -> source text, that no code of ``sources`` reads outside the
+    definition itself, sorted.  A method is read only as an attribute,
+    anything else also as a plain name."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    total = sum(map(_reads, trees.values()), Counter())
+    unread = []
+    for file, tree in trees.items():
+        for name, node, method in _definitions(tree):
+            leaf, own = name.rpartition(".")[2], _reads(node)
+            ways = [True] if method else [True, False]
+            if all(total[leaf, w] == own[leaf, w] for w in ways):
+                unread.append(f"{file}: {name}")
+    return sorted(unread)
+
+
+def test_scan_finds_unread_definitions():
+    sources = {"a.py": "def f():\n    return f()\n\n"
+                       "def g():\n    return 1\n\n"
+                       "class C:\n    def m(self):\n        return self.n()\n"
+                       "    def n(self):\n        return 0\n"
+                       "    def __len__(self):\n        return 0\n",
+               "b.py": "from .a import g\nm = 1\nx = g() + m\n"}
+    assert unread_definitions(sources) == ["a.py: C", "a.py: C.m", "a.py: f"]
+
+
+def test_every_definition_is_read():
+    src = ROOT / "src" / "entwine"
+    assert unread_definitions({p.name: p.read_text(encoding="utf-8")
+                               for p in sorted(src.glob("*.py"))
+                               if p.name != "__init__.py"}) == sorted(UNREAD)
