@@ -12,7 +12,7 @@ from entwine import (DoesNotFactor, Matrix, QQ, compose, descend,
 
 a = group_algebra(QQ, 2)
 print("=== A (x)_A A for A = k[C2] ===\n")
-q = tensor_over(a.mult, a.mult, 2, 2, 2)
+q = tensor_over(a.mult, a.mult, 2, a.unit, 2)
 print(f"ambient dim {q.ambient_dim}, quotient dim {q.quotient_dim}")
 print("projection =")
 for row in q.projection.entries:
@@ -22,7 +22,7 @@ print("(the relations g^i g (x) g^j ~ g^i (x) g g^j cut the dimension",
 
 print("\n=== The sign module collapses further ===\n")
 sign = Matrix(QQ, [[1, -1]])  # g acts by -1 on a 1-dim space
-qs = tensor_over(a.mult, sign, 2, 2, 1)
+qs = tensor_over(a.mult, sign, 2, a.unit, 1)
 print(f"A (x)_A sign: ambient {qs.ambient_dim} -> quotient "
       f"{qs.quotient_dim}")
 

@@ -39,7 +39,7 @@ from .entwcat import (EntwObj, EntwOneCell, EntwTwoCell, bialgebra_entwining,
                       compose_one_cells, flip_entwining, hcomp,
                       identity_one_cell, identity_two_cell, scalar_two_cell,
                       morphism_one_cell, vcomp)
-from .errors import EntwineError
+from .errors import EntwineError, brief
 from .exactlin import FieldSpec, Matrix
 
 
@@ -151,9 +151,9 @@ def parse_field_flag(text: str) -> FieldSpec:
         try:
             p = int(text.split(":", 1)[1])
         except ValueError:
-            raise EntwineError(f"malformed field flag {text!r}")
+            raise EntwineError(f"malformed field flag {brief(repr(text))}")
         return FieldSpec("prime", p)
-    raise EntwineError(f"malformed field flag {text!r}")
+    raise EntwineError(f"malformed field flag {brief(repr(text))}")
 
 
 def _to_json(obj, path: str):
@@ -195,7 +195,8 @@ def _parse_entry(ws: Workspace, row, d: dict) -> tuple:
     for key, target in ref_keys.items():
         entries = getattr(ws, target)
         if not isinstance(d[key], str) or d[key] not in entries:
-            raise EntwineError(f"{key} {d[key]!r} names no entry of {target}")
+            raise EntwineError(f"{key} {brief(repr(d[key]))} names no "
+                               f"entry of {target}")
         kwargs[key] = entries[d[key]]
     for key in ints:
         if type(d[key]) is not int or d[key] < 0:
@@ -220,7 +221,8 @@ def deserialize(text: str) -> Workspace:
                 refs, kwargs = _parse_entry(ws, row, _object(d, "entry"))
                 ws.add(section, name, *refs, build(**kwargs))
             except (EntwineError, ValueError) as exc:
-                raise EntwineError(f"{section} {name}: {exc}") from None
+                raise EntwineError(
+                    f"{section} {brief(name)}: {exc}") from None
     ws.provenance = dict(_object(doc.get("provenance", {}), "provenance"))
     return ws
 
@@ -344,7 +346,7 @@ def _selected(ws: Workspace, selector: str) -> list:
                 if tkind != kind:
                     continue
                 if name not in entries:
-                    raise EntwineError(f"no {kind} named {name!r}")
+                    raise EntwineError(f"no {kind} named {brief(repr(name))}")
             elif token in entries:
                 name = token
             else:
@@ -355,7 +357,7 @@ def _selected(ws: Workspace, selector: str) -> list:
     missing = set(tokens) - matched
     if missing:
         raise EntwineError("selector matched nothing: "
-                           + ", ".join(map(repr, sorted(missing))))
+                           + brief(", ".join(map(repr, sorted(missing)))))
     return picks
 
 
@@ -511,7 +513,7 @@ def cmd_compose(path: str, selector: str, out_path: str, out=None) -> int:
             raise EntwineError("compose needs --selector outer,inner")
         for name in names:
             if name not in ws.one_cells:
-                raise EntwineError(f"no 1-cell named {name!r}")
+                raise EntwineError(f"no 1-cell named {brief(repr(name))}")
         pn, mn = names
         p, m = ws.one_cells[pn], ws.one_cells[mn]
     except _INPUT_ERRORS as exc:
@@ -541,7 +543,8 @@ def cmd_comc(path: str, selector: str, out_path: str, out=None) -> int:
         name = selector.strip()
         section = next((s for s in _IMAGES if name in getattr(ws, s)), None)
         if section is None:
-            raise EntwineError(f"no entwining entry named {name!r}")
+            raise EntwineError(
+                f"no entwining entry named {brief(repr(name))}")
     except _INPUT_ERRORS as exc:
         return _fail(out, "input", exc, 2)
     report = Report(out)
@@ -575,7 +578,7 @@ def cmd_comc(path: str, selector: str, out_path: str, out=None) -> int:
 
 def cmd_laws(path: str, level: str = "pseudofunctor", out=None) -> int:
     if level not in _LEVELS:
-        return _fail(out, "input", f"unknown level {level!r}", 2)
+        return _fail(out, "input", f"unknown level {brief(repr(level))}", 2)
     try:
         ws = load_workspace(path)
     except _INPUT_ERRORS as exc:

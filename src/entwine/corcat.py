@@ -3,7 +3,10 @@
 A coring is a comonoid in A-A-bimodules; its comultiplication lands in
 the quotient tensor 𝒞 (x)_A 𝒞, so every diagram here is chased through
 deterministic quotient presentations.  ``wtensor`` tensors two bimodules,
-presented over the product of their coordinate spaces only.  The one
+presented over the product of their coordinate spaces only; it presents
+the quotient and nothing else.  The word's actions (``word_module``) are
+formed on first read, since the words of a rebracketing are read only
+through their presentations and quotient dimensions.  The one
 rebracketing iso is the associator ``word_iso(x, y, z)``, built from its
 three factors; by Mac Lane's coherence theorem every other one is a
 composite of whiskered associators and their inverses.
@@ -27,12 +30,19 @@ from .qtensor import (QuotientPresentation, _iso_or_raise, descend_columns,
 
 @dataclass(frozen=True)
 class TensorWord:
-    """x (x)_A y: the bimodule ``module`` in its own coordinates, and
-    ``outer``, its presentation over the product of x's and y's
-    coordinate spaces."""
+    """x (x)_A y: its two factors, and ``outer``, its presentation over the
+    product of x's and y's coordinate spaces.  ``module``, the bimodule in
+    its own coordinates, is formed when it is first read: most words
+    (those of the rebracketings inside a check) are read only through
+    ``outer``."""
 
-    module: Bimodule
+    x: Bimodule
+    y: Bimodule
     outer: QuotientPresentation
+
+    @property
+    def module(self) -> Bimodule:
+        return word_module(self.x, self.y)
 
 
 @memoised
@@ -40,8 +50,15 @@ def wtensor(xm: Bimodule, ym: Bimodule) -> TensorWord:
     """Tensor over the shared middle algebra xm.right = ym.left."""
     if xm.right != ym.left:
         raise NotComposable("middle algebras differ")
+    return TensorWord(xm, ym, tensor_over(xm.ract, ym.lact, xm.dim,
+                                          xm.right.unit, ym.dim))
+
+
+@memoised
+def word_module(xm: Bimodule, ym: Bimodule) -> Bimodule:
+    """The bimodule xm (x)_A ym in the coordinates of its presentation."""
+    q = wtensor(xm, ym).outer
     dm, dn, dl, dr = xm.dim, ym.dim, xm.left.dim, ym.right.dim
-    q = tensor_over(xm.ract, ym.lact, dm, xm.right.dim, dn)
     # column (l, t) of lact, with free[t] = (i, j), is the sum over i' of
     # X.lact[i', (l, i)] p[:, (i', j)]; column (t, r) of ract mirrors it
     ij = [divmod(c, dn) for c in q.free]
@@ -52,8 +69,7 @@ def wtensor(xm: Bimodule, ym: Bimodule) -> TensorWord:
     ract = compose(q.projection, _wrap(xm.field, q.ambient_dim, [
         {i * dn + j2: y for j2, y in y_r[j * dr + r].items()}
         for i, j in ij for r in range(dr)]))
-    return TensorWord(Bimodule(xm.left, ym.right, q.quotient_dim, lact, ract),
-                      q)
+    return Bimodule(xm.left, ym.right, q.quotient_dim, lact, ract)
 
 
 def tensor_map(f, g, src: tuple, tgt: tuple) -> Matrix:
@@ -86,7 +102,8 @@ def word_iso(x: Bimodule, y: Bimodule, z: Bimodule) -> Matrix:
     whiskered associators and their inverses (Mac Lane coherence).
     """
     xy, yz = wtensor(x, y), wtensor(y, z)
-    dz, dyz, p_yz = z.dim, yz.module.dim, _sparse_columns(yz.outer.projection)
+    dz, dyz = z.dim, yz.outer.quotient_dim
+    p_yz = _sparse_columns(yz.outer.projection)
 
     def image(c):
         t, k = divmod(c, dz)
@@ -130,7 +147,7 @@ class Coring:
     def __post_init__(self):
         if self.carrier.left != self.base or self.carrier.right != self.base:
             raise DimensionMismatch("carrier is not an A-A-bimodule")
-        n, q2 = self.carrier.dim, self.square_word().module.dim
+        n, q2 = self.carrier.dim, self.square_word().outer.quotient_dim
         expect_shapes(self, "coring", comult=(q2, n),
                       counit=(self.base.dim, n))
 
@@ -164,10 +181,10 @@ class CorOneCell:
         if (self.carrier.left != self.cod.base
                 or self.carrier.right != self.dom.base):
             raise DimensionMismatch("carrier sides do not match the corings")
-        src = wtensor(self.cod.carrier, self.carrier)
-        tgt = wtensor(self.carrier, self.dom.carrier)
+        src = wtensor(self.cod.carrier, self.carrier).outer
+        tgt = wtensor(self.carrier, self.dom.carrier).outer
         expect_shapes(self, "coring 1-cell",
-                      zeta=(tgt.module.dim, src.module.dim))
+                      zeta=(tgt.quotient_dim, src.quotient_dim))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the bound on the input
+their messages quote."""
+
+QUOTE_LIMIT = 40
+
+
+def brief(text: str) -> str:
+    """text cut to QUOTE_LIMIT characters and "…" when longer, so that a
+    one-line message stays short whatever input it quotes."""
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "…"
 
 
 class EntwineError(Exception):

@@ -32,7 +32,7 @@ from functools import wraps
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch, InvalidParameter
+from .errors import DimensionMismatch, InvalidParameter, brief
 
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
@@ -86,13 +86,13 @@ class FieldSpec:
         elif kind == "prime":
             if type(p) is int and p >= _PRIME_BOUND:
                 raise InvalidParameter(
-                    f"modulus {p} is past {_PRIME_BOUND}, the bound of "
-                    f"the exact primality test")
+                    f"modulus {brief(str(p))} is past {_PRIME_BOUND}, "
+                    f"the bound of the exact primality test")
             if type(p) is not int or not _is_prime(p):
-                raise InvalidParameter(f"{p!r} is not a prime")
+                raise InvalidParameter(f"{brief(repr(p))} is not a prime")
             cls = _PrimeField
         else:
-            raise InvalidParameter(f"unknown field kind {kind!r}")
+            raise InvalidParameter(f"unknown field kind {brief(repr(kind))}")
         self = object.__new__(cls)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_memo", {})
@@ -134,8 +134,9 @@ class FieldSpec:
         except ValueError:      # past ``int``'s limit on digits
             pass
         except ZeroDivisionError:
-            raise InvalidParameter(f"zero denominator in {text!r}") from None
-        raise InvalidParameter(f"{text!r} is not an int or int/int")
+            raise InvalidParameter(
+                f"zero denominator in {brief(repr(text))}") from None
+        raise InvalidParameter(f"{brief(repr(text))} is not an int or int/int")
 
 
 class _Rationals(FieldSpec):
@@ -151,7 +152,7 @@ class _Rationals(FieldSpec):
             return x
         if type(x) is int:
             return Fraction(x)
-        raise InvalidParameter(f"cannot coerce {x!r} to a rational")
+        raise InvalidParameter(f"cannot coerce {brief(repr(x))} to a rational")
 
     def sub(self, a, b):
         return _demote(a - b)
@@ -218,10 +219,12 @@ class _PrimeField(FieldSpec):
             return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
-                raise InvalidParameter(f"{x} has no value in GF({self.p})")
+                raise InvalidParameter(
+                    f"{brief(str(x))} has no value in GF({self.p})")
             inv = pow(x.denominator, self.p - 2, self.p)
             return x.numerator * inv % self.p
-        raise InvalidParameter(f"cannot coerce {x!r} to GF({self.p})")
+        raise InvalidParameter(
+            f"cannot coerce {brief(repr(x))} to GF({self.p})")
 
     def sub(self, a, b):
         return (a - b) % self.p

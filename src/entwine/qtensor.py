@@ -3,13 +3,16 @@
 M (x)_A N is the coequalizer of the two middle actions on M (x) A (x) N,
 computed as a cokernel.  The balancing relations (m.a) (x) n - m (x) (a.n)
 are built as sparse vectors, one per triple of basis vectors (m, a, n),
-read off the columns of the two actions; the one elimination routine of
-``exactlin`` reduces them, and the quotient is presented by its
-projection and its free (non-pivot) ambient coordinates, whose injection
-is the section.  A map on the ambient induces one on the quotient when it
-kills the relations; every such map (``descend``, the unit coherences,
-``corcat.tensor_map``, ``corcat.word_iso``) goes through
-``descend_columns``, which forms only the columns it keeps or checks.
+read off the columns of the two actions.  They are linear in a and vanish
+at a = 1 on unital actions, so one family, that of a unit coordinate, is
+redundant and not built once unitality has been checked.  The one
+elimination routine of ``exactlin`` reduces them, and the quotient is
+presented by its projection and its free (non-pivot) ambient
+coordinates, whose injection is the section.  A map on the ambient
+induces one on the quotient when it kills the relations; every such map
+(``descend``, the unit coherences, ``corcat.tensor_map``,
+``corcat.word_iso``) goes through ``descend_columns``, which forms only
+the columns it keeps or checks.
 Presentations are reproducible byte for byte, so golden files are stable.
 """
 
@@ -48,24 +51,45 @@ class QuotientPresentation:
 
 
 @memoised
-def tensor_over(ract_m: Matrix, lact_n: Matrix, dim_m: int, dim_a: int,
+def tensor_over(ract_m: Matrix, lact_n: Matrix, dim_m: int, unit: Matrix,
                 dim_n: int) -> QuotientPresentation:
-    """Presentation of M (x)_A N inside the ambient M (x) N."""
+    """Presentation of M (x)_A N inside the ambient M (x) N, with ``unit``
+    A's unit (dim A x 1).
+
+    rel(a) = (m.a) (x) n - m (x) (a.n) is linear in a, and rel(1) = 0 when
+    both actions are unital.  So with 1 = sum u_k a_k, the family of a_k0,
+    k0 the last k with u_k != 0, lies in the span of the others and is not
+    built.  Unitality is checked, never assumed: on a zero unit or a
+    non-unital action every family is built.  The rref of a span is
+    unique, so the presentation is the same either way.
+    """
+    dim_a = unit.rows
+    if unit.cols != 1:
+        raise DimensionMismatch(f"unit shape {unit.shape}")
     if ract_m.shape != (dim_m, dim_m * dim_a):
         raise DimensionMismatch(f"right action shape {ract_m.shape}")
     if lact_n.shape != (dim_n, dim_a * dim_n):
         raise DimensionMismatch(f"left action shape {lact_n.shape}")
     field = ract_m.field
-    if lact_n.field != field:
+    if lact_n.field != field or unit.field != field:
         raise DimensionMismatch("fields differ")
+    u, r_cols, l_cols = (_sparse_columns(unit)[0], _sparse_columns(ract_m),
+                         _sparse_columns(lact_n))
+    # m_i . 1 = m_i and 1 . n_j = n_j, with 1 = sum u_k a_k
+    unital = u and all(
+        _combine({i * dim_a + k: x for k, x in u.items()}, r_cols, field)
+        == {i: 1} for i in range(dim_m)) and all(
+        _combine({k * dim_n + j: x for k, x in u.items()}, l_cols, field)
+        == {j: 1} for j in range(dim_n))
+    kept = [k for k in range(dim_a) if not unital or k != max(u)]
     # each column of an action as (s, s * column), with int entries
-    m_a, a_n = ([field._integral(col) for col in _sparse_columns(act)]
-                for act in (ract_m, lact_n))
+    m_a, a_n = ([field._integral(col) for col in cols]
+                for cols in (r_cols, l_cols))
 
     def relations():
         # (m_i . a_k) (x) n_j - m_i (x) (a_k . n_j), read off the actions
         # and scaled by the product of the two columns' scales
-        for i, k, j in product(range(dim_m), range(dim_a), range(dim_n)):
+        for i, k, j in product(range(dim_m), kept, range(dim_n)):
             (s, ma), (t, an) = m_a[i * dim_a + k], a_n[k * dim_n + j]
             v = {r * dim_n + j: t * x for r, x in ma.items()}
             for r, y in an.items():

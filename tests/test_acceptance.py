@@ -208,7 +208,7 @@ def test_criterion_08_quotient_oracle():
         dn = rng.randint(1, 3)
         ract, _ = cyclic_actions(QQ, n, random_order_matrix(rng, n, dm))
         _, lact = cyclic_actions(QQ, n, random_order_matrix(rng, n, dn))
-        q = tensor_over(ract, lact, dm, n, dn)
+        q = tensor_over(ract, lact, dm, group_algebra(QQ, n).unit, dn)
         oracle = dm * dn - brute_force_relation_rank(ract, lact, dm, n, dn)
         assert q.quotient_dim == oracle, f"trial {trial}"
 

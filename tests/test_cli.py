@@ -17,6 +17,7 @@ from entwine.algstruct import CheckReport, Failure
 from entwine.cli import (Report, build_gallery, cmd_check, cmd_comc,
                          cmd_compose, cmd_laws, deserialize, load_workspace,
                          main, parse_field_flag, save_workspace, serialize)
+from entwine.errors import EntwineError
 from entwine.exactlin import FieldSpec, QQ
 
 # malformed workspaces: the gallery with doc[path] = value for each pair,
@@ -57,6 +58,20 @@ MALFORMED = {
     "padded-scalar": ([(["algebras", "kC2", "mult", 0, 0], " 3 ")],
                       "not an int or int/int"),
 }
+# input of 3,000 characters: the message quotes 40 of them, then "…"
+LONG = "7" * 3000
+MALFORMED.update({f"long-{case}": (edits, "…") for case, edits in {
+    "field-kind": [(["field"], {"kind": LONG})],
+    "modulus": [(["field"], {"kind": "prime", "p": LONG})],
+    "modulus-past-bound": [(["field"], {"kind": "prime", "p": int(LONG)})],
+    "reference": [(["entwinings", "bialg_C2", "algebra"], LONG)],
+    "scalar": [(["algebras", "kC2", "mult", 0, 0], LONG + "/0")],
+    "scalar-junk": [(["algebras", "kC2", "mult", 0, 0], LONG + "x")],
+    "scalar-list": [(["algebras", "kC2", "mult", 0, 0], [LONG])],
+    "scalar-mod-p": [(["field"], {"kind": "prime", "p": 7}),
+                     (["algebras", "kC2", "mult", 0, 0], "1/" + LONG)],
+    "entry-name": [(["algebras", LONG], {})],
+}.items()})
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +179,30 @@ class TestCheck:
         assert cmd_check(str(bad), out=out) == 2
         lines = out.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error: ")
-        assert fragment in lines[0]
+        assert fragment in lines[0] and len(lines[0]) < 200
+
+    @pytest.mark.parametrize("command", [
+        lambda path, out: cmd_check(path, LONG, out=out),
+        lambda path, out: cmd_check(path, "ENTWINING:" + LONG, out=out),
+        lambda path, out: cmd_check(path, ",".join([LONG] * 9), out=out),
+        lambda path, out: cmd_compose(path, LONG + ",m_aug", path, out=out),
+        lambda path, out: cmd_comc(path, LONG, path, out=out),
+        lambda path, out: cmd_laws(path, LONG, out=out),
+    ], ids=["selector", "kind-selector", "tokens", "compose", "comc", "level"])
+    def test_long_argument_is_quoted_in_a_short_line(self, gallery_file,
+                                                     command):
+        out = io.StringIO()
+        assert command(gallery_file, out) == 2
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: ")
+        assert len(lines[0]) < 200 and "…" in lines[0]
+
+    @pytest.mark.parametrize("flag", ["prime:" + LONG, LONG],
+                             ids=["modulus", "junk"])
+    def test_long_field_flag_is_quoted_briefly(self, flag):
+        with pytest.raises(EntwineError) as exc:
+            parse_field_flag(flag)
+        assert len(str(exc.value)) < 200 and "…" in str(exc.value)
 
     def test_unreadable_file_is_input_error(self, tmp_path):
         assert cmd_check(str(tmp_path / "missing.json")) == 2

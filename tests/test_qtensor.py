@@ -2,16 +2,18 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from entwine import qtensor
 from entwine.algstruct import (Algebra, Bimodule, group_algebra,
                                regular_bimodule)
 from entwine.cli import build_gallery
 from entwine.comc import comc_obj, comc_one_cell
-from entwine.corcat import word_iso, wtensor
+from entwine.corcat import check_coring, word_iso, word_module, wtensor
 from entwine.errors import DimensionMismatch, DoesNotFactor, NotInvertible
 from entwine.exactlin import (FieldSpec, Matrix, QQ, _null_rows,
                               _sparse_columns, compose, inverse, kron, rank)
@@ -137,14 +139,14 @@ def brute_force_relation_rank(ract_m, lact_n, dim_m, dim_a, dim_n):
 class TestPresentations:
     def test_projection_section_identity(self):
         a = group_algebra(QQ, 2)
-        q = tensor_over(a.mult, a.mult, 2, 2, 2)
+        q = tensor_over(a.mult, a.mult, 2, a.unit, 2)
         assert compose(q.projection, section(q)) == \
             Matrix.identity(QQ, q.quotient_dim)
 
     def test_a_tensor_a_over_a(self):
         # [DERIVED] ambient 4, relation span rank 2
         a = group_algebra(QQ, 2)
-        q = tensor_over(a.mult, a.mult, 2, 2, 2)
+        q = tensor_over(a.mult, a.mult, 2, a.unit, 2)
         assert q.ambient_dim == 4
         assert q.quotient_dim == 2
 
@@ -152,7 +154,7 @@ class TestPresentations:
         # no relations over k: projection is the identity
         ract = Matrix.identity(QQ, 3)  # right k-action on k^3
         lact = Matrix.identity(QQ, 2)
-        q = tensor_over(ract, lact, 3, 1, 2)
+        q = tensor_over(ract, lact, 3, Matrix.identity(QQ, 1), 2)
         assert q.quotient_dim == 6
         assert q.projection == Matrix.identity(QQ, 6)
 
@@ -160,14 +162,14 @@ class TestPresentations:
         # [DERIVED] A (x)_A sign has dim 1: a (x) m ~ eps_sign(a) m
         a = group_algebra(QQ, 2)
         sign_lact = Matrix(QQ, [[1, -1]])
-        q = tensor_over(a.mult, sign_lact, 2, 2, 1)
+        q = tensor_over(a.mult, sign_lact, 2, a.unit, 1)
         assert q.ambient_dim == 2
         assert q.quotient_dim == 1
 
     def test_deterministic(self):
         a = group_algebra(QQ, 3)
-        q1 = tensor_over(a.mult, a.mult, 3, 3, 3)
-        q2 = tensor_over(a.mult, a.mult, 3, 3, 3)
+        q1 = tensor_over(a.mult, a.mult, 3, a.unit, 3)
+        q2 = tensor_over(a.mult, a.mult, 3, a.unit, 3)
         assert q1.projection == q2.projection
         assert section(q1) == section(q2)
 
@@ -198,7 +200,7 @@ class TestQuotientOracle:
             tn = random_order_matrix(rng, n, dn)
             ract, _ = cyclic_actions(QQ, n, tm)
             _, lact = cyclic_actions(QQ, n, tn)
-            q = tensor_over(ract, lact, dm, n, dn)
+            q = tensor_over(ract, lact, dm, group_algebra(QQ, n).unit, dn)
             oracle = dm * dn - brute_force_relation_rank(
                 ract, lact, dm, n, dn)
             assert q.quotient_dim == oracle, f"trial {trial}"
@@ -207,32 +209,32 @@ class TestQuotientOracle:
 class TestInducedMap:
     def test_projection_induces_identity(self):
         a = group_algebra(QQ, 2)
-        q = tensor_over(a.mult, a.mult, 2, 2, 2)
+        q = tensor_over(a.mult, a.mult, 2, a.unit, 2)
         assert descend(q.projection, q, q.quotient_dim) == \
             Matrix.identity(QQ, q.quotient_dim)
 
     def test_zero_induces_zero(self):
         a = group_algebra(QQ, 2)
-        q = tensor_over(a.mult, a.mult, 2, 2, 2)
+        q = tensor_over(a.mult, a.mult, 2, a.unit, 2)
         z = Matrix.zeros(QQ, 3, 4)
         assert is_zero(descend(z, q, 3))
 
     def test_round_trip(self):
         a = group_algebra(QQ, 3)
-        q = tensor_over(a.mult, a.mult, 3, 3, 3)
+        q = tensor_over(a.mult, a.mult, 3, a.unit, 3)
         g = Matrix.build(QQ, 2, q.quotient_dim, lambda i, j: i + 2 * j)
         assert descend(compose(g, q.projection), q, 2) == g
 
     def test_unbalanced_map_rejected(self):
         a = group_algebra(QQ, 2)
-        q = tensor_over(a.mult, a.mult, 2, 2, 2)
+        q = tensor_over(a.mult, a.mult, 2, a.unit, 2)
         # the identity on the ambient does not kill the relations
         with pytest.raises(DoesNotFactor):
             descend(Matrix.identity(QQ, 4), q, 4)
 
     def test_descend(self):
         a = group_algebra(QQ, 2)
-        q = tensor_over(a.mult, a.mult, 2, 2, 2)
+        q = tensor_over(a.mult, a.mult, 2, a.unit, 2)
         # mult (x) id descends because mult is associative
         f = kron(Matrix.identity(QQ, 1), Matrix.identity(QQ, 4))
         d = descend(f, q, q)
@@ -306,12 +308,42 @@ class TestDenseSectionOracle:
             pairs += [(cell.cod.carrier, cell.carrier),
                       (cell.carrier, cell.dom.carrier)]
         for xm, ym in pairs:
-            w = wtensor(xm, ym)
-            p, s = w.outer.projection, section(w.outer)
-            assert w.module.lact == compose(p, compose(
-                kron(xm.lact, ym.dim), kron(xm.left.dim, s)))
-            assert w.module.ract == compose(p, compose(
-                kron(xm.dim, ym.ract), kron(s, ym.right.dim)))
+            assert_dense_actions(xm, ym)
+
+    @pytest.mark.parametrize("kind", [("rational",), ("prime", 5)],
+                             ids=["q", "gf5"])
+    def test_coring_check_forms_no_cube_word_actions(self, kind):
+        # a fresh field, so its memo holds only what these checks built
+        field = FieldSpec(*kind)
+        corings = [comc_obj(e)
+                   for e in build_gallery(field).entwinings.values()]
+        for c in corings:
+            assert check_coring(c).passed
+        formed = {args for fn, args in field._memo
+                  if fn is word_module.__wrapped__}
+        cubes = 0
+        for c in (c.carrier for c in corings):
+            c2 = wtensor(c, c).module
+            assert (c, c) in formed
+            if c2 == c:     # over k[C1], C (x) C is C itself
+                continue
+            cubes += 1
+            assert (c2, c) not in formed and (c, c2) not in formed
+            # formed on first read, the actions are the dense ones
+            assert_dense_actions(c2, c)
+            assert_dense_actions(c, c2)
+        assert cubes >= 5
+
+
+def assert_dense_actions(xm, ym):
+    """The actions of xm (x) ym equal the dense p . (lact (x) n) .
+    (m (x) section) and its mirror."""
+    w = wtensor(xm, ym)
+    p, s = w.outer.projection, section(w.outer)
+    assert w.module.lact == compose(p, compose(
+        kron(xm.lact, ym.dim), kron(xm.left.dim, s)))
+    assert w.module.ract == compose(p, compose(
+        kron(xm.dim, ym.ract), kron(s, ym.right.dim)))
 
 
 def algebra(draw, field, dim):
@@ -344,7 +376,8 @@ class TestDenseRelationOracle:
         ract = matrix(data.draw, field, dm, dm * da)
         lact = matrix(data.draw, field, dn, da * dn)
         dense = kron(ract, dn) - kron(dm, lact)
-        assert tensor_over(ract, lact, dm, da, dn) == \
+        unit = matrix(data.draw, field, da, 1)
+        assert tensor_over(ract, lact, dm, unit, dn) == \
             quotient_by(dense)
 
     @given(st.data(), st.sampled_from([QQ, GF5]))
@@ -363,6 +396,95 @@ class TestDenseRelationOracle:
             kron(xm.dim, ym.ract), w.outer, 1, right.dim))
 
 
+def diagonal_family(draw, field, da, m):
+    """da commuting m x m matrices: the identity, then p . diag(d) . p^-1
+    with p drawn invertible and each d drawn from -1, 0, 1, so that the
+    actions they define share eigenvectors and leave a quotient."""
+    p = matrix(draw, field, m, m)
+    p_inv = inverse(p)
+    assume(p_inv is not None)
+    return [Matrix.identity(field, m)] + [compose(p, compose(Matrix(
+        field, [[draw(st.integers(-1, 1)) if i == j else 0
+                 for j in range(m)] for i in range(m)]), p_inv))
+        for _ in range(da - 1)]
+
+
+def counted_tensor_over(ract, lact, dm, unit, dn):
+    """(tensor_over's presentation, the number of relations it built)."""
+    built, null_rows = [], qtensor._null_rows
+
+    def counting(vectors, ncols, field):
+        vectors = list(vectors)
+        built.append(len(vectors))
+        return null_rows(vectors, ncols, field)
+
+    with mock.patch.object(qtensor, "_null_rows", counting):
+        q = tensor_over(ract, lact, dm, unit, dn)
+    assert len(built) == 1, "a fresh field's memo cannot hold the result"
+    return q, built[0]
+
+
+class TestDroppedUnitFamily:
+    """tensor_over skips the relation family of one unit coordinate only
+    when both actions are unital, and the presentation never changes."""
+
+    @staticmethod
+    def actions(draw, field):
+        """(ract, lact, dm, unit, dn): a_0 acts as 1 and each other a_k
+        through ``diagonal_family`` on k^dm and k^dn, moved to the basis
+        b_k = sum_k' S^-1[k', k] a_k' by a drawn invertible S, so the unit
+        S e_0 is not a basis vector."""
+        da, dm, dn = (draw(st.integers(lo, 3)) for lo in (2, 1, 1))
+        s = matrix(draw, field, da, da)
+        s_inv, unit = inverse(s), s.gather((0,))
+        assume(s_inv is not None and len(_sparse_columns(unit)[0]) > 1)
+        t, u = (diagonal_family(draw, field, da, d) for d in (dm, dn))
+        ract = Matrix.build(field, dm, dm * da,
+                            lambda r, ik: t[ik % da][r, ik // da])
+        lact = Matrix.build(field, dn, da * dn,
+                            lambda r, kj: u[kj // dn][r, kj % dn])
+        return (compose(ract, kron(dm, s_inv)),
+                compose(lact, kron(s_inv, dn)), dm, unit, dn)
+
+    @given(st.data(), st.sampled_from([("rational",), ("prime", 5)]))
+    @settings(max_examples=60, deadline=None)
+    def test_unital_actions_in_a_fresh_basis(self, data, kind):
+        field = FieldSpec(*kind)
+        ract, lact, dm, unit, dn = self.actions(data.draw, field)
+        da = unit.rows
+        q, built = counted_tensor_over(ract, lact, dm, unit, dn)
+        assert q == quotient_by(kron(ract, dn) - kron(dm, lact))
+        assert built == dm * (da - 1) * dn
+
+    @pytest.mark.parametrize("field", [QQ, GF5], ids=["q", "gf5"])
+    def test_a_zero_unit_coordinate_keeps_its_family(self, field):
+        # 1 = b_1 + b_2 in the basis b_k = S^-1 e_k, so the family of b_0
+        # is not in the span of the others; rel(a_1) = m (x) n kills all
+        s = Matrix(field, [[0, 1, 0], [1, 0, 0], [1, 0, 1]])
+        s_inv, unit = inverse(s), s.gather((0,))
+        ract = compose(Matrix(field, [[1, 1, 0]]), kron(1, s_inv))
+        lact = compose(Matrix(field, [[1, 0, 0]]), kron(s_inv, 1))
+        q = tensor_over(ract, lact, 1, unit, 1)
+        assert q == quotient_by(kron(ract, 1) - kron(1, lact))
+        assert q.quotient_dim == 0
+
+    @given(st.data(), st.sampled_from([("rational",), ("prime", 5)]),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_one_sided_unit_keeps_every_family(self, data, kind, right):
+        field = FieldSpec(*kind)
+        ract, lact, dm, unit, dn = self.actions(data.draw, field)
+        da = unit.rows
+        # the zero action on one side: 1 . m = 0, so rel(1) != 0
+        if right:
+            ract = Matrix.zeros(field, dm, dm * da)
+        else:
+            lact = Matrix.zeros(field, dn, da * dn)
+        q, built = counted_tensor_over(ract, lact, dm, unit, dn)
+        assert q == quotient_by(kron(ract, dn) - kron(dm, lact))
+        assert built == dm * da * dn
+
+
 class TestCoherences:
     def test_unit_coherence_base_field(self):
         q = quotient_by(Matrix.zeros(QQ, 3, 0))
@@ -372,7 +494,7 @@ class TestCoherences:
     def test_unit_coherence_regular(self):
         # [DERIVED] A (x)_A A ~ A via multiplication, rank 2
         a = group_algebra(QQ, 2)
-        q = tensor_over(a.mult, a.mult, 2, 2, 2)
+        q = tensor_over(a.mult, a.mult, 2, a.unit, 2)
         u = unit_coherence(q, a.mult)
         assert u.shape == (2, 2)
         assert inverse(u) is not None
@@ -408,7 +530,7 @@ class TestCoherences:
         a = group_algebra(QQ, 2)
         i2 = Matrix.identity(QQ, 2)
         reg = regular_bimodule(a)
-        qm = tensor_over(a.mult, reg.lact, 2, 2, 2)
+        qm = tensor_over(a.mult, reg.lact, 2, a.unit, 2)
         u = unit_coherence(qm, reg.lact)
         # f = right multiplication by g, a left module map A -> A
         g = Matrix(QQ, [[0, 1], [1, 0]])

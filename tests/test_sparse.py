@@ -238,6 +238,7 @@ class TestArgumentsUnchanged:
                       cols=dm * da)
         lact = Matrix(field, data.draw(dense(field, dn, da * dn)),
                       cols=da * dn)
-        before = (ract.entries, lact.entries)
-        tensor_over(ract, lact, dm, da, dn)
-        assert (ract.entries, lact.entries) == before
+        unit = Matrix(field, data.draw(dense(field, da, 1)), cols=1)
+        before = (ract.entries, lact.entries, unit.entries)
+        tensor_over(ract, lact, dm, unit, dn)
+        assert (ract.entries, lact.entries, unit.entries) == before
