@@ -207,6 +207,14 @@ def _parse_entry(ws: Workspace, row, d: dict) -> tuple:
                 and all(isinstance(r, list) for r in d[key])):
             raise EntwineError(f"{key} must be a list of row lists")
         kwargs[key] = Matrix(ws.field, d[key])
+    # over 0-dimensional algebras a carrier's matrices are [] or rows of
+    # [], so they cannot attest the dimension that sizes the cell
+    if kwargs.get("dimM") and not (kwargs["dom"].algebra.dim
+                                   or kwargs["dom"].coalgebra.dim):
+        raise EntwineError("dimM > 0 over a 0-dimensional algebra and "
+                           "coalgebra")
+    if "base" in kwargs and kwargs["dim"] and not kwargs["base"].dim:
+        raise EntwineError("dim > 0 over a 0-dimensional base")
     return tuple(d[key] for key in ref_keys), kwargs
 
 
@@ -307,8 +315,7 @@ class Report:
 
     def add(self, kind: str, name: str, rep: CheckReport):
         failed = {f.axiom: f for f in rep.failures}
-        axioms = rep.axioms or tuple(failed)
-        for axiom in axioms:
+        for axiom in rep.axioms:
             if axiom in failed:
                 f = failed[axiom]
                 where = f" {f.coord}" if f.coord is not None else ""

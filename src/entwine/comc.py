@@ -19,7 +19,7 @@ from .corcat import (Coring, CorOneCell, CorTwoCell, identity_cor_one_cell,
 from .entwcat import (EntwObj, EntwOneCell, EntwTwoCell, check_obj,
                       check_two_cell, compose_one_cells, identity_one_cell,
                       two_cell_squares)
-from .errors import InvalidObject, InvalidTwoCell, NotComposable, NotParallel
+from .errors import InvalidObject, InvalidTwoCell, NotParallel
 from .exactlin import (Matrix, _sparse_columns, _wrap, compose,
                        kernel_basis, kron, memoised, rank)
 from .qtensor import _iso_or_raise, descend
@@ -95,8 +95,6 @@ def compositor(p: EntwOneCell, m: EntwOneCell) -> CorTwoCell:
 
     Induced by p (x) m (x) a -> (p (x) 1_B) (x)_B (m (x) a).
     """
-    if m.cod != p.dom:
-        raise NotComposable("cells do not compose")
     lhs = comc_one_cell(compose_one_cells(p, m))
     cp, cm = comc_one_cell(p), comc_one_cell(m)
     rhs = compose_cor_one_cells(cp, cm)

@@ -350,8 +350,6 @@ def vcomp_cor(t2: CorTwoCell, t1: CorTwoCell) -> CorTwoCell:
 
 def hcomp_cor(t2: CorTwoCell, t1: CorTwoCell) -> CorTwoCell:
     """Horizontal composite; t2 lives over the outer 1-cells."""
-    if t1.dom.cod != t2.dom.dom:
-        raise NotComposable("horizontal composition boundaries differ")
     dom = compose_cor_one_cells(t2.dom, t1.dom)
     cod = compose_cor_one_cells(t2.cod, t1.cod)
     return CorTwoCell(dom, cod, tensor_map(

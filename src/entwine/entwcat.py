@@ -184,8 +184,6 @@ def vcomp(t2: EntwTwoCell, t1: EntwTwoCell) -> EntwTwoCell:
 
 def hcomp(t2: EntwTwoCell, t1: EntwTwoCell) -> EntwTwoCell:
     """Horizontal composite; t2 lives over the outer 1-cells."""
-    if t1.dom.cod != t2.dom.dom:
-        raise NotComposable("horizontal composition boundaries differ")
     return EntwTwoCell(
         compose_one_cells(t2.dom, t1.dom),
         compose_one_cells(t2.cod, t1.cod),
@@ -198,8 +196,6 @@ def hcomp(t2: EntwTwoCell, t1: EntwTwoCell) -> EntwTwoCell:
 
 def flip_entwining(a: Algebra, c: Coalgebra) -> EntwObj:
     """psi = the tensor symmetry; entwines any pair over a field."""
-    if a.field != c.field:
-        raise DimensionMismatch("fields differ")
     return EntwObj(a, c, flip(a.field, c.dim, a.dim))
 
 
@@ -224,24 +220,16 @@ def morphism_one_cell(dom: EntwObj, cod: EntwObj, f: Matrix,
     """1-cell with trivial carrier from an algebra map f and coalgebra map g.
 
     f maps cod's algebra to dom's algebra and g maps cod's coalgebra to
-    dom's coalgebra (the variance forced by the 1-cell shape).  The
-    morphism axioms are verified up front; a deliberately broken cell is
+    dom's coalgebra (the variance forced by the 1-cell shape).  The cell
+    is verified up front by ``check_one_cell``, hexagon included, and
+    NotAMorphism names the axioms it fails; a deliberately broken cell is
     built with the ``EntwOneCell`` constructor, which checks shapes only.
     """
-    a, c = dom.algebra, dom.coalgebra
-    b, d = cod.algebra, cod.coalgebra
-    if f.shape != (a.dim, b.dim) or g.shape != (c.dim, d.dim):
-        raise DimensionMismatch(
-            f"morphism maps {f.shape}, {g.shape}")
-    if compose(f, b.mult) != compose(a.mult, kron(f, f)):
-        raise NotAMorphism("f is not multiplicative")
-    if compose(f, b.unit) != a.unit:
-        raise NotAMorphism("f is not unital")
-    if compose(c.comult, g) != compose(kron(g, g), d.comult):
-        raise NotAMorphism("g is not comultiplicative")
-    if compose(c.counit, g) != d.counit:
-        raise NotAMorphism("g is not counital")
-    return EntwOneCell(dom=dom, cod=cod, dimM=1, alpha=f, gamma=g)
+    cell = EntwOneCell(dom=dom, cod=cod, dimM=1, alpha=f, gamma=g)
+    rep = check_one_cell(cell)
+    if not rep.passed:
+        raise NotAMorphism(str(rep))
+    return cell
 
 
 def scalar_two_cell(c, f: EntwOneCell) -> EntwTwoCell:

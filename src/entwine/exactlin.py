@@ -470,8 +470,6 @@ def kron(f, g) -> Matrix:
         return _wrap(f.field, f.rows * g, [
             {i * g + j: x for i, x in c.items()} if g != 1 else c
             for c in f._c for j in range(g)])
-    if f.field != g.field:
-        raise DimensionMismatch("fields differ")
     # the interchange law: f (x) g = (f (x) 1) . (1 (x) g)
     return compose(kron(f, g.rows), kron(f.cols, g))
 

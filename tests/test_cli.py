@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from entwine.algstruct import CheckReport, Failure
 from entwine.cli import (Report, build_gallery, cmd_check, cmd_comc,
-                         cmd_compose, cmd_laws, deserialize, load_workspace,
-                         main, parse_field_flag, save_workspace, serialize)
+                         cmd_compose, cmd_gallery, cmd_laws, deserialize,
+                         load_workspace, main, parse_field_flag,
+                         save_workspace, serialize)
 from entwine.errors import EntwineError
 from entwine.exactlin import FieldSpec, QQ
 
@@ -24,6 +25,9 @@ from entwine.exactlin import FieldSpec, QQ
 # and a fragment of the expected one-line message
 MALFORMED = {
     "field-kind": ([(["field"], {"kind": "octonion"})], "octonion"),
+    "field-string": ([(["field"], "rational")], "malformed field spec"),
+    "field-empty": ([(["field"], {})], "malformed field spec"),
+    "field-list": ([(["field"], [])], "malformed field spec"),
     "matrix-int": ([(["algebras", "kC2", "mult"], 5)], "row lists"),
     "row-int": ([(["algebras", "kC2", "mult", 0], 5)], "row lists"),
     "zero-denominator": ([(["algebras", "kC2", "mult", 0, 0], "1/0")],
@@ -58,6 +62,22 @@ MALFORMED = {
     "padded-scalar": ([(["algebras", "kC2", "mult", 0, 0], " 3 ")],
                       "not an int or int/int"),
 }
+# over 0-dimensional algebras every matrix is [] or rows of [], so no
+# matrix attests a carrier's dimension: a 1-cell's dimM alone would set
+# the width of alpha and gamma, a coring's dim that of its n^2-wide square
+ZERO = [(["algebras", "z"], {"dim": 0, "mult": [], "unit": []}),
+        (["coalgebras", "zc"], {"dim": 0, "comult": [], "counit": [[]]}),
+        (["entwinings", "e0"],
+         {"algebra": "z", "coalgebra": "zc", "psi": []})]
+MALFORMED.update({
+    "unattested-dimM": (ZERO + [(["one_cells", "big"], {
+        "dom": "e0", "cod": "bialg_C2", "dimM": 10**9, "alpha": [],
+        "gamma": []})], "dimM > 0 over a 0-dimensional"),
+    "unattested-coring-dim": (ZERO[:1] + [(["corings"], {"big": {
+        "base": "z", "dim": 100000, "lact": [[]] * 100000,
+        "ract": [[]] * 100000, "comult": [], "counit": []}})],
+        "dim > 0 over a 0-dimensional base"),
+})
 # input of 3,000 characters: the message quotes 40 of them, then "…"
 LONG = "7" * 3000
 MALFORMED.update({f"long-{case}": (edits, "…") for case, edits in {
@@ -115,6 +135,17 @@ class TestSerialization:
         ws = deserialize(text)
         assert ws.algebras["zero"].unit.shape == (0, 1)
         assert serialize(ws) == text
+
+    def test_zero_dimensions_over_zero_algebras_load(self):
+        doc = {"field": {"kind": "rational"}, "one_cells": {"f": {
+            "dom": "e0", "cod": "e0", "dimM": 0, "alpha": [], "gamma": []}},
+            "corings": {"c": {"base": "z", "dim": 0, "lact": [], "ract": [],
+                              "comult": [], "counit": []}}}
+        for path, value in ZERO:
+            doc.setdefault(path[0], {})[path[1]] = value
+        ws = deserialize(json.dumps(doc))
+        assert ws.one_cells["f"].alpha.shape == (0, 0)
+        assert ws.corings["c"].comult.shape == (0, 0)
 
     def test_parse_field_flag(self):
         assert parse_field_flag("rational") == QQ
@@ -265,6 +296,26 @@ class TestCompose:
             msg = io.StringIO()
             assert cmd_compose(gallery_file, selector, str(out), msg) == 2
             assert msg.getvalue() == "input error: no 1-cell named 'nope'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("selector", ["m_swap", "m_swap,m_swap,m_swap"])
+    def test_selector_names_two_cells(self, gallery_file, tmp_path,
+                                      selector):
+        out, msg = tmp_path / "c5.json", io.StringIO()
+        assert cmd_compose(gallery_file, selector, str(out), msg) == 2
+        assert msg.getvalue() == \
+            "input error: compose needs --selector outer,inner\n"
+        assert not out.exists()
+
+    def test_failing_composite_writes_no_file(self, gallery_file, tmp_path):
+        doc = json.loads(Path(gallery_file).read_text(encoding="utf-8"))
+        doc["one_cells"]["m_swap"]["gamma"] = [["1", "1"], ["1", "0"]]
+        bad = tmp_path / "bad-gamma.json"
+        bad.write_text(json.dumps(doc))
+        out, msg = tmp_path / "c6.json", io.StringIO()
+        assert cmd_compose(str(bad), "m_swap,id_flip_kC2_gl2", str(out),
+                           msg) == 1
+        assert "ONECELL composite gamma-pentagon FAIL" in msg.getvalue()
         assert not out.exists()
 
 
@@ -434,6 +485,20 @@ class TestMain:
     def test_bad_field_flag(self, tmp_path):
         assert main(["gallery", "--field", "prime:6",
                      "--out", str(tmp_path / "x.json")]) == 2
+
+    @pytest.mark.parametrize("flag", ["prime:x", "prime:"])
+    def test_malformed_field_flag_is_input_error(self, tmp_path, flag):
+        out, msg = tmp_path / "g.json", io.StringIO()
+        assert cmd_gallery(flag, str(out), msg) == 2
+        assert msg.getvalue().startswith("input error: malformed field flag")
+        assert not out.exists()
+
+    def test_compose_via_argv(self, gallery_file, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert main(["compose", gallery_file, "--selector", "m_swap,m_aug",
+                     "--out", str(out)]) == 0
+        assert "ONECELL composite hexagon PASS" in capsys.readouterr().out
+        assert out.exists()
 
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -94,6 +94,17 @@ class TestOneCells:
         with pytest.raises(NotAMorphism):
             morphism_one_cell(e, e, not_algebra_map, Matrix.identity(QQ, 2))
 
+    def test_morphism_builder_checks_the_hexagon(self):
+        # identity maps are algebra and coalgebra maps, so both pentagons
+        # and triangles hold; flip and bialgebra entwinings differ, so
+        # the hexagon does not
+        flip_kc2_gl2 = flip_entwining(group_algebra(QQ, 2),
+                                      grouplike_coalgebra(QQ, 2))
+        bialg_c2 = bialgebra_entwining(cyclic_group_bialgebra(QQ, 2))
+        i2 = Matrix.identity(QQ, 2)
+        with pytest.raises(NotAMorphism, match="hexagon"):
+            morphism_one_cell(flip_kc2_gl2, bialg_c2, i2, i2)
+
     def test_constructor_builds_broken_cell(self):
         # the constructor checks shapes only, so a non-morphism cell is
         # built there, and check_one_cell catches it

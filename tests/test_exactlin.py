@@ -153,6 +153,20 @@ class TestFieldSpec:
             with pytest.raises(InvalidParameter):
                 FieldSpec("prime", p)
 
+    def test_composite_and_non_positive_moduli_are_refused(self):
+        # 2021 = 43 * 47 has no factor among the 13 trial bases, so
+        # Miller-Rabin refuses it; 1, 0 and -7 fall below 2
+        for p in (2021, 1, 0, -7):
+            with pytest.raises(InvalidParameter):
+                FieldSpec("prime", p)
+
+    def test_scalar_past_the_digit_limit_is_one_short_error(self):
+        # int() refuses 5,000 digits; no ValueError is chained to the error
+        with pytest.raises(InvalidParameter) as exc:
+            QQ.coerce("9" * 5000)
+        assert exc.value.__context__ is None
+        assert len(str(exc.value)) < 80
+
     def test_bool_is_not_a_scalar(self):
         for field in (QQ, GF5):
             with pytest.raises(InvalidParameter):
