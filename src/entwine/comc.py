@@ -164,8 +164,8 @@ def hom_dimension_report(src: EntwOneCell,
     """(entw hom dim, coring hom dim, injective, surjective) for theta -> theta (x) A.
 
     Both hom spaces are the solution spaces of the squares the 2-cell
-    checkers evaluate; the tautological map tensors with the identity of
-    A.
+    checkers evaluate; the map between them is ``comc_two_cell`` itself,
+    run on a basis of the first.
     """
     if src.dom != dst.dom or src.cod != dst.cod:
         raise NotParallel("1-cells are not parallel")
@@ -181,6 +181,7 @@ def hom_dimension_report(src: EntwOneCell,
     # zeta_square descends y, which is well defined on bimodule maps only
     cor = _solve_squares(bimod, cn, cm,
                          lambda y: zeta_square(csrc, cdst, y))
-    img_rank = rank(_columns(field, [[kron(t, src.dom.algebra.dim)]
-                                     for t in _maps(entw, n, m)]))
+    img_rank = rank(_columns(field, [
+        [comc_two_cell(EntwTwoCell(src, dst, t)).map]
+        for t in _maps(entw, n, m)]))
     return entw.cols, cor.cols, img_rank == entw.cols, img_rank == cor.cols

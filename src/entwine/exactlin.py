@@ -1,10 +1,10 @@
 """Exact linear algebra over Q or a prime field GF(p) on sparse columns.
 
-A ``FieldSpec`` fixes the field per session, owns the arithmetic, and
-owns the session memo of ``memoised`` functions: a fresh ``FieldSpec``
-starts a fresh memo.  Memo and field are a reference cycle (a memoised
-result holds matrices, a matrix its field), so the cyclic garbage
-collector, not reference counting, frees a finished session.
+A ``FieldSpec`` fixes the field per session, owns what differs between
+Q and GF(p), and owns the session memo of ``memoised`` functions: a
+fresh ``FieldSpec`` starts a fresh memo.  Memo and field are a reference
+cycle (a memoised result holds matrices, a matrix its field), so the
+cyclic garbage collector, not reference counting, frees a finished session.
 Q arithmetic returns canonical scalars: an integral result is an ``int``
 and any other a ``fractions.Fraction``, so every matrix entry built by
 the field's own operations is canonical with no further pass; over
@@ -13,11 +13,11 @@ GF(p) an entry is an int in ``[0, p)``.  A matrix is immutable, hashable
 ``{row: value}`` dicts that matrices share and never mutate; ``entries``
 is a dense view.
 ``rank``, ``kernel_basis`` and ``inverse`` all reduce sparse vectors
-through the one routine ``_echelon``, and every product
-(``compose``, ``qtensor.descend_columns``) sums its columns through the
-one routine ``_combine``.  Both are fraction-free: over Q they work on
-integer numerators, and build one ``Fraction`` per non-integral output
-entry only at the end; over GF(p) a product reduces mod p once per entry.
+through the one routine ``_echelon``, and every difference, scaling and
+product (``compose``, ``qtensor.descend_columns``) sums its columns
+through the one routine ``_combine``.  Both are fraction-free: over Q they
+work on integer numerators, and build one ``Fraction`` per non-integral
+output entry only at the end; over GF(p) a sum reduces mod p once per entry.
 
 Index convention (normative for the whole package): the basis vector
 ``(i of X, j of Y)`` of ``X (x) Y`` has flat index ``i * dim(Y) + j``.
@@ -69,14 +69,14 @@ def _is_prime(n: int) -> bool:
 class FieldSpec:
     """Either the rationals or GF(p) for a prime p.
 
-    ``FieldSpec(kind, p)`` returns an instance of ``_Rationals`` or
-    ``_PrimeField``; each subclass owns the scalar arithmetic of its
-    field, so no scalar op tests the kind.  Each instance owns a session
-    memo; equal instances share no memo.
+    ``FieldSpec(kind, p)`` returns a ``_Rationals`` or ``_PrimeField``,
+    each owning what differs between the fields: ``coerce``, ``_combine``
+    (every sum of scalar multiples), ``_integral`` and ``_primitive``
+    (elimination), and ``mul`` and ``neg``, one hot loop's step each.  Each
+    instance owns a session memo; equal instances share no memo.
     """
 
     __slots__ = ("p", "_memo")
-    zero, one = 0, 1
 
     def __new__(cls, kind: str = "rational", p: Optional[int] = None):
         if kind == "rational":
@@ -140,9 +140,9 @@ class FieldSpec:
 
 
 class _Rationals(FieldSpec):
-    """Q.  Arithmetic returns canonical scalars: an integral result is an
-    ``int``, any other a ``Fraction``; the two agree under ``==``, ``hash``
-    and ``str``.  ``coerce`` alone returns a ``Fraction``."""
+    """Q.  ``coerce`` returns a ``Fraction``, every other op a canonical
+    scalar: an integral result is an ``int``, any other a ``Fraction``; the
+    two agree under ``==``, ``hash`` and ``str``."""
 
     __slots__ = ()
     kind = "rational"
@@ -153,9 +153,6 @@ class _Rationals(FieldSpec):
         if type(x) is int:
             return Fraction(x)
         raise InvalidParameter(f"cannot coerce {brief(repr(x))} to a rational")
-
-    def sub(self, a, b):
-        return _demote(a - b)
 
     def mul(self, a, b):
         return _demote(a * b)
@@ -225,9 +222,6 @@ class _PrimeField(FieldSpec):
             return x.numerator * inv % self.p
         raise InvalidParameter(
             f"cannot coerce {brief(repr(x))} to GF({self.p})")
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p
@@ -319,8 +313,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        one = field.one
-        return _wrap(field, n, [{i: one} for i in range(n)])
+        return _wrap(field, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def build(cls, field: FieldSpec, rows: int, cols: int, fn) -> "Matrix":
@@ -337,13 +330,12 @@ class Matrix:
     @property
     def entries(self) -> tuple:
         """The dense rows, a view derived from the columns."""
-        zero = self.field.zero
-        return tuple(tuple(c.get(i, zero) for c in self._c)
+        return tuple(tuple(c.get(i, 0) for c in self._c)
                      for i in range(self.rows))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self._c[j].get(range(self.rows)[i], self.field.zero)
+        return self._c[j].get(range(self.rows)[i], 0)
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and (
@@ -359,28 +351,20 @@ class Matrix:
         return h
 
     def __repr__(self):
-        zero = self.field.zero
-        body = "; ".join(" ".join(str(c.get(i, zero)) for c in self._c)
+        body = "; ".join(" ".join(str(c.get(i, 0)) for c in self._c)
                          for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        sub, zero, cols = self.field.sub, self.field.zero, []
-        for a, b in zip(self._c, other._c):
-            v = dict(a)
-            for r, y in b.items():
-                v[r] = sub(v.get(r, zero), y)
-            cols.append({r: x for r, x in v.items() if x})
-        return _wrap(self.field, self.rows, cols)
+        return _wrap(self.field, self.rows, [
+            _combine({0: 1, 1: -1}, pair, self.field)
+            for pair in zip(self._c, other._c)])
 
     def scale(self, c) -> "Matrix":
-        c = _demote(self.field.coerce(c))
-        if not c:
-            return Matrix.zeros(self.field, self.rows, self.cols)
-        mul = self.field.mul
+        coeffs = {0: self.field.coerce(c)}
         return _wrap(self.field, self.rows, [
-            {r: mul(c, x) for r, x in col.items()} for col in self._c])
+            _combine(coeffs, (col,), self.field) for col in self._c])
 
     def transpose(self) -> "Matrix":
         return _wrap(self.field, self.cols, _transposed(self._c, self.rows))
@@ -474,11 +458,6 @@ def kron(f, g) -> Matrix:
     return compose(kron(f, g.rows), kron(f.cols, g))
 
 
-def _sparse_rows(m: Matrix) -> list:
-    """The rows of m as ``{col: value}`` dicts of their nonzeros."""
-    return _transposed(m._c, m.rows)
-
-
 def _sparse_columns(m: Matrix) -> list:
     """The columns of m as ``{row: value}`` dicts of their nonzeros: the
     stored ones, shared, so not to be mutated."""
@@ -554,7 +533,7 @@ def _echelon(vectors: Iterable[dict], field: FieldSpec) -> dict:
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(_sparse_rows(m), m.field))
+    return len(_echelon(m.transpose()._c, m.field))
 
 
 def _null_rows(vectors: Iterable[dict], ncols: int,
@@ -567,16 +546,16 @@ def _null_rows(vectors: Iterable[dict], ncols: int,
     """
     ech = _echelon(vectors, field)
     free = tuple(c for c in range(ncols) if c not in ech)
-    where, neg, one = {c: j for j, c in enumerate(free)}, field.neg, field.one
+    where, neg = {c: j for j, c in enumerate(free)}, field.neg
     # a pivot column holds minus its echelon row at the free columns
     return _wrap(field, len(free), [
         {where[j]: neg(x) for j, x in ech[c].items() if j != c}
-        if c in ech else {where[c]: one} for c in range(ncols)]), free
+        if c in ech else {where[c]: 1} for c in range(ncols)]), free
 
 
 def kernel_basis(m: Matrix) -> Matrix:
     """Columns form a basis of the right kernel of m."""
-    return _null_rows(_sparse_rows(m), m.cols, m.field)[0].transpose()
+    return _null_rows(m.transpose()._c, m.cols, m.field)[0].transpose()
 
 
 @memoised
@@ -585,9 +564,7 @@ def inverse(m: Matrix) -> Optional[Matrix]:
     n = m.rows
     if n != m.cols:
         return None
-    rows = _sparse_rows(m)
-    for i, row in enumerate(rows):
-        row[n + i] = m.field.one
+    rows = [{**row, n + i: 1} for i, row in enumerate(m.transpose()._c)]
     # the rows of [m | I] reduce to [I | m^-1] when m has full rank, and
     # otherwise leave a pivot in the I block
     ech = _echelon(rows, m.field)

@@ -65,8 +65,16 @@ class TestGrouplikeCoalgebra:
         for n in (1, 2, 3):
             assert check_coalgebra(grouplike_coalgebra(QQ, n)).passed
 
+    def test_rejects_zero(self):
+        with pytest.raises(InvalidParameter):
+            grouplike_coalgebra(QQ, 0)
+
 
 class TestMatrixUnits:
+    def test_rejects_zero(self):
+        with pytest.raises(InvalidParameter):
+            matrix_algebra(QQ, 0)
+
     def test_matrix_algebra_1_is_base_field(self):
         a = matrix_algebra(QQ, 1)
         assert a.dim == 1 and a.mult == Matrix(QQ, [[1]])

@@ -194,6 +194,28 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "ENTWINING bialg_C2 E3-unit-triangle FAIL" in out
 
+    def test_non_parallel_coring_two_cell_is_input_error(
+            self, gallery_file, tmp_path):
+        # the image of t_two_swap, re-aimed at comc_m_aug, whose coring
+        # ends differ from comc_m_swap's
+        docs = {}
+        for name in ("t_two_swap", "m_aug"):
+            out = tmp_path / f"{name}.json"
+            assert cmd_comc(gallery_file, name, str(out), io.StringIO()) == 0
+            docs[name] = json.loads(out.read_text(encoding="utf-8"))
+        doc = docs["t_two_swap"]
+        for section in ("algebras", "corings", "cor_one_cells"):
+            doc[section].update(docs["m_aug"][section])
+        doc["cor_two_cells"] = {"bad": {"dom": "comc_m_swap",
+                                        "cod": "comc_m_aug",
+                                        "map": [["2", "0"], ["0", "2"]]}}
+        bad = tmp_path / "non-parallel.json"
+        bad.write_text(json.dumps(doc))
+        out = io.StringIO()
+        assert cmd_check(str(bad), out=out) == 2
+        assert out.getvalue() == ("input error: cor_two_cells bad: 2-cell "
+                                  "endpoints are not parallel\n")
+
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_workspace_is_input_error(self, gallery_file,
                                                 tmp_path, case):
@@ -408,6 +430,31 @@ class TestComc:
         out = tmp_path / f"{name}.json"
         assert cmd_comc(gallery_file, name, str(out), io.StringIO()) == 0
         assert cmd_check(str(out), "all", io.StringIO()) == 0
+
+    def test_failing_image_writes_no_file(self, gallery_file, tmp_path):
+        # a zero gamma fails only the counit triangle, so the image
+        # factors and fails the counit compatibility
+        doc = json.loads(Path(gallery_file).read_text(encoding="utf-8"))
+        doc["one_cells"]["m_swap"]["gamma"] = [["0", "0"], ["0", "0"]]
+        bad = tmp_path / "zero-gamma.json"
+        bad.write_text(json.dumps(doc))
+        out, msg = tmp_path / "img.json", io.StringIO()
+        assert cmd_comc(str(bad), "m_swap", str(out), msg) == 1
+        assert msg.getvalue().splitlines()[-1] == \
+            "CORONECELL comc_m_swap counit compatibility FAIL (0, 1)"
+        assert not out.exists()
+
+    def test_invalid_two_cell_is_semantic_error(self, gallery_file,
+                                                tmp_path):
+        doc = json.loads(Path(gallery_file).read_text(encoding="utf-8"))
+        doc["two_cells"]["t_bad"] = {"dom": "m_swap", "cod": "id_flip_kC2_gl2",
+                                     "theta": [["1"]]}
+        bad = tmp_path / "t-bad.json"
+        bad.write_text(json.dumps(doc))
+        out, msg = tmp_path / "img.json", io.StringIO()
+        assert cmd_comc(str(bad), "t_bad", str(out), msg) == 1
+        assert msg.getvalue() == "semantic error: gamma-square at (0, 0)\n"
+        assert not out.exists()
 
     def test_guard_failure_is_one_line(self, gf5_gallery_file, tmp_path):
         # a bumped comult leaves no coassociativity map to compare: the

@@ -353,6 +353,17 @@ class TestTwoCellFunctor:
             assert (n_entw, n_cor) == (p ** de, p ** dc), name
         assert cases == 9
 
+    def test_injectivity_reads_the_homomorphisms_own_two_cells(
+            self, monkeypatch):
+        # a comc_two_cell sending every 2-cell to 0 must show in the report
+        def zero_image(t):
+            y = comc_two_cell(t)
+            return CorTwoCell(y.dom, y.cod, Matrix.zeros(QQ, *y.map.shape))
+
+        monkeypatch.setattr("entwine.comc.comc_two_cell", zero_image)
+        f = build_gallery(QQ).one_cells["m_swap"]
+        assert hom_dimension_report(f, f) == (1, 2, False, False)
+
     def test_injective_on_gallery(self):
         for name, f in gallery_one_cells().items():
             de, dc, inj, _ = hom_dimension_report(f, f)

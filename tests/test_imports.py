@@ -18,7 +18,11 @@ homomorphism's action on workspace sections in one place: ``cli`` names
 table ``_IMAGES``, and every other use reads them from there.  A sixth
 keeps the package free of dead names: every module-level function and
 class, and every method but a dunder, is read somewhere in the package
-outside its own definition, unless ``UNREAD`` gives a reason.
+outside its own definition, unless ``UNREAD`` gives a reason.  A seventh
+keeps the field interface minimal: sums of scalar multiples go through
+``_combine``, so the per-scalar ``mul`` and ``neg`` are read only in the
+hot loop each serves, and no code reads a field's ``sub``, ``zero`` or
+``one``.
 """
 
 import ast
@@ -258,3 +262,43 @@ def test_every_definition_is_read():
     assert unread_definitions({p.name: p.read_text(encoding="utf-8")
                                for p in sorted(src.glob("*.py"))
                                if p.name != "__init__.py"}) == sorted(UNREAD)
+
+
+# field member -> the one module-level definition of the package that
+# may read it
+FIELD_MEMBERS = {"mul": "corcat.py: tensor_map",
+                 "neg": "exactlin.py: _null_rows",
+                 "sub": None, "zero": None, "one": None}
+
+
+def field_member_reads(sources: dict) -> list:
+    """(attribute, ``file: owner``) of each read of an attribute named in
+    ``FIELD_MEMBERS`` in ``sources``, a dict file name -> source text,
+    sorted.  The owner is the module-level function or class that holds
+    the read, or ``<module>``."""
+    return sorted((n.attr, f"{file}: {getattr(top, 'name', '<module>')}")
+                  for file, source in sources.items()
+                  for top in ast.parse(source).body
+                  for n in ast.walk(top)
+                  if isinstance(n, ast.Attribute) and n.attr in FIELD_MEMBERS
+                  and isinstance(n.ctx, ast.Load))
+
+
+def test_scan_finds_field_member_reads():
+    sources = {"a.py": "import re\n"
+                       "def f(field):\n"
+                       "    return field.mul(2, 3), re.sub('a', 'b', 'c')\n"
+                       "class M:\n    one = F.one\n"
+                       "    def g(self):\n        return self.field.zero\n",
+               "b.py": "x = F.neg\nF.one = 2\nmul = x.mult\n"}
+    assert field_member_reads(sources) == [
+        ("mul", "a.py: f"), ("neg", "b.py: <module>"), ("one", "a.py: M"),
+        ("sub", "a.py: f"), ("zero", "a.py: M")]
+
+
+def test_field_members_are_read_only_by_their_hot_loops():
+    src = ROOT / "src" / "entwine"
+    found = field_member_reads({p.name: p.read_text(encoding="utf-8")
+                                for p in sorted(src.glob("*.py"))})
+    assert found == sorted((attr, owner) for attr, owner
+                           in FIELD_MEMBERS.items() if owner)
