@@ -4,12 +4,12 @@ A structure map is stored as the full matrix of the corresponding linear
 map (multiplication as an n x n^2 matrix, etc.), so every axiom below is
 a single compose/kron equality checked exactly.  Unitors are identities: the
 ground field k is the 1-dimensional space and k (x) X is identified with
-X by the flat index convention of :mod:`entwine.exactlin`.
+X by the flat index convention of :mod:`entwine.exactlin`.  Every checker
+is its list of squares, and ``_check_squares`` turns it into its report.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -48,33 +48,23 @@ class CheckReport:
         return "; ".join(str(f) for f in self.failures)
 
 
-class _Checker:
-    """Accumulates axiom equalities into a CheckReport."""
-
-    def __init__(self):
-        self.failures = []
-        self.axioms = []
-
-    def equal(self, axiom: str, lhs: Matrix, rhs: Matrix):
-        self.axioms.append(axiom)
+def _check_squares(*squares) -> CheckReport:
+    """The report on ``squares``, each ``(axiom, lhs, rhs)`` or a deferred
+    ``(axiom, sides)``: ``sides()`` returns lhs and rhs, and if it cannot
+    factor or invert, the square fails as ``axiom (message)``."""
+    failures, axioms = [], []
+    for axiom, *sides in squares:
+        try:
+            lhs, rhs = sides if len(sides) == 2 else sides[0]()
+        except (DoesNotFactor, NotInvertible) as exc:
+            axioms.append(f"{axiom} ({exc})")
+            failures.append(Failure(axioms[-1]))
+            continue
+        axioms.append(axiom)
         diff = lhs.first_difference(rhs)
         if diff is not None:
-            self.failures.append(Failure(axiom, lhs, rhs, diff))
-
-    def fail(self, axiom: str):
-        self.axioms.append(axiom)
-        self.failures.append(Failure(axiom))
-
-    @contextmanager
-    def guard(self, axiom: str):
-        """Fail ``axiom (message)`` if its block cannot factor or invert."""
-        try:
-            yield
-        except (DoesNotFactor, NotInvertible) as exc:
-            self.fail(f"{axiom} ({exc})")
-
-    def report(self) -> CheckReport:
-        return CheckReport(tuple(self.failures), tuple(self.axioms))
+            failures.append(Failure(axiom, lhs, rhs, diff))
+    return CheckReport(tuple(failures), tuple(axioms))
 
 
 @dataclass(frozen=True)
@@ -136,29 +126,21 @@ class Bimodule:
 def check_algebra(a: Algebra) -> CheckReport:
     n = a.dim
     ident = Matrix.identity(a.field, n)
-    chk = _Checker()
-    chk.equal(
-        "associativity",
-        compose(a.mult, kron(a.mult, n)),
-        compose(a.mult, kron(n, a.mult)),
-    )
-    chk.equal("left unit", compose(a.mult, kron(a.unit, n)), ident)
-    chk.equal("right unit", compose(a.mult, kron(n, a.unit)), ident)
-    return chk.report()
+    return _check_squares(
+        ("associativity", compose(a.mult, kron(a.mult, n)),
+         compose(a.mult, kron(n, a.mult))),
+        ("left unit", compose(a.mult, kron(a.unit, n)), ident),
+        ("right unit", compose(a.mult, kron(n, a.unit)), ident))
 
 
 def check_coalgebra(c: Coalgebra) -> CheckReport:
     n = c.dim
     ident = Matrix.identity(c.field, n)
-    chk = _Checker()
-    chk.equal(
-        "coassociativity",
-        compose(kron(c.comult, n), c.comult),
-        compose(kron(n, c.comult), c.comult),
-    )
-    chk.equal("left counit", compose(kron(c.counit, n), c.comult), ident)
-    chk.equal("right counit", compose(kron(n, c.counit), c.comult), ident)
-    return chk.report()
+    return _check_squares(
+        ("coassociativity", compose(kron(c.comult, n), c.comult),
+         compose(kron(n, c.comult), c.comult)),
+        ("left counit", compose(kron(c.counit, n), c.comult), ident),
+        ("right counit", compose(kron(n, c.counit), c.comult), ident))
 
 
 def group_algebra(field: FieldSpec, n: int) -> Algebra:
@@ -189,20 +171,15 @@ def bialgebra_compatibility(a: Algebra, c: Coalgebra) -> CheckReport:
     n = a.dim
     field = a.field
     tau = flip(field, n, n)
-    chk = _Checker()
-    chk.equal(
-        "comult is an algebra map",
-        compose(c.comult, a.mult),
-        compose(kron(a.mult, a.mult), kron(n, kron(tau, n)),
-                kron(c.comult, c.comult)),
-    )
-    chk.equal("counit is an algebra map",
-              compose(c.counit, a.mult), kron(c.counit, c.counit))
-    chk.equal("comult of unit",
-              compose(c.comult, a.unit), kron(a.unit, a.unit))
-    chk.equal("counit of unit",
-              compose(c.counit, a.unit), Matrix.identity(field, 1))
-    return chk.report()
+    return _check_squares(
+        ("comult is an algebra map", compose(c.comult, a.mult),
+         compose(kron(a.mult, a.mult), kron(n, kron(tau, n)),
+                 kron(c.comult, c.comult))),
+        ("counit is an algebra map",
+         compose(c.counit, a.mult), kron(c.counit, c.counit)),
+        ("comult of unit", compose(c.comult, a.unit), kron(a.unit, a.unit)),
+        ("counit of unit",
+         compose(c.counit, a.unit), Matrix.identity(field, 1)))
 
 
 def cyclic_group_bialgebra(field: FieldSpec, n: int):

@@ -12,8 +12,8 @@ round-trips byte for byte and files diff cleanly.
 
 Verbs: check | compose | comc | laws | gallery.  Exit codes: 0 all
 checks pass, 1 semantic failure (axiom violation, non-composable cells,
-failed factorization), 2 input error (unreadable file, malformed field,
-unresolved name).
+failed factorization), 2 input error (unreadable file or unwritable
+--out, malformed field, unresolved name).
 """
 
 from __future__ import annotations
@@ -494,9 +494,21 @@ _INPUT_ERRORS = (OSError, ValueError, RecursionError, KeyError, EntwineError)
 
 
 def _fail(out, kind: str, exc, code: int) -> int:
-    """Print the one-line ``<kind> error: <exc>`` message; return ``code``."""
+    """Print the one-line ``<kind> error: <exc>`` message; return ``code``.
+    An OSError quotes its file name as briefly as any other input."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        exc = f"{exc.strerror}: {brief(repr(exc.filename))}"
     print(f"{kind} error: {exc}", file=out or sys.stderr)
     return code
+
+
+def _save(ws: Workspace, path: str, out) -> int:
+    """Write ``ws`` to ``path``: exit code 0, or 2 if it cannot be written."""
+    try:
+        save_workspace(ws, path)
+    except OSError as exc:
+        return _fail(out, "input", exc, 2)
+    return 0
 
 
 def cmd_check(path: str, selector: str = "all", out=None) -> int:
@@ -540,8 +552,7 @@ def cmd_compose(path: str, selector: str, out_path: str, out=None) -> int:
         _copy(ws, sub, "entwinings", en)
     sub.add_one_cell("composite", dom_name, cod_name, comp,
                      origin=f"compose({pn},{mn})")
-    save_workspace(sub, out_path)
-    return 0
+    return _save(sub, out_path, out)
 
 
 def cmd_comc(path: str, selector: str, out_path: str, out=None) -> int:
@@ -579,8 +590,7 @@ def cmd_comc(path: str, selector: str, out_path: str, out=None) -> int:
         return _fail(out, "semantic", exc, 1)
     if not report.ok:
         return 1
-    save_workspace(sub, out_path)
-    return 0
+    return _save(sub, out_path, out)
 
 
 def cmd_laws(path: str, level: str = "pseudofunctor", out=None) -> int:
@@ -604,8 +614,7 @@ def cmd_gallery(field_flag: str, out_path: str, out=None) -> int:
         field = parse_field_flag(field_flag)
     except EntwineError as exc:
         return _fail(out, "input", exc, 2)
-    save_workspace(build_gallery(field), out_path)
-    return 0
+    return _save(build_gallery(field), out_path, out)
 
 
 def main(argv=None) -> int:

@@ -179,8 +179,8 @@ def hom_dimension_report(src: EntwOneCell,
         Matrix.identity(field, cn * cm), cn, cm,
         lambda y: module_map_squares("", y, csrc.carrier, cdst.carrier))
     # zeta_square descends y, which is well defined on bimodule maps only
-    cor = _solve_squares(bimod, cn, cm,
-                         lambda y: zeta_square(csrc, cdst, y))
+    cor = _solve_squares(bimod, cn, cm, lambda y: [
+        ("zeta square", *zeta_square(csrc, cdst, y))])
     img_rank = rank(_columns(field, [
         [comc_two_cell(EntwTwoCell(src, dst, t)).map]
         for t in _maps(entw, n, m)]))

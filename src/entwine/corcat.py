@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algstruct import (Algebra, Bimodule, CheckReport, _Checker,
+from .algstruct import (Algebra, Bimodule, CheckReport, _check_squares,
                         regular_bimodule)
 from .errors import DimensionMismatch, NotComposable, NotParallel
 from .exactlin import (Matrix, _sparse_columns, _wrap, compose,
@@ -216,7 +216,7 @@ def module_map_squares(prefix: str, f: Matrix, x: Bimodule, y: Bimodule):
 
 
 def zeta_square(dom: CorOneCell, cod: CorOneCell, y: Matrix):
-    """(axiom, lhs, rhs) of the zeta square of y : dom.carrier -> cod.carrier.
+    """(lhs, rhs) of the zeta square of y : dom.carrier -> cod.carrier.
 
     Both whiskers of y are induced through ``tensor_map``: well defined
     on bimodule maps, it may raise DoesNotFactor on any other y.
@@ -225,7 +225,7 @@ def zeta_square(dom: CorOneCell, cod: CorOneCell, y: Matrix):
     d, c = dom.cod.carrier, dom.dom.carrier
     dy = tensor_map(d.dim, y, (d, m1), (d, m2))
     yc = tensor_map(y, c.dim, (m1, c), (m2, c))
-    return (("zeta square", compose(yc, dom.zeta), compose(cod.zeta, dy)),)
+    return compose(yc, dom.zeta), compose(cod.zeta, dy)
 
 
 def check_coring(c: Coring) -> CheckReport:
@@ -233,28 +233,27 @@ def check_coring(c: Coring) -> CheckReport:
     n = car.dim
     w2 = c.square_word()
     reg = regular_bimodule(c.base)
-    chk = _Checker()
-    for square in (module_map_squares("comult ", c.comult, car, w2.module)
-                   + module_map_squares("counit ", c.counit, car, reg)):
-        chk.equal(*square)
 
-    with chk.guard("coassociativity"):
-        route_left = compose(tensor_map(c.comult, n, (car, car),
-                                        (w2.module, car)), c.comult)
-        route_right = compose(tensor_map(n, c.comult, (car, car),
-                                         (car, w2.module)), c.comult)
-        chk.equal("coassociativity",
-                  compose(word_iso(car, car, car), route_left), route_right)
+    def coassociativity():
+        left = compose(tensor_map(c.comult, n, (car, car), (w2.module, car)),
+                       c.comult)
+        right = compose(tensor_map(n, c.comult, (car, car), (car, w2.module)),
+                        c.comult)
+        return compose(word_iso(car, car, car), left), right
 
-    for side, pair, unit_iso, f, g in (
-            ("left", (reg, car), left_unit_iso, c.counit, n),
-            ("right", (car, reg), right_unit_iso, n, c.counit)):
-        with chk.guard(f"{side} counit law"):
-            u = unit_iso(car)
-            route = compose(tensor_map(f, g, (car, car), pair), c.comult)
-            chk.equal(f"{side} counit law", compose(u, route),
-                      Matrix.identity(c.field, n))
-    return chk.report()
+    def counit_law(unit_iso, f, g, pair):
+        return lambda: (compose(unit_iso(car),
+                                tensor_map(f, g, (car, car), pair), c.comult),
+                        Matrix.identity(c.field, n))
+
+    return _check_squares(
+        *module_map_squares("comult ", c.comult, car, w2.module),
+        *module_map_squares("counit ", c.counit, car, reg),
+        ("coassociativity", coassociativity),
+        ("left counit law", counit_law(left_unit_iso, c.counit, n,
+                                       (reg, car))),
+        ("right counit law", counit_law(right_unit_iso, n, c.counit,
+                                        (car, reg))))
 
 
 def check_cor_one_cell(f: CorOneCell) -> CheckReport:
@@ -262,16 +261,11 @@ def check_cor_one_cell(f: CorOneCell) -> CheckReport:
     cC, cD, M = f.dom, f.cod, f.carrier
     Cc, Dc, m = cC.carrier, cD.carrier, M.dim
     w_dm, w_mc = wtensor(Dc, M), wtensor(M, Cc)
-    chk = _Checker()
-    for square in module_map_squares("zeta ", f.zeta, w_dm.module,
-                                     w_mc.module):
-        chk.equal(*square)
 
-    # pentagon: (M (x) Delta_C) . zeta = (zeta (x) C).(D (x) zeta).(Delta_D (x) M)
-    with chk.guard("street pentagon"):
+    def pentagon():
+        # (M (x) Delta_C) . zeta = (zeta (x) C).(D (x) zeta).(Delta_D (x) M)
         lhs = compose(tensor_map(m, cC.comult, (M, Cc),
                                  (M, cC.square_word().module)), f.zeta)
-
         step1 = tensor_map(cD.comult, m, (Dc, M),
                            (cD.square_word().module, M))
         step2 = word_iso(Dc, Dc, M)
@@ -281,30 +275,24 @@ def check_cor_one_cell(f: CorOneCell) -> CheckReport:
         step5 = tensor_map(f.zeta, Cc.dim, (w_dm.module, Cc),
                            (w_mc.module, Cc))
         step6 = word_iso(M, Cc, Cc)
-        rhs = compose(step6, step5, step4, step3, step2, step1)
-        chk.equal("street pentagon", lhs, rhs)
+        return lhs, compose(step6, step5, step4, step3, step2, step1)
 
-    # counit compatibility through the unit coherences
-    with chk.guard("counit compatibility"):
-        b_m = (regular_bimodule(cD.base), M)
-        lhs = compose(left_unit_iso(M),
-                      tensor_map(cD.counit, m, (Dc, M), b_m))
-        m_a = (M, regular_bimodule(cC.base))
-        rhs = compose(right_unit_iso(M),
-                      tensor_map(m, cC.counit, (M, Cc), m_a), f.zeta)
-        chk.equal("counit compatibility", lhs, rhs)
-    return chk.report()
+    return _check_squares(
+        *module_map_squares("zeta ", f.zeta, w_dm.module, w_mc.module),
+        ("street pentagon", pentagon),
+        # counit compatibility through the unit coherences
+        ("counit compatibility", lambda: (
+            compose(left_unit_iso(M), tensor_map(
+                cD.counit, m, (Dc, M), (regular_bimodule(cD.base), M))),
+            compose(right_unit_iso(M), tensor_map(
+                m, cC.counit, (M, Cc), (M, regular_bimodule(cC.base))),
+                f.zeta))))
 
 
 def check_cor_two_cell(t: CorTwoCell) -> CheckReport:
-    chk = _Checker()
-    for square in module_map_squares("", t.map, t.dom.carrier,
-                                     t.cod.carrier):
-        chk.equal(*square)
-    with chk.guard("zeta square"):
-        for square in zeta_square(t.dom, t.cod, t.map):
-            chk.equal(*square)
-    return chk.report()
+    return _check_squares(
+        *module_map_squares("", t.map, t.dom.carrier, t.cod.carrier),
+        ("zeta square", lambda: zeta_square(t.dom, t.cod, t.map)))
 
 
 # -- identities, compositions, coherences ---------------------------------

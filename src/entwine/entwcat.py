@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algstruct import (Algebra, Coalgebra, CheckReport, _Checker,
+from .algstruct import (Algebra, Coalgebra, CheckReport, _check_squares,
                         bialgebra_compatibility)
 from .errors import (DimensionMismatch, NotABialgebra, NotAMorphism,
                      NotComposable, NotParallel)
@@ -85,22 +85,16 @@ class EntwTwoCell:
 def check_obj(e: EntwObj) -> CheckReport:
     a = e.algebra
     c = e.coalgebra
-    chk = _Checker()
-    chk.equal(
-        "E1-mult-pentagon",
-        compose(e.psi, kron(c.dim, a.mult)),
-        compose(kron(a.mult, c.dim), kron(a.dim, e.psi), kron(e.psi, a.dim)),
-    )
-    chk.equal(
-        "E2-comult-pentagon",
-        compose(kron(a.dim, c.comult), e.psi),
-        compose(kron(e.psi, c.dim), kron(c.dim, e.psi), kron(c.comult, a.dim)),
-    )
-    chk.equal("E3-unit-triangle",
-              compose(e.psi, kron(c.dim, a.unit)), kron(a.unit, c.dim))
-    chk.equal("E4-counit-triangle",
-              compose(kron(a.dim, c.counit), e.psi), kron(c.counit, a.dim))
-    return chk.report()
+    return _check_squares(
+        ("E1-mult-pentagon", compose(e.psi, kron(c.dim, a.mult)),
+         compose(kron(a.mult, c.dim), kron(a.dim, e.psi), kron(e.psi, a.dim))),
+        ("E2-comult-pentagon", compose(kron(a.dim, c.comult), e.psi),
+         compose(kron(e.psi, c.dim), kron(c.dim, e.psi),
+                 kron(c.comult, a.dim))),
+        ("E3-unit-triangle",
+         compose(e.psi, kron(c.dim, a.unit)), kron(a.unit, c.dim)),
+        ("E4-counit-triangle",
+         compose(kron(a.dim, c.counit), e.psi), kron(c.counit, a.dim)))
 
 
 def check_one_cell(f: EntwOneCell) -> CheckReport:
@@ -108,27 +102,19 @@ def check_one_cell(f: EntwOneCell) -> CheckReport:
     a, c = dom.algebra, dom.coalgebra
     b, d = cod.algebra, cod.coalgebra
     m = f.dimM
-    chk = _Checker()
-    chk.equal(
-        "hexagon",
-        compose(kron(m, dom.psi), kron(f.gamma, a.dim), kron(d.dim, f.alpha)),
-        compose(kron(f.alpha, c.dim), kron(b.dim, f.gamma), kron(cod.psi, m)),
-    )
-    chk.equal(
-        "alpha-pentagon",
-        compose(f.alpha, kron(b.mult, m)),
-        compose(kron(m, a.mult), kron(f.alpha, a.dim), kron(b.dim, f.alpha)),
-    )
-    chk.equal(
-        "gamma-pentagon",
-        compose(kron(m, c.comult), f.gamma),
-        compose(kron(f.gamma, c.dim), kron(d.dim, f.gamma), kron(d.comult, m)),
-    )
-    chk.equal("unit-triangle",
-              compose(f.alpha, kron(b.unit, m)), kron(m, a.unit))
-    chk.equal("counit-triangle",
-              compose(kron(m, c.counit), f.gamma), kron(d.counit, m))
-    return chk.report()
+    return _check_squares(
+        ("hexagon",
+         compose(kron(m, dom.psi), kron(f.gamma, a.dim), kron(d.dim, f.alpha)),
+         compose(kron(f.alpha, c.dim), kron(b.dim, f.gamma),
+                 kron(cod.psi, m))),
+        ("alpha-pentagon", compose(f.alpha, kron(b.mult, m)),
+         compose(kron(m, a.mult), kron(f.alpha, a.dim), kron(b.dim, f.alpha))),
+        ("gamma-pentagon", compose(kron(m, c.comult), f.gamma),
+         compose(kron(f.gamma, c.dim), kron(d.dim, f.gamma),
+                 kron(d.comult, m))),
+        ("unit-triangle", compose(f.alpha, kron(b.unit, m)), kron(m, a.unit)),
+        ("counit-triangle",
+         compose(kron(m, c.counit), f.gamma), kron(d.counit, m)))
 
 
 def two_cell_squares(dom: EntwOneCell, cod: EntwOneCell, theta: Matrix):
@@ -144,10 +130,7 @@ def two_cell_squares(dom: EntwOneCell, cod: EntwOneCell, theta: Matrix):
 
 
 def check_two_cell(t: EntwTwoCell) -> CheckReport:
-    chk = _Checker()
-    for square in two_cell_squares(t.dom, t.cod, t.theta):
-        chk.equal(*square)
-    return chk.report()
+    return _check_squares(*two_cell_squares(t.dom, t.cod, t.theta))
 
 
 # -- identities and compositions ------------------------------------------

@@ -2,14 +2,16 @@
 
 import pytest
 
-from entwine.algstruct import (Algebra, Bimodule, check_algebra,
+from entwine.algstruct import (Algebra, Bimodule, _check_squares,
+                               check_algebra,
                                check_coalgebra, bialgebra_compatibility,
                                cyclic_group_bialgebra, dualize_algebra,
                                group_algebra, grouplike_coalgebra,
                                matrix_algebra, matrix_coalgebra,
                                regular_bimodule)
 from entwine.corcat import left_unit_iso, right_unit_iso
-from entwine.errors import DoesNotFactor, InvalidParameter
+from entwine.errors import (DimensionMismatch, DoesNotFactor,
+                           InvalidParameter, NotInvertible)
 from entwine.exactlin import FieldSpec, Matrix, QQ, compose, kron
 
 GF3 = FieldSpec("prime", 3)
@@ -198,3 +200,44 @@ class TestReports:
         f = rep.failures[0]
         assert f.coord is not None
         assert f.lhs[f.coord] != f.rhs[f.coord]
+
+
+class TestCheckSquares:
+    """The one evaluator: squares (axiom, lhs, rhs), and deferred squares
+    (axiom, sides) whose sides() may fail to factor or invert."""
+
+    A = Matrix(QQ, [[1, 2], [3, 4]])
+    B = Matrix(QQ, [[1, 2], [5, 4]])
+
+    def test_passing_square(self):
+        rep = _check_squares(("same", self.A, Matrix(QQ, [[1, 2], [3, 4]])))
+        assert rep.passed and rep.failures == () and rep.axioms == ("same",)
+
+    def test_failing_square_keeps_its_sides_and_coordinate(self):
+        rep = _check_squares(("pass", self.A, self.A),
+                             ("differ", self.A, self.B))
+        assert rep.axioms == ("pass", "differ")
+        (f,) = rep.failures
+        assert (f.axiom, f.lhs, f.rhs, f.coord) == (
+            "differ", self.A, self.B, (1, 0))
+        assert str(rep) == "differ at (1, 0)"
+
+    @pytest.mark.parametrize("error", [DoesNotFactor, NotInvertible])
+    def test_deferred_square_that_cannot_be_formed_fails_in_one_line(
+            self, error):
+        def sides():
+            raise error("no map")
+
+        rep = _check_squares(("chase", sides),
+                             ("next", lambda: (self.A, self.B)))
+        assert rep.axioms == ("chase (no map)", "next")
+        assert [(f.axiom, f.lhs, f.rhs, f.coord) for f in rep.failures] == [
+            ("chase (no map)", None, None, None),
+            ("next", self.A, self.B, (1, 0))]
+
+    def test_other_errors_propagate(self):
+        def sides():
+            raise DimensionMismatch("shapes")
+
+        with pytest.raises(DimensionMismatch):
+            _check_squares(("chase", sides), ("next", self.A, self.A))

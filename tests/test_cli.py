@@ -18,7 +18,7 @@ from entwine.cli import (Report, build_gallery, cmd_check, cmd_comc,
                          cmd_compose, cmd_gallery, cmd_laws, deserialize,
                          load_workspace, main, parse_field_flag,
                          save_workspace, serialize)
-from entwine.errors import EntwineError
+from entwine.errors import EntwineError, brief
 from entwine.exactlin import FieldSpec, QQ
 
 # malformed workspaces: the gallery with doc[path] = value for each pair,
@@ -241,7 +241,9 @@ class TestCheck:
         lambda path, out: cmd_compose(path, LONG + ",m_aug", path, out=out),
         lambda path, out: cmd_comc(path, LONG, path, out=out),
         lambda path, out: cmd_laws(path, LONG, out=out),
-    ], ids=["selector", "kind-selector", "tokens", "compose", "comc", "level"])
+        lambda path, out: cmd_check(LONG, out=out),
+    ], ids=["selector", "kind-selector", "tokens", "compose", "comc", "level",
+            "path"])
     def test_long_argument_is_quoted_in_a_short_line(self, gallery_file,
                                                      command):
         out = io.StringIO()
@@ -546,6 +548,26 @@ class TestMain:
                      "--out", str(out)]) == 0
         assert "ONECELL composite hexagon PASS" in capsys.readouterr().out
         assert out.exists()
+
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/x.json", "No such file or directory"),
+        (".", "Is a directory")], ids=["missing-directory", "directory"])
+    @pytest.mark.parametrize("verb", ["gallery", "compose", "comc"])
+    def test_unwritable_out_is_input_error(self, gallery_file, tmp_path,
+                                           verb, target, reason):
+        out = tmp_path / target
+        argv = {"gallery": ["gallery"],
+                "compose": ["compose", gallery_file, "--selector",
+                            "m_swap,m_swap"],
+                "comc": ["comc", gallery_file, "--selector", "m_swap"]}[verb]
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(sink):
+            assert main(argv + ["--out", str(out)]) == 2
+        lines = sink.getvalue().splitlines()
+        assert [line for line in lines if "error" in line] == [
+            f"input error: {reason}: {brief(repr(str(out)))}"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -237,6 +238,57 @@ class TestComcOneCell:
         comp = compositor(f, f)
         assert check_cor_two_cell(comp).passed
         assert inverse(comp.map) is not None
+
+
+# every endo-1-cell with dimM = 1 on flip_kC2_gl2 over GF(2), alpha and
+# gamma each one of the 16 2x2 matrices: (axioms check_one_cell fails,
+# laws check_cor_one_cell fails on the image, or DoesNotFactor) -> cells
+AP, GP = "alpha-pentagon", "gamma-pentagon"
+UT, CT = "unit-triangle", "counit-triangle"
+CC = "counit compatibility"
+NO_MAP = f"{CC} (map does not vanish on the relation span)"
+NO_UNIT = f"{CC} (unit coherence (2, 0) is not invertible)"
+GF2_CENSUS = {
+    ((), ()): 8,
+    ((AP,), DoesNotFactor): 8,
+    ((AP, UT), DoesNotFactor): 44,
+    ((AP, CT), DoesNotFactor): 8,
+    ((AP, CT), (NO_MAP,)): 2,
+    ((AP, UT, CT), DoesNotFactor): 44,
+    ((AP, UT, CT), (NO_MAP,)): 11,
+    ((AP, GP, CT), DoesNotFactor): 14,
+    ((AP, GP, UT, CT), DoesNotFactor): 77,
+    ((GP, CT), ("street pentagon", CC)): 14,
+    ((GP, UT, CT), (NO_UNIT,)): 7,
+    ((UT,), (NO_UNIT,)): 4,
+    ((UT, CT), (NO_UNIT,)): 5,
+    ((CT,), (CC,)): 10,
+}
+
+
+class TestCensus:
+    def test_gf2_endo_cells_reflect_validity(self):
+        # the homomorphism reflects validity: a cell passes check_one_cell
+        # exactly when its image factors and passes check_cor_one_cell.
+        # A cell failing only the alpha-pentagon never factors, but 13
+        # that also fail a triangle do, and fail counit compatibility
+        gf2 = FieldSpec("prime", 2)
+        e = flip_entwining(group_algebra(gf2, 2), grouplike_coalgebra(gf2, 2))
+        maps = [Matrix(gf2, [v[:2], v[2:]])
+                for v in itertools.product(range(2), repeat=4)]
+        table = Counter()
+        for alpha, gamma in itertools.product(maps, repeat=2):
+            f = EntwOneCell(e, e, 1, alpha, gamma)
+            entw = check_one_cell(f)
+            try:
+                cor = check_cor_one_cell(comc_one_cell(f))
+            except DoesNotFactor:
+                cor = None
+            assert entw.passed == (cor is not None and cor.passed)
+            table[tuple(x.axiom for x in entw.failures),
+                  DoesNotFactor if cor is None
+                  else tuple(x.axiom for x in cor.failures)] += 1
+        assert table == GF2_CENSUS
 
 
 def check_one_cell_ok(f):

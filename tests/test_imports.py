@@ -22,7 +22,9 @@ outside its own definition, unless ``UNREAD`` gives a reason.  A seventh
 keeps the field interface minimal: sums of scalar multiples go through
 ``_combine``, so the per-scalar ``mul`` and ``neg`` are read only in the
 hot loop each serves, and no code reads a field's ``sub``, ``zero`` or
-``one``.
+``one``.  An eighth keeps one checker protocol: every checker returns the
+report of the one evaluator, ``algstruct._check_squares``, the only code
+that builds a ``CheckReport``.
 """
 
 import ast
@@ -302,3 +304,32 @@ def test_field_members_are_read_only_by_their_hot_loops():
                                 for p in sorted(src.glob("*.py"))})
     assert found == sorted((attr, owner) for attr, owner
                            in FIELD_MEMBERS.items() if owner)
+
+
+def report_builders(sources: dict) -> list:
+    """``file: owner`` of each call ``CheckReport(...)`` in ``sources``, a
+    dict file name -> source text, sorted; the owner is the module-level
+    function or class that holds the call, or ``<module>``."""
+    return sorted(f"{file}: {getattr(top, 'name', '<module>')}"
+                  for file, source in sources.items()
+                  for top in ast.parse(source).body
+                  for n in ast.walk(top)
+                  if isinstance(n, ast.Call) and _name(n) == "CheckReport")
+
+
+def test_scan_finds_report_builders():
+    sources = {"a.py": "class C:\n    def report(self):\n"
+                       "        return CheckReport((), ())\n"
+                       "def f(rep: CheckReport):\n    return rep.passed\n",
+               "b.py": "from a import algstruct\n"
+                       "r = algstruct.CheckReport(())\n"
+                       "def g():\n    return [CheckReport(())]\n"}
+    assert report_builders(sources) == ["a.py: C", "b.py: <module>",
+                                        "b.py: g"]
+
+
+def test_only_the_evaluator_builds_reports():
+    src = ROOT / "src" / "entwine"
+    assert report_builders({p.name: p.read_text(encoding="utf-8")
+                            for p in sorted(src.glob("*.py"))}) == [
+        "algstruct.py: _check_squares"]
