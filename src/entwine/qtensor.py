@@ -5,9 +5,13 @@ computed as a cokernel.  The balancing relations (m.a) (x) n - m (x) (a.n)
 are built as sparse vectors, one per triple of basis vectors (m, a, n),
 read off the columns of the two actions.  They are linear in a and vanish
 at a = 1 on unital actions, so one family, that of a unit coordinate, is
-redundant and not built once unitality has been checked.  The one
-elimination routine of ``exactlin`` reduces them, and the quotient is
-presented by its projection and its free (non-pivot) ambient
+redundant and not built once unitality has been checked.  An action
+kron(L, v) on N = N' (x) k^v is peeled off first: rel(m, a, n' (x) e_j) =
+rel(m, a, n') (x) e_j, so the span is S (x) k^v with rref {r (x) e_j}, and
+the presentation is the whisker of M (x)_A N''s; kron(v, R) on M mirrors
+it.  No action need be associative or unital for that.  The one
+elimination routine of ``exactlin`` reduces the relations, and the
+quotient is presented by its projection and its free (non-pivot) ambient
 coordinates, whose injection is the section.  A map on the ambient
 induces one on the quotient when it kills the relations; every such map
 (``descend``, the unit coherences, ``corcat.tensor_map``,
@@ -23,7 +27,7 @@ from itertools import product
 
 from .errors import DimensionMismatch, DoesNotFactor, NotInvertible
 from .exactlin import (Matrix, _combine, _null_rows, _sparse_columns,
-                       _wrap, memoised, rank)
+                       _wrap, kron, memoised, rank)
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,8 @@ def tensor_over(ract_m: Matrix, lact_n: Matrix, dim_m: int, unit: Matrix,
     k0 the last k with u_k != 0, lies in the span of the others and is not
     built.  Unitality is checked, never assumed: on a zero unit or a
     non-unital action every family is built.  The rref of a span is
-    unique, so the presentation is the same either way.
+    unique, so the presentation is the same either way.  A side whiskered
+    by k^v (see above) is first peeled off, the largest v in one step.
     """
     dim_a = unit.rows
     if unit.cols != 1:
@@ -73,6 +78,16 @@ def tensor_over(ract_m: Matrix, lact_n: Matrix, dim_m: int, unit: Matrix,
     field = ract_m.field
     if lact_n.field != field or unit.field != field:
         raise DimensionMismatch("fields differ")
+    if peeled := _peel(lact_n, False):     # N = N' (x) k^v
+        v, lact = peeled
+        q = tensor_over(ract_m, lact, dim_m, unit, dim_n // v)
+        return QuotientPresentation(kron(q.projection, v), tuple(
+            f * v + j for f in q.free for j in range(v)))
+    if peeled := _peel(ract_m, True):      # M = k^v (x) M'
+        v, ract = peeled
+        q = tensor_over(ract, lact_n, dim_m // v, unit, dim_n)
+        return QuotientPresentation(kron(v, q.projection), tuple(
+            i * q.ambient_dim + f for i in range(v) for f in q.free))
     u, r_cols, l_cols = (_sparse_columns(unit)[0], _sparse_columns(ract_m),
                          _sparse_columns(lact_n))
     # m_i . 1 = m_i and 1 . n_j = n_j, with 1 = sum u_k a_k
@@ -99,6 +114,28 @@ def tensor_over(ract_m: Matrix, lact_n: Matrix, dim_m: int, unit: Matrix,
             yield v
 
     return QuotientPresentation(*_null_rows(relations(), dim_m * dim_n, field))
+
+
+def _peel(m: Matrix, right: bool):
+    """(v, g) for the largest v > 1 with m == kron(v, g) if ``right``, else
+    m == kron(g, v), each candidate compared column by column up to its
+    first mismatch; None if there is none."""
+    cols = _sparse_columns(m)
+    for v in [v for v in range(m.rows, 1, -1) if m.rows % v == 0]:
+        rg, cg, g = m.rows // v, m.cols // v, []
+        # (i of g, j of k^v) is j*n + i in kron(v, g), i*v + j in kron(g, v)
+        at = lambda i, j, n: j * n + i if right else i * v + j
+        for c in range(cg):
+            gc = {(r % rg if right else r // v): x
+                  for r, x in cols[at(c, 0, cg)].items()}
+            if not all(len(col := cols[at(c, j, cg)]) == len(gc) and all(
+                    col.get(at(i, j, rg)) == x for i, x in gc.items())
+                    for j in range(v)):
+                break
+            g.append(gc)
+        else:
+            return v, _wrap(m.field, rg, g)
+    return None
 
 
 def descend_columns(image, src: QuotientPresentation, tgt) -> Matrix:

@@ -410,18 +410,19 @@ def diagonal_family(draw, field, da, m):
 
 
 def counted_tensor_over(ract, lact, dm, unit, dn):
-    """(tensor_over's presentation, the number of relations it built)."""
+    """(tensor_over's presentation, the number of relations it built, the
+    ambient it eliminated them on)."""
     built, null_rows = [], qtensor._null_rows
 
     def counting(vectors, ncols, field):
         vectors = list(vectors)
-        built.append(len(vectors))
+        built.append((len(vectors), ncols))
         return null_rows(vectors, ncols, field)
 
     with mock.patch.object(qtensor, "_null_rows", counting):
         q = tensor_over(ract, lact, dm, unit, dn)
     assert len(built) == 1, "a fresh field's memo cannot hold the result"
-    return q, built[0]
+    return (q, *built[0])
 
 
 class TestDroppedUnitFamily:
@@ -452,9 +453,9 @@ class TestDroppedUnitFamily:
         field = FieldSpec(*kind)
         ract, lact, dm, unit, dn = self.actions(data.draw, field)
         da = unit.rows
-        q, built = counted_tensor_over(ract, lact, dm, unit, dn)
+        q, built, ncols = counted_tensor_over(ract, lact, dm, unit, dn)
         assert q == quotient_by(kron(ract, dn) - kron(dm, lact))
-        assert built == dm * (da - 1) * dn
+        assert built == (da - 1) * ncols
 
     @pytest.mark.parametrize("field", [QQ, GF5], ids=["q", "gf5"])
     def test_a_zero_unit_coordinate_keeps_its_family(self, field):
@@ -480,9 +481,98 @@ class TestDroppedUnitFamily:
             ract = Matrix.zeros(field, dm, dm * da)
         else:
             lact = Matrix.zeros(field, dn, da * dn)
-        q, built = counted_tensor_over(ract, lact, dm, unit, dn)
+        q, built, ncols = counted_tensor_over(ract, lact, dm, unit, dn)
         assert q == quotient_by(kron(ract, dn) - kron(dm, lact))
-        assert built == dm * da * dn
+        assert built == da * ncols
+
+
+def largest_whisker(m, right):
+    """The largest v with m == kron(v, g) if ``right``, else m == kron(g, v),
+    g read off m's entries and the kron formed densely; 1 if none."""
+    for v in range(m.rows, 1, -1):
+        if m.rows % v:
+            continue
+        if right:   # g is the top-left block
+            rows, cols = range(m.rows // v), range(m.cols // v)
+        else:       # g is every v-th row and column
+            rows, cols = range(0, m.rows, v), range(0, m.cols, v)
+        g = m.transpose().gather(tuple(rows)).transpose().gather(tuple(cols))
+        if (kron(v, g) if right else kron(g, v)) == m:
+            return v
+    return 1
+
+
+def presentations_in_memo(field):
+    return sum(key[0] is tensor_over.__wrapped__ for key in field._memo)
+
+
+class TestWhiskeredActions:
+    """tensor_over peels lact = kron(L, v) and ract = kron(v, R) off in one
+    step each and eliminates only the unwhiskered word, with the
+    presentation of the full relation span."""
+
+    @staticmethod
+    def whiskered(draw, field):
+        """(ract, lact, dm, unit, dn, vm, vn): unital actions in a fresh
+        basis or arbitrary matrices, whiskered by k^vm on the left of M
+        and by k^vn on the right of N, at least one of vm, vn above 1."""
+        if draw(st.booleans()):
+            ract, lact, dm, unit, dn = TestDroppedUnitFamily.actions(
+                draw, field)
+        else:
+            da, dm, dn = (draw(st.integers(1, 2)) for _ in range(3))
+            ract, lact = (matrix(draw, field, d, d * da) for d in (dm, dn))
+            unit = matrix(draw, field, da, 1)
+        vm, vn = draw(st.sampled_from([(1, 2), (1, 3), (1, 4), (2, 1),
+                                       (3, 1), (4, 1), (2, 2), (4, 3)]))
+        return (kron(vm, ract), kron(lact, vn), vm * dm, unit, vn * dn,
+                vm, vn)
+
+    @given(st.data(), st.sampled_from([("rational",), ("prime", 5)]))
+    @settings(max_examples=80, deadline=None)
+    def test_one_elimination_on_the_unwhiskered_word(self, data, kind):
+        field = FieldSpec(*kind)
+        ract, lact, dm, unit, dn, vm, vn = self.whiskered(data.draw, field)
+        wm, wn = largest_whisker(ract, True), largest_whisker(lact, False)
+        assert wm >= vm and wn >= vn
+        q, built, ncols = counted_tensor_over(ract, lact, dm, unit, dn)
+        assert q == quotient_by(kron(ract, dn) - kron(dm, lact))
+        assert ncols == (dm // wm) * (dn // wn)
+        # the largest v in one step: one presentation per peeled side
+        assert presentations_in_memo(field) == 1 + (wm > 1) + (wn > 1)
+
+    @given(st.data(), st.sampled_from([("rational",), ("prime", 5)]),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_a_broken_whisker_takes_the_relation_path(self, data, kind,
+                                                      right):
+        field = FieldSpec(*kind)
+        ract, lact, dm, unit, dn, vm, vn = self.whiskered(data.draw, field)
+        assume((vm if right else vn) > 1)
+        # kron(v, g) vanishes off its diagonal blocks and kron(g, v) off
+        # its diagonal residues, for every v > 1, so one entry breaks both
+        if right:
+            ract = ract - Matrix.build(field, dm, ract.cols,
+                                       lambda i, j: int((i, j) == (dm - 1, 0)))
+        else:
+            lact = lact - Matrix.build(field, dn, lact.cols,
+                                       lambda i, j: int((i, j) == (0, 1)))
+        wm, wn = largest_whisker(ract, True), largest_whisker(lact, False)
+        assert (wm if right else wn) == 1
+        q, built, ncols = counted_tensor_over(ract, lact, dm, unit, dn)
+        assert q == quotient_by(kron(ract, dn) - kron(dm, lact))
+        assert ncols == (dm // wm) * (dn // wn)
+
+    @pytest.mark.parametrize("kind", [("rational",), ("prime", 5)],
+                             ids=["q", "gf5"])
+    def test_four_fold_whiskers_peel_in_one_step(self, kind):
+        field = FieldSpec(*kind)
+        a = group_algebra(field, 2)
+        ract, lact = kron(4, a.mult), kron(a.mult, 4)
+        q, built, ncols = counted_tensor_over(ract, lact, 8, a.unit, 8)
+        assert q == quotient_by(kron(ract, 8) - kron(8, lact))
+        assert (q.quotient_dim, ncols, built) == (32, 4, 4)
+        assert presentations_in_memo(field) == 3
 
 
 class TestCoherences:
