@@ -9,12 +9,15 @@ formed on first read, since the words of a rebracketing are read only
 through their presentations and quotient dimensions.  The one
 rebracketing iso is the associator ``word_iso(x, y, z)``, built from its
 three factors; by Mac Lane's coherence theorem every other one is a
-composite of whiskered associators and their inverses.
+composite of whiskered associators and their inverses.  ``tensor_map``
+sweeps the relations only when the module squares of its factors, shared
+with the checkers through the memoised ``_module_square``, fail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq
 
 from .algstruct import (Algebra, Bimodule, CheckReport, _check_squares,
                         regular_bimodule)
@@ -22,7 +25,7 @@ from .errors import DimensionMismatch, NotComposable, NotParallel
 from .exactlin import (Matrix, _sparse_columns, _wrap, compose,
                        expect_shapes, inverse, kron, memoised)
 from .qtensor import (QuotientPresentation, _iso_or_raise, descend_columns,
-                      tensor_over, unit_coherence)
+                      free_columns, tensor_over, unit_coherence)
 
 
 # -- tensor words ---------------------------------------------------------
@@ -75,13 +78,19 @@ def word_module(xm: Bimodule, ym: Bimodule) -> Bimodule:
 def tensor_map(f, g, src: tuple, tgt: tuple) -> Matrix:
     """The map x (x)_A y -> x2 (x)_A y2 induced by f (x) g, for src = (x, y)
     and tgt = (x2, y2); an int stands for the identity, as in ``kron``.
-    Only the columns the quotients need are formed (``descend_columns``)."""
+    Only the columns the quotients need are formed (``free_columns``).
+    If f is right and g left A-linear, f (x) g sends each relation
+    rel(m, a, n) to rel(f m, a, g n), which the target projection kills,
+    so the sweep of ``descend_columns`` is skipped.  An int is linear when
+    its two bimodules are equal; if any other factor fails its square,
+    the sweep decides."""
     (x, y), (x2, y2) = src, tgt
-    f, g = (Matrix.identity(x.field, h) if isinstance(h, int) else h
-            for h in (f, g))
-    if (f.shape, g.shape) != ((x2.dim, x.dim), (y2.dim, y.dim)):
-        raise DimensionMismatch(f"whisker {f.shape} (x) {g.shape} of words")
-    f_cols, g_cols, mul = _sparse_columns(f), _sparse_columns(g), f.field.mul
+    fm, gm = (Matrix.identity(x.field, h) if isinstance(h, int) else h
+              for h in (f, g))
+    if (fm.shape, gm.shape) != ((x2.dim, x.dim), (y2.dim, y.dim)):
+        raise DimensionMismatch(f"whisker {fm.shape} (x) {gm.shape} of words")
+    f_cols, g_cols = _sparse_columns(fm), _sparse_columns(gm)
+    mul = fm.field.mul
     dy, dy2 = y.dim, y2.dim
 
     def image(c):   # column (i, j) of f (x) g is f[:, i] (x) g[:, j]
@@ -89,7 +98,15 @@ def tensor_map(f, g, src: tuple, tgt: tuple) -> Matrix:
         return {a * dy2 + b: t if s == 1 else mul(s, t)
                 for a, s in f_cols[i].items() for b, t in g_cols[j].items()}
 
-    return descend_columns(image, wtensor(x, y).outer, wtensor(x2, y2).outer)
+    words = wtensor(x, y).outer, wtensor(x2, y2).outer
+    # a square is a matrix equation only over one middle dimension
+    if x.right.dim == x2.right.dim and all(
+            isinstance(h, int) and a == b
+            or eq(*_module_square(hm, a, b, right))
+            for h, hm, a, b, right in ((f, fm, x, x2, True),
+                                       (g, gm, y, y2, False))):
+        return free_columns(image, *words)
+    return descend_columns(image, *words)
 
 
 @memoised
@@ -205,14 +222,19 @@ class CorTwoCell:
 # -- checkers -------------------------------------------------------------
 
 
+@memoised
+def _module_square(f: Matrix, x: Bimodule, y: Bimodule, right: bool):
+    """(lhs, rhs) of the square making f : x -> y right A-linear, A =
+    x.right, if ``right``, else left B-linear, B = x.left."""
+    if right:
+        return compose(f, x.ract), compose(y.ract, kron(f, x.right.dim))
+    return compose(f, x.lact), compose(y.lact, kron(x.left.dim, f))
+
+
 def module_map_squares(prefix: str, f: Matrix, x: Bimodule, y: Bimodule):
     """(axiom, lhs, rhs) of the squares making f : x -> y a bimodule map."""
-    return (
-        (f"{prefix}left module map", compose(f, x.lact),
-         compose(y.lact, kron(x.left.dim, f))),
-        (f"{prefix}right module map", compose(f, x.ract),
-         compose(y.ract, kron(f, x.right.dim))),
-    )
+    return ((f"{prefix}left module map", *_module_square(f, x, y, False)),
+            (f"{prefix}right module map", *_module_square(f, x, y, True)))
 
 
 def zeta_square(dom: CorOneCell, cod: CorOneCell, y: Matrix):

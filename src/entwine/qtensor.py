@@ -15,8 +15,11 @@ quotient is presented by its projection and its free (non-pivot) ambient
 coordinates, whose injection is the section.  A map on the ambient
 induces one on the quotient when it kills the relations; every such map
 (``descend``, the unit coherences, ``corcat.tensor_map``,
-``corcat.word_iso``) goes through ``descend_columns``, which forms only
-the columns it keeps or checks.
+``corcat.word_iso``) is formed by ``free_columns`` at the free
+coordinates alone, and ``descend_columns`` checks that it kills the
+relations by a sweep of the pivot columns.  Only ``corcat.tensor_map``
+skips the sweep, where its factors' module squares prove the map
+descends.  Whisker peels are memoised: shared actions are scanned once.
 Presentations are reproducible byte for byte, so golden files are stable.
 """
 
@@ -116,6 +119,7 @@ def tensor_over(ract_m: Matrix, lact_n: Matrix, dim_m: int, unit: Matrix,
     return QuotientPresentation(*_null_rows(relations(), dim_m * dim_n, field))
 
 
+@memoised
 def _peel(m: Matrix, right: bool):
     """(v, g) for the largest v > 1 with m == kron(v, g) if ``right``, else
     m == kron(g, v), each candidate compared column by column up to its
@@ -138,27 +142,43 @@ def _peel(m: Matrix, right: bool):
     return None
 
 
+def _projected(image, tgt) -> tuple:
+    """(h, rows): h(c) is the sparse vector ``image(c)`` projected to
+    ``tgt`` (an int n, as in ``kron``, for k^n itself), of length rows."""
+    if isinstance(tgt, int):
+        return image, tgt
+    p_cols, field = _sparse_columns(tgt.projection), tgt.projection.field
+    return (lambda c: _combine(image(c), p_cols, field)), tgt.quotient_dim
+
+
+def free_columns(image, src: QuotientPresentation, tgt) -> Matrix:
+    """The map whose column j is ``image(free[j])`` projected to ``tgt``
+    (as in ``_projected``), unchecked.  As projection[:, free[j]] = e_j, it
+    is the quotient-level map that the ambient-level map with columns
+    ``image(c)`` induces whenever that map kills src's relations; a caller
+    that has not proven so goes through ``descend_columns``."""
+    h, rows = _projected(image, tgt)
+    return _wrap(src.projection.field, rows, [h(c) for c in src.free])
+
+
 def descend_columns(image, src: QuotientPresentation, tgt) -> Matrix:
     """The quotient-level map induced by the ambient-level map whose column
-    c is the sparse vector ``image(c)``, projected to ``tgt`` (an int n, as
-    in ``kron``, for k^n itself); DoesNotFactor unless it kills src's
-    relations.  Column j is image(free[j]), as projection[:, free[j]] = e_j;
-    the relations c - section . projection[:, c] are checked at the pivot
-    columns c, so no other column of the image is formed."""
-    field, h, rows = src.projection.field, image, tgt
-    if not isinstance(tgt, int):
-        p_cols, rows = _sparse_columns(tgt.projection), tgt.quotient_dim
-        h = lambda c: _combine(image(c), p_cols, field)
-    kept, free = [h(c) for c in src.free], set(src.free)
+    c is the sparse vector ``image(c)``, projected to ``tgt`` (as in
+    ``_projected``); DoesNotFactor unless it kills src's relations.  Its
+    columns are ``free_columns``; the relations c - section . projection[:,
+    c] are then checked at the pivot columns c, so no other column of the
+    image is formed."""
+    m, (h, _) = free_columns(image, src, tgt), _projected(image, tgt)
+    kept, free, field = _sparse_columns(m), set(src.free), m.field
     for c, combo in enumerate(_sparse_columns(src.projection)):
         if c not in free and _combine(combo, kept, field) != h(c):
             raise DoesNotFactor("map does not vanish on the relation span")
-    return _wrap(field, rows, kept)
+    return m
 
 
 def descend(f: Matrix, src: QuotientPresentation, tgt) -> Matrix:
     """Quotient-level map induced by the ambient-level map f (``tgt`` as in
-    ``descend_columns``)."""
+    ``_projected``)."""
     rows = tgt if isinstance(tgt, int) else tgt.ambient_dim
     if f.shape != (rows, src.ambient_dim):
         raise DimensionMismatch(f"map {f.shape} vs {rows} x {src.ambient_dim}")

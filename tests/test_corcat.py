@@ -1,13 +1,18 @@
 """Corings over an algebra, their cells, and quotient-level coherence."""
 
+from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entwine import corcat
 from entwine.algstruct import (Bimodule, cyclic_group_bialgebra,
                                group_algebra, grouplike_coalgebra,
                                matrix_algebra, regular_bimodule)
-from entwine.cli import _composable_pairs, build_gallery
+from entwine.cli import _composable_pairs, build_gallery, deserialize
 from entwine.comc import _maps, _solve_squares, comc_obj, comc_one_cell
 from entwine.corcat import (Coring, CorOneCell, CorTwoCell, check_coring,
                             check_cor_one_cell, check_cor_two_cell,
@@ -16,10 +21,12 @@ from entwine.corcat import (Coring, CorOneCell, CorTwoCell, check_coring,
                             identity_cor_one_cell, identity_cor_two_cell,
                             module_map_squares, tensor_map, vcomp_cor,
                             word_iso, wtensor)
-from entwine.entwcat import bialgebra_entwining, flip_entwining
+from entwine.entwcat import (bialgebra_entwining, flip_entwining,
+                             identity_one_cell)
 from entwine.errors import DoesNotFactor
 from entwine.exactlin import FieldSpec, Matrix, QQ, compose, inverse, kron
 from entwine.qtensor import descend
+from test_fresh_bases import twisted
 
 
 def trivial_coring(a):
@@ -319,3 +326,78 @@ class TestTensorMap:
         assert back is inverse(word_iso(c, c, c))
         assert compose(back, word_iso(c, c, c)) == Matrix.identity(
             QQ, back.rows)
+
+
+@contextmanager
+def tensor_map_columns():
+    """Count the pivot columns of the maps ``tensor_map`` induces: under
+    "swept" those it checks, under "skipped" those it proves it need not."""
+    counts, sweep, free = (Counter(), corcat.descend_columns,
+                           corcat.free_columns)
+
+    def sweeping(image, src, tgt):
+        if image.__qualname__.startswith("tensor_map."):   # not word_iso
+            counts["swept"] += src.ambient_dim - src.quotient_dim
+        return sweep(image, src, tgt)
+
+    def skipping(image, src, tgt):
+        counts["skipped"] += src.ambient_dim - src.quotient_dim
+        return free(image, src, tgt)
+
+    with mock.patch.object(corcat, "descend_columns", sweeping), \
+            mock.patch.object(corcat, "free_columns", skipping):
+        yield counts
+
+
+class TestTensorMapShortcut:
+    @pytest.mark.parametrize("source", ["flip_M2_gl3", "fresh-basis"])
+    def test_checked_images_run_no_sweep(self, source):
+        if source == "flip_M2_gl3":
+            e = build_gallery(FieldSpec("rational")).entwinings[source]
+        else:
+            e = deserialize(twisted.Stream(7).request(
+                "flip_kC3_gl2", False)["text"]).entwinings["e"]
+        with tensor_map_columns() as counts:
+            assert check_coring(comc_obj(e)).passed
+            assert check_cor_one_cell(
+                comc_one_cell(identity_one_cell(e))).passed
+        assert counts["skipped"] > 0
+        assert counts["swept"] == 0
+
+    def test_a_zero_factor_descends_through_the_sweep(self):
+        x = bimodule_family(QQ, "M2")[0]
+        f = bump(Matrix.zeros(QQ, x.dim, x.dim), 0, 1)
+        lhs, rhs = corcat._module_square(f, x, x, True)
+        assert lhs != rhs
+        q = wtensor(x, x).outer
+        with tensor_map_columns() as counts:
+            got = tensor_map(f, Matrix.zeros(QQ, x.dim, x.dim), (x, x),
+                             (x, x))
+        assert got == Matrix.zeros(QQ, q.quotient_dim, q.quotient_dim)
+        assert counts == {"swept": q.ambient_dim - q.quotient_dim}
+
+    def test_an_identity_between_two_bimodules_has_its_square_evaluated(
+            self):
+        # the flip and bialgebra carriers over k[C2]: equal left actions,
+        # different right ones
+        y, x, x2 = bimodule_family(QQ, "kC2")
+        one, calls = Matrix.identity(QQ, x.dim), []
+        square = corcat._module_square
+
+        def recording(*args):
+            calls.append(args)
+            return square(*args)
+
+        with mock.patch.object(corcat, "_module_square", recording), \
+                tensor_map_columns() as counts:
+            assert tensor_map(x.dim, y.dim, (x, y), (x, y)) == \
+                Matrix.identity(QQ, wtensor(x, y).module.dim)
+            assert calls == [] and counts["swept"] == 0
+            right = outcome(tensor_map, x.dim, y.dim, (x, y), (x2, y))
+            left = outcome(tensor_map, y.dim, x.dim, (y, x), (y, x2))
+        assert calls == [(one, x, x2, True), (one, x, x2, False)]
+        assert right == outcome(dense_descend, kron(one, y.dim),
+                                wtensor(x, y).outer, wtensor(x2, y).outer)
+        assert right.startswith("DoesNotFactor")
+        assert left == dense_descend(kron(y.dim, one), wtensor(y, x).outer,
+                                     wtensor(y, x2).outer)

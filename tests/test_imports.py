@@ -24,7 +24,10 @@ keeps the field interface minimal: sums of scalar multiples go through
 hot loop each serves, and no code reads a field's ``sub``, ``zero`` or
 ``one``.  An eighth keeps one checker protocol: every checker returns the
 report of the one evaluator, ``algstruct._check_squares``, the only code
-that builds a ``CheckReport``.
+that builds a ``CheckReport``.  A ninth keeps one route past the check
+that an induced map is well defined: only ``corcat.tensor_map`` reads
+``free_columns`` outside ``qtensor.descend_columns``, which checks it,
+and only after it has read a module square through ``_module_square``.
 """
 
 import ast
@@ -333,3 +336,47 @@ def test_only_the_evaluator_builds_reports():
     assert report_builders({p.name: p.read_text(encoding="utf-8")
                             for p in sorted(src.glob("*.py"))}) == [
         "algstruct.py: _check_squares"]
+
+
+
+def _loads(node, name: str) -> list:
+    """The lines of ``node`` that read ``name``, as a name or attribute."""
+    return [n.lineno for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)
+            and getattr(n, "id", getattr(n, "attr", None)) == name]
+
+
+def sweep_free_reads(sources: dict) -> list:
+    """(``file: owner``, whether the owner reads ``_module_square`` on an
+    earlier line) of each read of ``free_columns`` in ``sources``, a dict
+    file name -> source text, sorted; the owner is the module-level
+    function or class that holds the read, or ``<module>``."""
+    return sorted((f"{file}: {getattr(top, 'name', '<module>')}",
+                   any(s < line for s in _loads(top, "_module_square")))
+                  for file, source in sources.items()
+                  for top in ast.parse(source).body
+                  for line in _loads(top, "free_columns"))
+
+
+def test_scan_finds_sweep_free_reads():
+    sources = {"a.py": "from q import free_columns\n"
+                       "def f(m):\n"
+                       "    if _module_square(m):\n"
+                       "        return free_columns(m)\n"
+                       "def g(m):\n    h = q.free_columns\n"
+                       "    return h(m) if c._module_square(m) else 0\n",
+               "b.py": "x = [free_columns]\n"
+                       "class C:\n    def m(self):\n"
+                       "        return free_columns(self)\n"}
+    assert sweep_free_reads(sources) == [
+        ("a.py: f", True), ("a.py: g", False), ("b.py: <module>", False),
+        ("b.py: C", False)]
+
+
+def test_only_tensor_map_skips_the_sweep():
+    src = ROOT / "src" / "entwine"
+    assert sweep_free_reads({p.name: p.read_text(encoding="utf-8")
+                             for p in sorted(src.glob("*.py"))}) == [
+        ("corcat.py: tensor_map", True),
+        ("qtensor.py: descend_columns", False)]
