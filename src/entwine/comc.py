@@ -20,7 +20,7 @@ from .entwcat import (EntwObj, EntwOneCell, EntwTwoCell, check_obj,
                       check_two_cell, compose_one_cells, identity_one_cell,
                       two_cell_squares)
 from .errors import InvalidObject, InvalidTwoCell, NotParallel
-from .exactlin import (Matrix, _sparse_columns, _wrap, compose,
+from .exactlin import (Matrix, _combine, _sparse_columns, _wrap, compose,
                        kernel_basis, kron, memoised, rank)
 from .qtensor import _iso_or_raise, descend
 
@@ -134,54 +134,50 @@ def _columns(field, vecs: list) -> Matrix:
     return _wrap(field, n, cols)
 
 
-def _maps(basis: Matrix, rows: int, cols: int) -> list:
-    """The columns of ``basis``, read row-major as rows x cols maps."""
-    maps = []
-    for v in _sparse_columns(basis):
-        m = [{} for _ in range(cols)]
-        for flat, x in v.items():
-            i, j = divmod(flat, cols)
-            m[j][i] = x
-        maps.append(_wrap(basis.field, rows, m))
-    return maps
+def _units(field, rows: int, cols: int) -> list:
+    """The rows x cols matrix units, in row-major order."""
+    return [_wrap(field, rows, [{i: 1} if c == j else {} for c in range(cols)])
+            for i in range(rows) for j in range(cols)]
 
 
-def _solve_squares(basis: Matrix, rows: int, cols: int, squares) -> Matrix:
-    """The part of span(basis) on which every square of ``squares(y)`` holds.
-
-    ``basis`` holds rows x cols maps as row-major columns.  Every square
-    is linear in y, so lhs - rhs of each square, evaluated on each basis
-    map and flattened, is one column of a linear system; its kernel picks
-    the solutions, returned in the same form.
-    """
-    system = _columns(basis.field, [[lhs - rhs for _, lhs, rhs in squares(y)]
-                                    for y in _maps(basis, rows, cols)])
-    return compose(basis, kernel_basis(system))
+def _solve_squares(maps: list, squares) -> list:
+    """Maps spanning the part of span(maps) on which every square of
+    ``squares(y)`` holds, [] for no maps.  Every square is linear in y, so
+    lhs - rhs of each, evaluated on each map and flattened, is one column
+    of a linear system; each kernel vector combines the maps into one
+    solution."""
+    if not maps:
+        return []
+    field, (rows, cols) = maps[0].field, maps[0].shape
+    system = _columns(field, [[lhs - rhs for _, lhs, rhs in squares(y)]
+                              for y in maps])
+    cs = [_sparse_columns(y) for y in maps]
+    return [_wrap(field, rows, [_combine(k, {t: cs[t][j] for t in k}, field)
+                                for j in range(cols)])
+            for k in _sparse_columns(kernel_basis(system))]
 
 
 def hom_dimension_report(src: EntwOneCell,
                          dst: EntwOneCell) -> Tuple[int, int, bool, bool]:
-    """(entw hom dim, coring hom dim, injective, surjective) for theta -> theta (x) A.
+    """(entw hom dim, coring hom dim, injective, surjective) of comc_two_cell.
 
     Both hom spaces are the solution spaces of the squares the 2-cell
-    checkers evaluate; the map between them is ``comc_two_cell`` itself,
-    run on a basis of the first.
+    checkers evaluate, solved as lists of maps from the matrix units; the
+    map between them is ``comc_two_cell`` itself, run on the entwining
+    solutions.
     """
     if src.dom != dst.dom or src.cod != dst.cod:
         raise NotParallel("1-cells are not parallel")
     field = src.field
-    n, m = dst.dimM, src.dimM
-    entw = _solve_squares(Matrix.identity(field, n * m), n, m,
+    entw = _solve_squares(_units(field, dst.dimM, src.dimM),
                           lambda t: two_cell_squares(src, dst, t))
     csrc, cdst = comc_one_cell(src), comc_one_cell(dst)
-    cn, cm = cdst.carrier.dim, csrc.carrier.dim
     bimod = _solve_squares(
-        Matrix.identity(field, cn * cm), cn, cm,
+        _units(field, cdst.carrier.dim, csrc.carrier.dim),
         lambda y: module_map_squares("", y, csrc.carrier, cdst.carrier))
     # zeta_square descends y, which is well defined on bimodule maps only
-    cor = _solve_squares(bimod, cn, cm, lambda y: [
+    cor = _solve_squares(bimod, lambda y: [
         ("zeta square", *zeta_square(csrc, cdst, y))])
     img_rank = rank(_columns(field, [
-        [comc_two_cell(EntwTwoCell(src, dst, t)).map]
-        for t in _maps(entw, n, m)]))
-    return entw.cols, cor.cols, img_rank == entw.cols, img_rank == cor.cols
+        [comc_two_cell(EntwTwoCell(src, dst, t)).map] for t in entw]))
+    return len(entw), len(cor), img_rank == len(entw), img_rank == len(cor)

@@ -3,10 +3,10 @@
 A coring is a comonoid in A-A-bimodules; its comultiplication lands in
 the quotient tensor 𝒞 (x)_A 𝒞, so every diagram here is chased through
 deterministic quotient presentations.  ``wtensor`` tensors two bimodules,
-presented over the product of their coordinate spaces only; it presents
-the quotient and nothing else.  The word's actions (``word_module``) are
-formed on first read, since the words of a rebracketing are read only
-through their presentations and quotient dimensions.  The one
+presented over the product of their coordinate spaces only, through the
+memoised ``tensor_over``; it keeps no memo of its own.  The word's actions
+(``word_module``) are formed on first read: the words of a rebracketing
+are read only through their presentations and quotient dimensions.  The one
 rebracketing iso is the associator ``word_iso(x, y, z)``, built from its
 three factors; by Mac Lane's coherence theorem every other one is a
 composite of whiskered associators and their inverses.  ``tensor_map``
@@ -48,7 +48,6 @@ class TensorWord:
         return word_module(self.x, self.y)
 
 
-@memoised
 def wtensor(xm: Bimodule, ym: Bimodule) -> TensorWord:
     """Tensor over the shared middle algebra xm.right = ym.left."""
     if xm.right != ym.left:

@@ -4,21 +4,24 @@ import itertools
 import time
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from entwine import comc
 from entwine.algstruct import (Algebra, Coalgebra, cyclic_group_bialgebra,
                                group_algebra,
                                grouplike_coalgebra, matrix_algebra,
                                matrix_coalgebra)
-from entwine.comc import (comc_obj, comc_one_cell, comc_two_cell,
-                          composed_carrier, compositor,
+from entwine.comc import (_columns, _solve_squares, comc_obj, comc_one_cell,
+                          comc_two_cell, composed_carrier, compositor,
                           hom_dimension_report, unitor_comparison,
                           zeta_ambient)
 from entwine.cli import build_gallery
 from entwine.corcat import (CorTwoCell, check_cor_one_cell,
                             check_cor_two_cell, check_coring, hcomp_cor,
-                            identity_cor_one_cell, vcomp_cor, wtensor)
+                            identity_cor_one_cell, module_map_squares,
+                            vcomp_cor, wtensor)
 from entwine.entwcat import (EntwObj, EntwOneCell, EntwTwoCell,
                              bialgebra_entwining, check_obj, check_one_cell,
                              check_two_cell,
@@ -26,7 +29,8 @@ from entwine.entwcat import (EntwObj, EntwOneCell, EntwTwoCell,
                              identity_one_cell, identity_two_cell,
                              morphism_one_cell, scalar_two_cell, vcomp)
 from entwine.errors import DoesNotFactor, InvalidObject
-from entwine.exactlin import FieldSpec, Matrix, QQ, compose, inverse, kron
+from entwine.exactlin import (FieldSpec, Matrix, QQ, compose, inverse,
+                              kron, rank)
 from entwine.qtensor import descend
 
 
@@ -296,6 +300,64 @@ def check_one_cell_ok(f):
     return check_one_cell(f).passed
 
 
+def direct_sum_cells(field):
+    """Two 2-dim carriers over the gallery's m_aug: its direct sum with a
+    cell differing only in gamma, and with one differing only in alpha."""
+    aug = build_gallery(field).one_cells["m_aug"]
+    cells = {}
+    for name, alpha, gamma in (
+            ("aug+swap", aug.alpha, Matrix(field, [[0, 1], [1, 0]])),
+            ("aug+sign", Matrix(field, [[1, -1]]), aug.gamma)):
+        other = morphism_one_cell(aug.dom, aug.cod, alpha, gamma)
+        cells[name] = direct_sum(aug, other)
+        assert check_one_cell_ok(cells[name]), name
+    return cells
+
+
+def parallel_pairs(cells):
+    """((name1, name2), f1, f2) for each unordered parallel pair."""
+    for (n1, f1), (n2, f2) in itertools.combinations_with_replacement(
+            cells.items(), 2):
+        if (f1.dom, f1.cod) == (f2.dom, f2.cod):
+            yield (n1, n2), f1, f2
+
+
+def hom_bases(src, dst):
+    """hom_dimension_report(src, dst), and the lists of maps its solver
+    returned: the entwining 2-cells, bimodule maps, coring 2-cells."""
+    bases, solve = [], comc._solve_squares
+
+    def recording(maps, squares):
+        bases.append(solve(maps, squares))
+        return bases[-1]
+
+    with mock.patch.object(comc, "_solve_squares", recording):
+        return hom_dimension_report(src, dst), bases
+
+
+# hom_dimension_report on each parallel gallery pair, over Q and GF(5)
+GALLERY_HOM_DIMENSIONS = {
+    ("id_flip_kC2_mc2", "id_flip_kC2_mc2"): (1, 2, True, False),
+    ("id_flip_M2_gl3", "id_flip_M2_gl3"): (1, 1, True, True),
+    ("id_flip_kC1_gl2", "id_flip_kC1_gl2"): (1, 1, True, True),
+    ("id_flip_kC2_gl2", "id_flip_kC2_gl2"): (1, 2, True, False),
+    ("id_flip_kC2_gl2", "m_swap"): (0, 0, True, True),
+    ("id_bialg_C1", "id_bialg_C1"): (1, 1, True, True),
+    ("id_bialg_C2", "id_bialg_C2"): (1, 1, True, True),
+    ("id_bialg_C3", "id_bialg_C3"): (1, 1, True, True),
+    ("m_aug", "m_aug"): (1, 1, True, True),
+    ("m_swap", "m_swap"): (1, 2, True, False),
+}
+# ... and on the pairs that hold a direct_sum_cells carrier
+DIRECT_SUM_HOM_DIMENSIONS = {
+    ("m_aug", "aug+swap"): (1, 1, True, True),
+    ("m_aug", "aug+sign"): (1, 1, True, True),
+    ("aug+swap", "aug+swap"): (2, 2, True, True),
+    ("aug+swap", "aug+sign"): (1, 1, True, True),
+    ("aug+sign", "aug+sign"): (2, 2, True, True),
+}
+
+
 class TestWarningChains:
     """The paper's warning: truncating the common tail of the two 5-map
 
@@ -381,15 +443,8 @@ class TestTwoCellFunctor:
                                      for i in range(rows)])
 
         field = FieldSpec("prime", p)
-        cells = build_gallery(field).one_cells
-        # 2-dim carriers whose summands differ only in alpha, only in gamma
-        aug = cells["m_aug"]
-        for name, alpha, gamma in (
-                ("aug+swap", aug.alpha, Matrix(field, [[0, 1], [1, 0]])),
-                ("aug+sign", Matrix(field, [[1, -1]]), aug.gamma)):
-            other = morphism_one_cell(aug.dom, aug.cod, alpha, gamma)
-            cells[name] = direct_sum(aug, other)
-            assert check_one_cell_ok(cells[name]), name
+        cells = {**build_gallery(field).one_cells,
+                 **direct_sum_cells(field)}
         cases = 0
         for name, f in cells.items():
             cf = comc_one_cell(f)
@@ -427,23 +482,49 @@ class TestTwoCellFunctor:
     def test_gallery_hom_dimensions_are_the_recorded_ones(self, field):
         # the comc-injective law prints the dims only when it fails, so
         # the recorded law reports would miss a change in them
-        cells = build_gallery(field).one_cells
-        found = {(n1, n2): hom_dimension_report(f1, f2)
-                 for (n1, f1), (n2, f2)
-                 in itertools.combinations_with_replacement(cells.items(), 2)
-                 if (f1.dom, f1.cod) == (f2.dom, f2.cod)}
-        assert found == {
-            ("id_flip_kC2_mc2", "id_flip_kC2_mc2"): (1, 2, True, False),
-            ("id_flip_M2_gl3", "id_flip_M2_gl3"): (1, 1, True, True),
-            ("id_flip_kC1_gl2", "id_flip_kC1_gl2"): (1, 1, True, True),
-            ("id_flip_kC2_gl2", "id_flip_kC2_gl2"): (1, 2, True, False),
-            ("id_flip_kC2_gl2", "m_swap"): (0, 0, True, True),
-            ("id_bialg_C1", "id_bialg_C1"): (1, 1, True, True),
-            ("id_bialg_C2", "id_bialg_C2"): (1, 1, True, True),
-            ("id_bialg_C3", "id_bialg_C3"): (1, 1, True, True),
-            ("m_aug", "m_aug"): (1, 1, True, True),
-            ("m_swap", "m_swap"): (1, 2, True, False),
-        }
+        found = {names: hom_dimension_report(f1, f2)
+                 for names, f1, f2 in parallel_pairs(
+                     build_gallery(field).one_cells)}
+        assert found == GALLERY_HOM_DIMENSIONS
+
+    @pytest.mark.parametrize("field", [QQ, FieldSpec("prime", 5)],
+                             ids=["q", "gf5"])
+    def test_solver_returns_hom_bases(self, field):
+        # the solver's lists are the cells themselves: each passes its
+        # checker, and they are independent, as many as the dimension
+        cells = {**build_gallery(field).one_cells,
+                 **direct_sum_cells(field)}
+        dims = {**GALLERY_HOM_DIMENSIONS, **DIRECT_SUM_HOM_DIMENSIONS}
+        pairs = list(parallel_pairs(cells))
+        assert {names for names, _, _ in pairs} == set(dims)
+        for names, f1, f2 in pairs:
+            report, (entw, bimod, cor) = hom_bases(f1, f2)
+            c1, c2 = comc_one_cell(f1), comc_one_cell(f2)
+            for t in entw:
+                assert check_two_cell(EntwTwoCell(f1, f2, t)).passed, names
+            for y in bimod:
+                assert all(lhs == rhs for _, lhs, rhs in module_map_squares(
+                    "", y, c1.carrier, c2.carrier)), names
+            for y in cor:
+                assert check_cor_two_cell(CorTwoCell(c1, c2, y)).passed, names
+            for basis in (entw, bimod, cor):
+                assert rank(_columns(field, [[y] for y in basis])) == len(
+                    basis), names
+            assert (len(entw), len(cor)) == dims[names][:2], names
+            assert report == dims[names], names
+
+    def test_solver_returns_no_maps_for_none(self):
+        def squares(y):
+            raise AssertionError("no map to evaluate")
+
+        assert _solve_squares([], squares) == []
+        f = build_gallery(QQ).one_cells["m_swap"]
+        empty = EntwOneCell(f.dom, f.cod, 0, Matrix.zeros(QQ, 0, 0),
+                            Matrix.zeros(QQ, 0, 0))
+        for src, dst in ((empty, empty), (empty, f), (f, empty)):
+            report, bases = hom_bases(src, dst)
+            assert report == (0, 0, True, True)
+            assert bases == [[], [], []]
 
 
 class TestPseudofunctorLaws:

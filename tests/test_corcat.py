@@ -13,7 +13,7 @@ from entwine.algstruct import (Bimodule, cyclic_group_bialgebra,
                                group_algebra, grouplike_coalgebra,
                                matrix_algebra, regular_bimodule)
 from entwine.cli import _composable_pairs, build_gallery, deserialize
-from entwine.comc import _maps, _solve_squares, comc_obj, comc_one_cell
+from entwine.comc import _solve_squares, _units, comc_obj, comc_one_cell
 from entwine.corcat import (Coring, CorOneCell, CorTwoCell, check_coring,
                             check_cor_one_cell, check_cor_two_cell,
                             compose_cor_one_cells, cor_associator,
@@ -220,10 +220,8 @@ def bimodule_family(field, which):
 
 def bimodule_map_basis(x, x2):
     """A basis of the bimodule maps x -> x2, as matrices."""
-    basis = _solve_squares(Matrix.identity(x.field, x2.dim * x.dim),
-                           x2.dim, x.dim,
-                           lambda f: module_map_squares("", f, x, x2))
-    return _maps(basis, x2.dim, x.dim)
+    return _solve_squares(_units(x.field, x2.dim, x.dim),
+                          lambda f: module_map_squares("", f, x, x2))
 
 
 def coefficient(field):

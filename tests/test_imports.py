@@ -28,9 +28,13 @@ that builds a ``CheckReport``.  A ninth keeps one route past the check
 that an induced map is well defined: only ``corcat.tensor_map`` reads
 ``free_columns`` outside ``qtensor.descend_columns``, which checks it,
 and only after it has read a module square through ``_module_square``.
+A tenth keeps the README's list of memoised functions honest: its bullet
+"Memoisation has one owner" names exactly the functions that the package
+defines with ``@memoised``.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -109,6 +113,48 @@ def test_memoisation_has_one_owner():
                                   for p in sorted(src.glob("*.py"))})
     assert caches == []
     assert owners == ["exactlin.py"]
+
+
+def memoised_functions(sources: dict) -> list:
+    """The sorted names of the functions defined with ``@memoised`` (or
+    ``@<module>.memoised``) in ``sources``, a dict file name -> source."""
+    return sorted(node.name for source in sources.values()
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.FunctionDef)
+                  and "memoised" in (getattr(d, "id", getattr(d, "attr", ""))
+                                     for d in node.decorator_list))
+
+
+def listed_memos(readme: str) -> list:
+    """The sorted names, without module prefix, that the sentence "It wraps
+    ..., so" of the README bullet "Memoisation has one owner" lists."""
+    bullet = readme.split("- Memoisation has one owner", 1)[1]
+    wrapped = re.search(r"It wraps (.*?), so ",
+                        bullet.split("\n- ", 1)[0], re.S).group(1)
+    return sorted(name.rsplit(".", 1)[-1]
+                  for name in re.findall(r"`([\w.]+)`", wrapped))
+
+
+def test_scan_finds_memoised_functions_and_listed_memos():
+    sources = {"a.py": "@memoised\ndef f(x):\n    pass\n"
+                       "@x.memoised\ndef g(x):\n    pass\n",
+               "b.py": "@other\ndef h(x):\n    pass\n"
+                       "class C:\n    @memoised\n    def m(self):\n"
+                       "        pass\n"}
+    assert memoised_functions(sources) == ["f", "g", "m"]
+    readme = ("- A bullet. It wraps `no`, so nothing.\n"
+              "- Memoisation has one owner: `memoised`. It wraps `f`,\n"
+              "  `a.g` and `C.m`, so each is built once. It wraps `no`,\n"
+              "  so only the first sentence counts.\n"
+              "- Another bullet. It wraps `no`, so nothing.\n")
+    assert listed_memos(readme) == ["f", "g", "m"]
+
+
+def test_readme_lists_the_memoised_functions():
+    src = ROOT / "src" / "entwine"
+    assert listed_memos((ROOT / "README.md").read_text(encoding="utf-8")) == (
+        memoised_functions({p.name: p.read_text(encoding="utf-8")
+                            for p in sorted(src.glob("*.py"))}))
 
 
 
