@@ -10,6 +10,7 @@ assignment a homomorphism of bicategories in the pseudo sense.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Tuple
 
 from .algstruct import Bimodule
@@ -121,17 +122,21 @@ def unitor_comparison(e: EntwObj) -> CorTwoCell:
 
 def _columns(field, vecs: list) -> Matrix:
     """The matrix whose column t holds the entries of the matrices
-    ``vecs[t]``, each read row-major, one after the other."""
+    ``vecs[t]``, each read row-major, one after the other.  Their
+    numerators are brought to the lcm of their denominators exactly: a
+    column scaled on its own would scale its kernel coefficients."""
+    den = lcm(*[m.den for ms in vecs for m in ms])
     cols, n = [], 0
     for ms in vecs:
         v, n = {}, 0
         for m in ms:
+            s = den // m.den
             for j, col in enumerate(_sparse_columns(m)):
                 for i, x in col.items():
-                    v[n + i * m.cols + j] = x
+                    v[n + i * m.cols + j] = s * x
             n += m.rows * m.cols
         cols.append(v)
-    return _wrap(field, n, cols)
+    return _wrap(field, n, cols, den)
 
 
 def _units(field, rows: int, cols: int) -> list:
@@ -151,10 +156,13 @@ def _solve_squares(maps: list, squares) -> list:
     field, (rows, cols) = maps[0].field, maps[0].shape
     system = _columns(field, [[lhs - rhs for _, lhs, rhs in squares(y)]
                               for y in maps])
-    cs = [_sparse_columns(y) for y in maps]
-    return [_wrap(field, rows, [_combine(k, {t: cs[t][j] for t in k}, field)
-                                for j in range(cols)])
-            for k in _sparse_columns(kernel_basis(system))]
+    cs, kb = [_sparse_columns(y) for y in maps], kernel_basis(system)
+    den = lcm(*[y.den for y in maps])
+    scales = [den // y.den for y in maps]
+    return [_wrap(field, rows, [
+        _combine({t: a * scales[t] for t, a in k.items()},
+                 {t: cs[t][j] for t in k}, field) for j in range(cols)],
+        kb.den * den) for k in _sparse_columns(kb)]
 
 
 def hom_dimension_report(src: EntwOneCell,

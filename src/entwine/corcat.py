@@ -67,10 +67,10 @@ def word_module(xm: Bimodule, ym: Bimodule) -> Bimodule:
     x_l, y_r = _sparse_columns(xm.lact), _sparse_columns(ym.ract)
     lact = compose(q.projection, _wrap(xm.field, q.ambient_dim, [
         {i2 * dn + j: x for i2, x in x_l[l * dm + i].items()}
-        for l in range(dl) for i, j in ij]))
+        for l in range(dl) for i, j in ij], xm.lact.den))
     ract = compose(q.projection, _wrap(xm.field, q.ambient_dim, [
         {i * dn + j2: y for j2, y in y_r[j * dr + r].items()}
-        for i, j in ij for r in range(dr)]))
+        for i, j in ij for r in range(dr)], ym.ract.den))
     return Bimodule(xm.left, ym.right, q.quotient_dim, lact, ract)
 
 
@@ -89,12 +89,12 @@ def tensor_map(f, g, src: tuple, tgt: tuple) -> Matrix:
     if (fm.shape, gm.shape) != ((x2.dim, x.dim), (y2.dim, y.dim)):
         raise DimensionMismatch(f"whisker {fm.shape} (x) {gm.shape} of words")
     f_cols, g_cols = _sparse_columns(fm), _sparse_columns(gm)
-    mul = fm.field.mul
-    dy, dy2 = y.dim, y2.dim
+    dy, dy2, den = y.dim, y2.dim, fm.den * gm.den
 
     def image(c):   # column (i, j) of f (x) g is f[:, i] (x) g[:, j]
         i, j = divmod(c, dy)
-        return {a * dy2 + b: t if s == 1 else mul(s, t)
+        # over den; unreduced over GF(p) until the target projection
+        return {a * dy2 + b: s * t
                 for a, s in f_cols[i].items() for b, t in g_cols[j].items()}
 
     words = wtensor(x, y).outer, wtensor(x2, y2).outer
@@ -104,8 +104,8 @@ def tensor_map(f, g, src: tuple, tgt: tuple) -> Matrix:
             or eq(*_module_square(hm, a, b, right))
             for h, hm, a, b, right in ((f, fm, x, x2, True),
                                        (g, gm, y, y2, False))):
-        return free_columns(image, *words)
-    return descend_columns(image, *words)
+        return free_columns(image, *words, den)
+    return descend_columns(image, *words, den)
 
 
 @memoised
@@ -118,8 +118,8 @@ def word_iso(x: Bimodule, y: Bimodule, z: Bimodule) -> Matrix:
     whiskered associators and their inverses (Mac Lane coherence).
     """
     xy, yz = wtensor(x, y), wtensor(y, z)
-    dz, dyz = z.dim, yz.outer.quotient_dim
-    p_yz = _sparse_columns(yz.outer.projection)
+    dz, dyz, p = z.dim, yz.outer.quotient_dim, yz.outer.projection
+    p_yz = _sparse_columns(p)
 
     def image(c):
         t, k = divmod(c, dz)
@@ -127,7 +127,7 @@ def word_iso(x: Bimodule, y: Bimodule, z: Bimodule) -> Matrix:
         return {i * dyz + r: a for r, a in p_yz[j * dz + k].items()}
 
     iso = descend_columns(image, wtensor(xy.module, z).outer,
-                          wtensor(x, yz.module).outer)
+                          wtensor(x, yz.module).outer, p.den)
     return _iso_or_raise(iso, "bracketings do not present the same module")
 
 

@@ -5,19 +5,19 @@ Q and GF(p), and owns the session memo of ``memoised`` functions: a
 fresh ``FieldSpec`` starts a fresh memo.  Memo and field are a reference
 cycle (a memoised result holds matrices, a matrix its field), so the
 cyclic garbage collector, not reference counting, frees a finished session.
-Q arithmetic returns canonical scalars: an integral result is an ``int``
-and any other a ``fractions.Fraction``, so every matrix entry built by
-the field's own operations is canonical with no further pass; over
-GF(p) an entry is an int in ``[0, p)``.  A matrix is immutable, hashable
-(the memo keys on it) and stores only its columns' nonzeros, as
-``{row: value}`` dicts that matrices share and never mutate; ``entries``
-is a dense view.
-``rank``, ``kernel_basis`` and ``inverse`` all reduce sparse vectors
-through the one routine ``_echelon``, and every difference, scaling and
-product (``compose``, ``qtensor.descend_columns``) sums its columns
-through the one routine ``_combine``.  Both are fraction-free: over Q they
-work on integer numerators, and build one ``Fraction`` per non-integral
-output entry only at the end; over GF(p) a sum reduces mod p once per entry.
+A matrix is immutable, hashable (the memo keys on it) and fraction-free:
+it stores int numerators, only its columns' nonzeros, as ``{row: value}``
+dicts that matrices share and never mutate, over one denominator ``den``
+> 0 for the whole matrix.  It is kept in lowest terms, gcd(den, every
+numerator) = 1, so the zero matrix has den 1, and ``==`` and ``hash``
+compare ints only; over GF(p) den is 1 and a numerator is in ``[0, p)``.
+A ``Fraction`` is built only at the boundary: ``coerce`` and the dense
+views ``entries``, ``m[i, j]`` and ``repr``, which give an integral entry
+as an ``int``.  ``rank``, ``kernel_basis`` and ``inverse`` all reduce int
+vectors through the one routine ``_echelon``, and every difference,
+scaling and product (``compose``, ``qtensor.descend_columns``) sums int
+columns through the one routine ``_combine``, which ends in the field's
+reduction: mod p over GF(p), dropping zeros over Q.
 
 Index convention (normative for the whole package): the basis vector
 ``(i of X, j of Y)`` of ``X (x) Y`` has flat index ``i * dim(Y) + j``.
@@ -70,10 +70,10 @@ class FieldSpec:
     """Either the rationals or GF(p) for a prime p.
 
     ``FieldSpec(kind, p)`` returns a ``_Rationals`` or ``_PrimeField``,
-    each owning what differs between the fields: ``coerce``, ``_combine``
-    (every sum of scalar multiples), ``_integral`` and ``_primitive``
-    (elimination), and ``mul`` and ``neg``, one hot loop's step each.  Each
-    instance owns a session memo; equal instances share no memo.
+    each owning what differs between the fields: ``coerce``, ``_reduce``
+    (the end of every int sum of ``_combine``) and ``_primitive``
+    (elimination).  Each instance owns a session memo; equal instances
+    share no memo.
     """
 
     __slots__ = ("p", "_memo")
@@ -140,9 +140,8 @@ class FieldSpec:
 
 
 class _Rationals(FieldSpec):
-    """Q.  ``coerce`` returns a ``Fraction``, every other op a canonical
-    scalar: an integral result is an ``int``, any other a ``Fraction``; the
-    two agree under ``==``, ``hash`` and ``str``."""
+    """Q.  ``coerce`` returns a ``Fraction``; a matrix holds int numerators
+    over its ``den``."""
 
     __slots__ = ()
     kind = "rational"
@@ -154,48 +153,10 @@ class _Rationals(FieldSpec):
             return Fraction(x)
         raise InvalidParameter(f"cannot coerce {brief(repr(x))} to a rational")
 
-    def mul(self, a, b):
-        return _demote(a * b)
-
-    def neg(self, a):
-        return -a
-
-    # fraction-free hooks on sparse vectors: ``_combine`` of products,
-    # ``_integral`` and ``_primitive`` of elimination (``_echelon``)
-    def _combine(self, coeffs: dict, cols) -> dict:
-        """The nonzeros of sum(a * cols[k]): row r sums int numerators
-        over den[r], the lcm of its terms' denominators, and becomes one
-        canonical scalar at the end."""
-        num, den = {}, {}
-        for k, a in coeffs.items():
-            an, ad = a.numerator, a.denominator
-            for r, x in cols[k].items():
-                if type(x) is int:
-                    n, d = an * x, ad
-                else:
-                    n, d = an * x.numerator, ad * x.denominator
-                if r not in num:
-                    num[r], den[r] = n, d
-                elif d == (e := den[r]):
-                    num[r] += n
-                else:
-                    g = gcd(d, e)
-                    num[r] = num[r] * (d // g) + n * (e // g)
-                    den[r] = e // g * d
-        v = {}
-        for r, n in num.items():
-            if n:
-                q, m = divmod(n, den[r])
-                v[r] = Fraction(n, den[r]) if m else q
-        return v
-
-    def _integral(self, v: dict):
-        """(s, s * v), s the lcm of the denominators: s * v has int entries."""
-        if Fraction not in set(map(type, v.values())):
-            return 1, v
-        s = lcm(*[x.denominator for x in v.values()])
-        return s, {j: x.numerator * (s // x.denominator)
-                   for j, x in v.items()}
+    @staticmethod
+    def _reduce(v: dict) -> dict:
+        """The int vector v without its zeros."""
+        return v if 0 not in v.values() else {r: x for r, x in v.items() if x}
 
     def _primitive(self, v: dict) -> dict:
         """The int vector v over the gcd of its entries, leading entry > 0."""
@@ -223,28 +184,14 @@ class _PrimeField(FieldSpec):
         raise InvalidParameter(
             f"cannot coerce {brief(repr(x))} to GF({self.p})")
 
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def _combine(self, coeffs: dict, cols) -> dict:
-        """sum(a * cols[k]) in plain ints, reduced mod p once per entry."""
-        v = {}
-        for k, a in coeffs.items():
-            for r, x in cols[k].items():
-                v[r] = v.get(r, 0) + a * x
+    def _reduce(self, v: dict) -> dict:
+        """The int vector v reduced mod p, zeros dropped."""
         p = self.p
         return {r: y for r, x in v.items() if (y := x % p)}
 
-    def _integral(self, v: dict):
-        return 1, v
-
     def _primitive(self, v: dict) -> dict:
         """The int vector v reduced mod p, zeros dropped, leading entry 1."""
-        p = self.p
-        v = {j: y for j, x in v.items() if (y := x % p)}
+        p, v = self.p, self._reduce(v)
         s = pow(v[min(v)], -1, p) if v else 1
         return v if s == 1 else {j: x * s % p for j, x in v.items()}
 
@@ -261,9 +208,10 @@ def memoised(fn):
     return wrapper
 
 
-def _demote(x):
-    """An integral ``Fraction`` as an ``int``; any other scalar as it is."""
-    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+def _scalar(x: int, den: int):
+    """The canonical scalar x / den: an ``int`` if integral, else a
+    ``Fraction``."""
+    return x if den == 1 else x // den if x % den == 0 else Fraction(x, den)
 
 
 def _transposed(vectors, n: int) -> list:
@@ -282,10 +230,11 @@ class Matrix:
     """Immutable sparse matrix with exact entries over a fixed FieldSpec.
 
     Column j is stored as ``_c[j]``, the ``{row: value}`` dict of its
-    nonzeros; matrices may share these dicts, so none is ever mutated.
+    nonzero int numerators over the matrix's ``den``; matrices may share
+    these dicts, so none is ever mutated.
     """
 
-    __slots__ = ("field", "rows", "cols", "_c", "_hash")
+    __slots__ = ("field", "rows", "cols", "_c", "den", "_hash")
 
     def __init__(self, field: FieldSpec, entries: Sequence[Sequence], *,
                  cols: Optional[int] = None):
@@ -293,14 +242,18 @@ class Matrix:
         rows = len(entries)
         if cols is None:
             cols = len(entries[0]) if rows else 0
-        c = [{} for _ in range(cols)]
-        for i, row in enumerate(entries):
+        scalars = []
+        for row in entries:
             if len(row) != cols:
                 raise DimensionMismatch("ragged rows")
+            scalars.append([field.coerce(x) for x in row])
+        den = lcm(*[x.denominator for row in scalars for x in row])
+        c = [{} for _ in range(cols)]
+        for i, row in enumerate(scalars):
             for j, x in enumerate(row):
-                if x := _demote(field.coerce(x)):
-                    c[j][i] = x
-        _wrap(field, rows, c, m=self)
+                if x:
+                    c[j][i] = x.numerator * (den // x.denominator)
+        _wrap(field, rows, c, den, m=self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -329,62 +282,70 @@ class Matrix:
 
     @property
     def entries(self) -> tuple:
-        """The dense rows, a view derived from the columns."""
-        return tuple(tuple(c.get(i, 0) for c in self._c)
+        """The dense rows of canonical scalars, a view derived from the
+        columns."""
+        d = self.den
+        return tuple(tuple(_scalar(c.get(i, 0), d) for c in self._c)
                      for i in range(self.rows))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self._c[j].get(range(self.rows)[i], 0)
+        return _scalar(self._c[j].get(range(self.rows)[i], 0), self.den)
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and (
-            (self.field, self.rows, self.cols, self._c)
-            == (other.field, other.rows, other.cols, other._c))
+            (self.field, self.rows, self.cols, self.den, self._c)
+            == (other.field, other.rows, other.cols, other.den, other._c))
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.field, self.rows, self.cols,
+            h = hash((self.field, self.rows, self.cols, self.den,
                       tuple(hash(frozenset(c.items())) for c in self._c)))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(c.get(i, 0)) for c in self._c)
-                         for i in range(self.rows))
+        body = "; ".join(" ".join(str(_scalar(c.get(i, 0), self.den))
+                                  for c in self._c) for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
+        den = lcm(self.den, other.den)
+        coeffs = {0: den // self.den, 1: -(den // other.den)}
         return _wrap(self.field, self.rows, [
-            _combine({0: 1, 1: -1}, pair, self.field)
-            for pair in zip(self._c, other._c)])
+            _combine(coeffs, pair, self.field)
+            for pair in zip(self._c, other._c)], den)
 
     def scale(self, c) -> "Matrix":
-        coeffs = {0: self.field.coerce(c)}
+        c = self.field.coerce(c)
+        coeffs = {0: c.numerator}
         return _wrap(self.field, self.rows, [
-            _combine(coeffs, (col,), self.field) for col in self._c])
+            _combine(coeffs, (col,), self.field) for col in self._c],
+            self.den * c.denominator)
 
     def transpose(self) -> "Matrix":
-        return _wrap(self.field, self.cols, _transposed(self._c, self.rows))
+        return _wrap(self.field, self.cols, _transposed(self._c, self.rows),
+                     self.den)
 
     def first_difference(self, other: "Matrix"):
         """Coordinates of the first differing entry in row-major order, or
         None if equal."""
         self._same_shape(other)
-        first = None
+        s, t, first = self.den, other.den, None
         for j, (a, b) in enumerate(zip(self._c, other._c)):
-            if a != b:
-                i = min(r for r in a.keys() | b.keys() if a.get(r) != b.get(r))
-                if first is None or i < first[0]:
-                    first = (i, j)
+            if s != t or a != b:    # a / s vs b / t, cross-multiplied
+                rows = [r for r in a.keys() | b.keys()
+                        if a.get(r, 0) * t != b.get(r, 0) * s]
+                if rows and (first is None or min(rows) < first[0]):
+                    first = (min(rows), j)
         return first
 
     def gather(self, cols: Sequence[int]) -> "Matrix":
         """The matrix of columns ``cols`` of self, in that order."""
         return _wrap(self.field, self.rows,
-                     list(map(self._c.__getitem__, cols)))
+                     list(map(self._c.__getitem__, cols)), self.den)
 
     def column(self, j: int) -> "Matrix":
         return self.gather((j,))
@@ -395,12 +356,22 @@ class Matrix:
                 f"shape {self.shape} vs {other.shape}")
 
 
-def _wrap(field: FieldSpec, rows: int, columns: list, m=None) -> Matrix:
-    """The matrix (m, or a new one) of canonical sparse ``{row: value}``
-    columns of nonzeros, unchecked."""
+def _wrap(field: FieldSpec, rows: int, columns: list, den: int = 1,
+          m=None) -> Matrix:
+    """The matrix (m, or a new one) of sparse ``{row: value}`` columns of
+    nonzero numerators, canonical for ``field``, over ``den`` > 0, brought
+    to lowest terms; unchecked otherwise."""
+    g = den
+    for c in columns if den != 1 else ():
+        g = gcd(g, *c.values())
+        if g == 1:
+            break
+    if g != 1:
+        den //= g
+        columns = [{r: x // g for r, x in c.items()} for c in columns]
     m = object.__new__(Matrix) if m is None else m
     for name, value in zip(Matrix.__slots__,
-                           (field, rows, len(columns), columns, None)):
+                           (field, rows, len(columns), columns, den, None)):
         object.__setattr__(m, name, value)
     return m
 
@@ -435,7 +406,7 @@ def compose(f: Matrix, g: Matrix, *more: Matrix) -> Matrix:
         raise DimensionMismatch(
             f"compose: {f.shape} after {g.shape}")
     return _wrap(f.field, f.rows,
-                 [_combine(col, f._c, f.field) for col in g._c])
+                 [_combine(col, f._c, f.field) for col in g._c], f.den * g.den)
 
 
 def kron(f, g) -> Matrix:
@@ -449,28 +420,35 @@ def kron(f, g) -> Matrix:
         rg = g.rows
         return _wrap(g.field, f * rg, [
             {i * rg + r: x for r, x in c.items()} if i else c
-            for i in range(f) for c in g._c])
+            for i in range(f) for c in g._c], g.den)
     if isinstance(g, int):
         return _wrap(f.field, f.rows * g, [
             {i * g + j: x for i, x in c.items()} if g != 1 else c
-            for c in f._c for j in range(g)])
+            for c in f._c for j in range(g)], f.den)
     # the interchange law: f (x) g = (f (x) 1) . (1 (x) g)
     return compose(kron(f, g.rows), kron(f.cols, g))
 
 
 def _sparse_columns(m: Matrix) -> list:
-    """The columns of m as ``{row: value}`` dicts of their nonzeros: the
-    stored ones, shared, so not to be mutated."""
+    """The columns of m as ``{row: value}`` dicts of their nonzero int
+    numerators over ``m.den``: the stored ones, shared, so not to be
+    mutated."""
     return m._c
 
 
 def _combine(coeffs: dict, cols, field: FieldSpec) -> dict:
-    """The nonzeros of sum(a * cols[k]) over (k, a) in ``coeffs``."""
+    """The nonzeros of sum(a * cols[k]) over (k, a) in ``coeffs``, for int
+    coefficients and columns: a plain int sum per entry, then the field's
+    reduction."""
     if len(coeffs) == 1:
         (k, a), = coeffs.items()
         if a == 1:
             return cols[k]
-    return field._combine(coeffs, cols)
+    v = {}
+    for k, a in coeffs.items():
+        for r, x in cols[k].items():
+            v[r] = v.get(r, 0) + a * x
+    return field._reduce(v)
 
 
 def _clear(v: dict, c: int, row: dict) -> None:
@@ -493,23 +471,21 @@ def _clear(v: dict, c: int, row: dict) -> None:
 def _echelon(vectors: Iterable[dict], field: FieldSpec) -> dict:
     """The reduced row echelon basis of the span of sparse vectors.
 
-    Each vector is a ``{col: value}`` dict of nonzeros, left unchanged
-    (it may be a matrix's stored column).
-    Returns ``{pivot: row}``: each row is 1 at its pivot, its leading
-    column, and 0 at every other pivot.
-
-    Elimination is fraction-free: vectors are scaled to int entries, and
-    a stored row is an int vector (primitive over Q, monic over GF(p))
-    whose pivot entry is its denominator, divided out only at the end.
+    Each vector is an int ``{col: value}`` dict of nonzeros, such as a
+    matrix's stored numerators (a vector's scale does not move its span),
+    left unchanged.  Returns ``{pivot: row}``, fraction-free: each row is an
+    int vector (primitive over Q, monic over GF(p)), positive at its pivot,
+    its leading column, and 0 at every other pivot; the pivot entry is the
+    row's denominator, so row / row[pivot] is the reduced row.
     """
     # holders: column -> a superset of the pivots of the rows holding it
     # (clearing a row with v only adds columns of v to its support)
     rows, holders = {}, {}
-    integral, primitive = field._integral, field._primitive
+    primitive = field._primitive
     for v in vectors:
         if not v:
             continue
-        v = dict(integral(v)[1])
+        v = dict(v)
         # rows are fully reduced, so clearing one pivot of v sets no other
         for c in [c for c in v if c in rows]:
             _clear(v, c, rows[c])
@@ -524,11 +500,6 @@ def _echelon(vectors: Iterable[dict], field: FieldSpec) -> dict:
         rows[p] = v
         for c in v:
             holders.setdefault(c, set()).update(held, (p,))
-    for p, row in rows.items():
-        d = row[p]
-        if d != 1:
-            rows[p] = {j: x // d if x % d == 0 else Fraction(x, d)
-                       for j, x in row.items()}
     return rows
 
 
@@ -546,11 +517,14 @@ def _null_rows(vectors: Iterable[dict], ncols: int,
     """
     ech = _echelon(vectors, field)
     free = tuple(c for c in range(ncols) if c not in ech)
-    where, neg = {c: j for j, c in enumerate(free)}, field.neg
-    # a pivot column holds minus its echelon row at the free columns
+    where = {c: j for j, c in enumerate(free)}
+    den = lcm(*[row[c] for c, row in ech.items()])
+    # a pivot column c holds minus its echelon row over row[c] at the free
+    # columns, all over their lcm den
     return _wrap(field, len(free), [
-        {where[j]: neg(x) for j, x in ech[c].items() if j != c}
-        if c in ech else {where[c]: 1} for c in range(ncols)]), free
+        field._reduce({where[j]: -x * (den // ech[c][c])
+                       for j, x in ech[c].items() if j != c})
+        if c in ech else {where[c]: den} for c in range(ncols)], den), free
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -570,9 +544,12 @@ def inverse(m: Matrix) -> Optional[Matrix]:
     ech = _echelon(rows, m.field)
     if any(p >= n for p in ech):
         return None
-    return _wrap(m.field, n, _transposed(
-        [{j - n: x for j, x in ech[p].items() if j >= n} for p in range(n)],
-        n))
+    # row p is ech[p][p] (e_p | M^-1[p, :]) for the numerators M = m.den m
+    den = lcm(*[ech[p][p] for p in range(n)])
+    scales = [m.den * (den // ech[p][p]) for p in range(n)]
+    return _wrap(m.field, n, _transposed([
+        {j - n: x * s for j, x in ech[p].items() if j >= n}
+        for p, s in enumerate(scales)], n), den)
 
 
 def flip(field: FieldSpec, dim_x: int, dim_y: int) -> Matrix:

@@ -93,22 +93,20 @@ def tensor_over(ract_m: Matrix, lact_n: Matrix, dim_m: int, unit: Matrix,
             i * q.ambient_dim + f for i in range(v) for f in q.free))
     u, r_cols, l_cols = (_sparse_columns(unit)[0], _sparse_columns(ract_m),
                          _sparse_columns(lact_n))
-    # m_i . 1 = m_i and 1 . n_j = n_j, with 1 = sum u_k a_k
+    s, t = ract_m.den, lact_n.den
+    # m_i . 1 = m_i and 1 . n_j = n_j, with 1 = sum u_k a_k; in numerators
     unital = u and all(
         _combine({i * dim_a + k: x for k, x in u.items()}, r_cols, field)
-        == {i: 1} for i in range(dim_m)) and all(
+        == {i: unit.den * s} for i in range(dim_m)) and all(
         _combine({k * dim_n + j: x for k, x in u.items()}, l_cols, field)
-        == {j: 1} for j in range(dim_n))
+        == {j: unit.den * t} for j in range(dim_n))
     kept = [k for k in range(dim_a) if not unital or k != max(u)]
-    # each column of an action as (s, s * column), with int entries
-    m_a, a_n = ([field._integral(col) for col in cols]
-                for cols in (r_cols, l_cols))
 
     def relations():
-        # (m_i . a_k) (x) n_j - m_i (x) (a_k . n_j), read off the actions
-        # and scaled by the product of the two columns' scales
+        # (m_i . a_k) (x) n_j - m_i (x) (a_k . n_j), read off the actions'
+        # numerators and scaled by the product s * t of their denominators
         for i, k, j in product(range(dim_m), kept, range(dim_n)):
-            (s, ma), (t, an) = m_a[i * dim_a + k], a_n[k * dim_n + j]
+            ma, an = r_cols[i * dim_a + k], l_cols[k * dim_n + j]
             v = {r * dim_n + j: t * x for r, x in ma.items()}
             for r, y in an.items():
                 v[i * dim_n + r] = v.get(i * dim_n + r, 0) - s * y
@@ -138,40 +136,56 @@ def _peel(m: Matrix, right: bool):
                 break
             g.append(gc)
         else:
-            return v, _wrap(m.field, rg, g)
+            return v, _wrap(m.field, rg, g, m.den)
     return None
 
 
-def _projected(image, tgt) -> tuple:
-    """(h, rows): h(c) is the sparse vector ``image(c)`` projected to
-    ``tgt`` (an int n, as in ``kron``, for k^n itself), of length rows."""
+def _projected(image, tgt, den: int) -> tuple:
+    """(h, rows, den'): h(c) is the int vector ``image(c)`` over ``den``
+    projected to ``tgt`` (an int n, as in ``kron``, for k^n itself), of
+    length rows, over den'.  Only a projection reduces mod p, so an image
+    to k^n holds canonical numerators itself."""
     if isinstance(tgt, int):
-        return image, tgt
-    p_cols, field = _sparse_columns(tgt.projection), tgt.projection.field
-    return (lambda c: _combine(image(c), p_cols, field)), tgt.quotient_dim
+        return image, tgt, den
+    p = tgt.projection
+    p_cols, field = _sparse_columns(p), p.field
+    return (lambda c: _combine(image(c), p_cols, field),
+            tgt.quotient_dim, den * p.den)
 
 
-def free_columns(image, src: QuotientPresentation, tgt) -> Matrix:
-    """The map whose column j is ``image(free[j])`` projected to ``tgt``
-    (as in ``_projected``), unchecked.  As projection[:, free[j]] = e_j, it
-    is the quotient-level map that the ambient-level map with columns
-    ``image(c)`` induces whenever that map kills src's relations; a caller
-    that has not proven so goes through ``descend_columns``."""
-    h, rows = _projected(image, tgt)
-    return _wrap(src.projection.field, rows, [h(c) for c in src.free])
+def free_columns(image, src: QuotientPresentation, tgt, den: int) -> Matrix:
+    """The map whose column j is ``image(free[j])``, an int vector over
+    ``den``, projected to ``tgt`` (as in ``_projected``), unchecked.  As
+    projection[:, free[j]] = e_j, it is the quotient-level map that the
+    ambient-level map with columns ``image(c)`` induces whenever that map
+    kills src's relations; a caller that has not proven so goes through
+    ``descend_columns``."""
+    h, rows, den = _projected(image, tgt, den)
+    return _wrap(src.projection.field, rows, [h(c) for c in src.free], den)
 
 
-def descend_columns(image, src: QuotientPresentation, tgt) -> Matrix:
+def descend_columns(image, src: QuotientPresentation, tgt,
+                    den: int) -> Matrix:
     """The quotient-level map induced by the ambient-level map whose column
-    c is the sparse vector ``image(c)``, projected to ``tgt`` (as in
-    ``_projected``); DoesNotFactor unless it kills src's relations.  Its
+    c is the int vector ``image(c)`` over ``den``, projected to ``tgt`` (as
+    in ``_projected``); DoesNotFactor unless it kills src's relations.  Its
     columns are ``free_columns``; the relations c - section . projection[:,
     c] are then checked at the pivot columns c, so no other column of the
     image is formed."""
-    m, (h, _) = free_columns(image, src, tgt), _projected(image, tgt)
-    kept, free, field = _sparse_columns(m), set(src.free), m.field
-    for c, combo in enumerate(_sparse_columns(src.projection)):
-        if c not in free and _combine(combo, kept, field) != h(c):
+    m = free_columns(image, src, tgt, den)
+    h, _, den = _projected(image, tgt, den)
+    p, kept, free, field = (src.projection, _sparse_columns(m),
+                            set(src.free), m.field)
+    # m . p[:, c] == h(c), both sides in numerators over den * p.den
+    g, s = den // m.den, p.den
+    for c, combo in enumerate(_sparse_columns(p)):
+        if c in free:
+            continue
+        lhs, rhs = _combine(combo, kept, field), h(c)
+        if g != 1 or s != 1:    # over Q only: no int scale makes a zero
+            lhs = {r: g * x for r, x in lhs.items()}
+            rhs = {r: s * x for r, x in rhs.items()}
+        if lhs != rhs:
             raise DoesNotFactor("map does not vanish on the relation span")
     return m
 
@@ -182,7 +196,7 @@ def descend(f: Matrix, src: QuotientPresentation, tgt) -> Matrix:
     rows = tgt if isinstance(tgt, int) else tgt.ambient_dim
     if f.shape != (rows, src.ambient_dim):
         raise DimensionMismatch(f"map {f.shape} vs {rows} x {src.ambient_dim}")
-    return descend_columns(_sparse_columns(f).__getitem__, src, tgt)
+    return descend_columns(_sparse_columns(f).__getitem__, src, tgt, f.den)
 
 
 def _iso_or_raise(u: Matrix, message: str) -> Matrix:

@@ -186,6 +186,20 @@ class TestFractionalBasis:
         rep = check_obj(self.twisted(bump=1))
         assert "E4-counit-triangle" in {f.axiom for f in rep.failures}
 
+    def test_hom_solver_on_the_identity_cell(self):
+        # the squares of the fractional cell meet in one system over
+        # several denominators; the dimensions are id_flip_kC2_gl2's
+        f, seen, columns = identity_one_cell(self.twisted()), [], _columns
+
+        def recording(field, vecs):
+            seen.append({m.den for ms in vecs for m in ms})
+            return columns(field, vecs)
+
+        with mock.patch.object(comc, "_columns", recording):
+            assert_hom_bases(f, f, GALLERY_HOM_DIMENSIONS[
+                "id_flip_kC2_gl2", "id_flip_kC2_gl2"], "fractional id")
+        assert max(map(len, seen)) > 1
+
 
 class TestComcOneCell:
     def test_all_gallery_cells_pass(self):
@@ -320,6 +334,26 @@ def parallel_pairs(cells):
             cells.items(), 2):
         if (f1.dom, f1.cod) == (f2.dom, f2.cod):
             yield (n1, n2), f1, f2
+
+
+def assert_hom_bases(f1, f2, dims, names):
+    """The solver's lists for f1 => f2 are the cells themselves: each
+    passes its checker, and they are independent, as many as ``dims``,
+    the expected ``hom_dimension_report``, says."""
+    report, (entw, bimod, cor) = hom_bases(f1, f2)
+    c1, c2 = comc_one_cell(f1), comc_one_cell(f2)
+    for t in entw:
+        assert check_two_cell(EntwTwoCell(f1, f2, t)).passed, names
+    for y in bimod:
+        assert all(lhs == rhs for _, lhs, rhs in module_map_squares(
+            "", y, c1.carrier, c2.carrier)), names
+    for y in cor:
+        assert check_cor_two_cell(CorTwoCell(c1, c2, y)).passed, names
+    for basis in (entw, bimod, cor):
+        assert rank(_columns(f1.field, [[y] for y in basis])) == len(
+            basis), names
+    assert (len(entw), len(cor)) == dims[:2], names
+    assert report == dims, names
 
 
 def hom_bases(src, dst):
@@ -498,20 +532,7 @@ class TestTwoCellFunctor:
         pairs = list(parallel_pairs(cells))
         assert {names for names, _, _ in pairs} == set(dims)
         for names, f1, f2 in pairs:
-            report, (entw, bimod, cor) = hom_bases(f1, f2)
-            c1, c2 = comc_one_cell(f1), comc_one_cell(f2)
-            for t in entw:
-                assert check_two_cell(EntwTwoCell(f1, f2, t)).passed, names
-            for y in bimod:
-                assert all(lhs == rhs for _, lhs, rhs in module_map_squares(
-                    "", y, c1.carrier, c2.carrier)), names
-            for y in cor:
-                assert check_cor_two_cell(CorTwoCell(c1, c2, y)).passed, names
-            for basis in (entw, bimod, cor):
-                assert rank(_columns(field, [[y] for y in basis])) == len(
-                    basis), names
-            assert (len(entw), len(cor)) == dims[names][:2], names
-            assert report == dims[names], names
+            assert_hom_bases(f1, f2, dims[names], names)
 
     def test_solver_returns_no_maps_for_none(self):
         def squares(y):

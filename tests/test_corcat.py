@@ -333,14 +333,14 @@ def tensor_map_columns():
     counts, sweep, free = (Counter(), corcat.descend_columns,
                            corcat.free_columns)
 
-    def sweeping(image, src, tgt):
+    def sweeping(image, src, tgt, den):
         if image.__qualname__.startswith("tensor_map."):   # not word_iso
             counts["swept"] += src.ambient_dim - src.quotient_dim
-        return sweep(image, src, tgt)
+        return sweep(image, src, tgt, den)
 
-    def skipping(image, src, tgt):
+    def skipping(image, src, tgt, den):
         counts["skipped"] += src.ambient_dim - src.quotient_dim
-        return free(image, src, tgt)
+        return free(image, src, tgt, den)
 
     with mock.patch.object(corcat, "descend_columns", sweeping), \
             mock.patch.object(corcat, "free_columns", skipping):

@@ -1,6 +1,7 @@
 """Exact linear algebra: conventions, rref determinism, field modes."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -69,9 +70,14 @@ def denominated(max_num=30, max_den=30, prime_to=None):
 
 
 def stored_canonically(m) -> bool:
-    """No stored zero, and no stored integral ``Fraction``."""
-    return all(x and not (isinstance(x, Fraction) and x.denominator == 1)
-               for col in m._c for x in col.values())
+    """Int numerators, no stored zero, over an int den >= 1 in lowest terms
+    (so den 1 for the zero matrix), and over GF(p) den 1 and numerators
+    in [0, p)."""
+    nums = [x for col in m._c for x in col.values()]
+    return (type(m.den) is int and m.den >= 1 and gcd(m.den, *nums) == 1
+            and all(type(x) is int and x for x in nums)
+            and (m.field.p is None
+                 or m.den == 1 and all(0 <= x < m.field.p for x in nums)))
 
 
 def to_sympy(m):
@@ -86,11 +92,20 @@ def from_sympy(s):
 
 
 def rref(m):
-    """(reduced, pivots, rank) of m, read off the rows ``_echelon`` keeps."""
+    """(reduced, pivots, rank) of m, read off the int rows ``_echelon``
+    keeps, each divided by its pivot entry."""
     ech = _echelon(_sparse_columns(m.transpose()), m.field)
     pivots = tuple(sorted(ech))
-    rows = [ech[p] for p in pivots] + [{}] * (m.rows - len(pivots))
-    reduced = _wrap(m.field, m.rows, _transposed(rows, m.cols))
+    for p in pivots:
+        assert all(type(x) is int and x for x in ech[p].values())
+        assert ech[p][p] > 0 and all(ech[q].get(p) is None
+                                     for q in pivots if q != p)
+        assert m.field.p is None or ech[p][p] == 1   # monic over GF(p)
+    rows = [{j: Fraction(x, ech[p][p]) for j, x in ech[p].items()}
+            for p in pivots] + [{}] * (m.rows - len(pivots))
+    cols = _transposed(rows, m.cols)
+    reduced = Matrix.build(m.field, m.rows, m.cols,
+                           lambda i, j: cols[j].get(i, 0))
     return reduced, pivots, len(pivots)
 
 
@@ -116,8 +131,12 @@ class TestFieldSpec:
     def test_prime_coerce(self):
         assert GF5.coerce(7) == 2
         assert GF5.coerce("1/2") == 3  # 2 * 3 = 6 = 1 mod 5
-        assert GF5.coerce(Fraction(-1, 3)) == GF5.mul(GF5.neg(1),
-                                                      pow(3, -1, 5))
+        assert GF5.coerce(Fraction(-1, 3)) == (-pow(3, -1, 5)) % 5
+        # a product and a negation of GF(5) scalars, on 1 x 1 matrices
+        four = Matrix(GF5, [[4]])
+        assert compose(four, four) == Matrix(GF5, [[1]])
+        assert four.scale(-1) == Matrix(GF5, [[1]])
+        assert (Matrix.zeros(GF5, 1, 1) - four)[0, 0] == 1
 
     def test_zero_denominator_is_invalid(self):
         for field in (QQ, GF5):
@@ -194,7 +213,23 @@ class TestFieldSpec:
 
 def difference(a, b):
     """a - b over Q, through the 1 x 1 ``Matrix`` subtraction."""
-    return (Matrix(QQ, [[a]]) - Matrix(QQ, [[b]]))[0, 0]
+    return checked(Matrix(QQ, [[a]]) - Matrix(QQ, [[b]]))
+
+
+def product(a, b):
+    """a * b over Q, through the 1 x 1 ``compose``."""
+    return checked(compose(Matrix(QQ, [[a]]), Matrix(QQ, [[b]])))
+
+
+def scaled(a, b):
+    """a * b over Q, through the 1 x 1 ``Matrix.scale``."""
+    return checked(Matrix(QQ, [[a]]).scale(b))
+
+
+def checked(m):
+    """The entry of the 1 x 1 matrix m, after checking its stored form."""
+    assert stored_canonically(m)
+    return m[0, 0]
 
 
 class TestScalarRepresentation:
@@ -207,7 +242,7 @@ class TestScalarRepresentation:
 
     def test_rational_ops_return_canonical_scalars(self):
         for x in (difference(Fraction(3, 2), Fraction(1, 2)),
-                  QQ.mul(Fraction(2, 3), 3)):
+                  product(Fraction(2, 3), 3), scaled(3, Fraction(2, 3))):
             assert x in (1, 2) and type(x) is int
 
     @given(st.data())
@@ -217,7 +252,8 @@ class TestScalarRepresentation:
                            st.fractions(-6, 6, max_denominator=6))
         a, b = data.draw(scalar), data.draw(scalar)
         for op, want in ((difference, Fraction(a) - b),
-                         (QQ.mul, Fraction(a) * b)):
+                         (product, Fraction(a) * b),
+                         (scaled, Fraction(a) * b)):
             got = op(a, b)
             assert got == want
             assert type(got) is (int if want.denominator == 1 else Fraction)
@@ -229,9 +265,13 @@ class TestScalarRepresentation:
 
     def test_int_and_fraction_entries_agree(self):
         as_int = Matrix(QQ, [[3]])
-        as_fraction = _wrap(QQ, 1, [{0: Fraction(3)}])   # not canonical
+        # 6 / 2 over an unreduced denominator comes out in lowest terms
+        as_fraction = _wrap(QQ, 1, [{0: 6}], 2)
         assert Matrix(QQ, [[Fraction(3)]]) == as_int == as_fraction
+        assert Matrix(QQ, [["6/2"]]) == as_int
         assert hash(as_int) == hash(as_fraction)
+        for m in (as_int, as_fraction):
+            assert (m._c, m.den) == ([{0: 3}], 1)
         texts = []
         for mult in (as_int, as_fraction):
             ws = Workspace(QQ)
@@ -274,12 +314,33 @@ class TestMatrixBasics:
         with pytest.raises(AttributeError):
             m.rows = 2
         assert hash(m) == hash(Matrix(QQ, [[1]]))
+        # a selection of columns is brought back to lowest terms
+        wide = Matrix(QQ, [[Fraction(1, 2), Fraction(1, 4)]])
+        half = Matrix(QQ, [[Fraction(1, 2)]])
+        assert wide.den == 4
+        for c in (wide.column(0), wide.gather((0, 0))):
+            assert c.den == 2 and stored_canonically(c)
+        assert wide.column(0) == half and hash(wide.column(0)) == hash(half)
 
     def test_first_difference(self):
         a = Matrix(QQ, [[1, 2], [3, 4]])
         b = Matrix(QQ, [[1, 2], [3, 5]])
         assert a.first_difference(b) == (1, 1)
         assert a.first_difference(a) is None
+        # different denominators: a / 6 against b / 4, pinned against a
+        # dense scan of the Fraction entries
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        cases = [([[half, third], [1, 0]], [[half, Fraction(1, 4)], [1, 0]]),
+                 ([[half, third], [1, 0]], [[half, third], [1, half]]),
+                 ([[third, 1], [half, 0]], [[third, 1], [half, 0]]),
+                 ([[0, 0], [2, half]], [[0, 0], [Fraction(3, 4), half]])]
+        for x, y in cases:
+            a, b = Matrix(QQ, x), Matrix(QQ, y)
+            dense = [(i, j) for i in range(2) for j in range(2)
+                     if Fraction(x[i][j]) != Fraction(y[i][j])]
+            assert a.first_difference(b) == b.first_difference(a) == (
+                dense[0] if dense else None)
+        assert Matrix(QQ, cases[0][0]).den != Matrix(QQ, cases[0][1]).den
 
 
 class TestKronConvention:
@@ -304,6 +365,10 @@ class TestKronConvention:
             [0, 3, 0, 4],
             [3, 0, 4, 0],
         ])
+        # 1/2 (x) 2/3 comes out as 1/3, not 2/6
+        third = kron(Matrix(QQ, [["1/2"]]), Matrix(QQ, [["2/3"]]))
+        assert (third._c, third.den) == ([{0: 1}], 3)
+        assert third == Matrix(QQ, [[Fraction(1, 3)]])
 
     @given(matrices(2, 3), matrices(3, 2), matrices(2, 3), matrices(3, 2))
     @settings(max_examples=40, deadline=None)
@@ -423,6 +488,8 @@ class TestCanonicalEntries:
         combos = data.draw(st.lists(st.dictionaries(
             st.integers(0, k - 1), st.fractions(-3, 3, max_denominator=4),
             max_size=3), max_size=3)) if k else []
+        combined = Matrix.build(QQ, k, len(combos),
+                                lambda i, j: combos[j].get(i, 0))
         square = data.draw(mixed_matrices(r, r))
         picks = data.draw(st.lists(st.integers(0, k - 1), max_size=4)
                           if k else st.just([]))
@@ -432,11 +499,14 @@ class TestCanonicalEntries:
                            src.projection)
         outs = [compose(f, g), kron(f, g), f - h, f.scale(s), f.transpose(),
                 f.gather(picks), rref(f)[0], kernel_basis(f),
-                compose(f, _wrap(QQ, k, combos)), inverse(square),
-                descend(balanced, src, tgt)]
+                compose(f, combined), inverse(square),
+                descend(balanced, src, tgt), f - f, f.scale(0)]
         for out in outs:
             if out is not None:
                 assert self.integral_fractions(out) == []
+                assert stored_canonically(out)
+        for zero in outs[-2:]:
+            assert zero.den == 1 and not any(zero._c)
 
 
 class TestRowOrder:

@@ -19,18 +19,19 @@ table ``_IMAGES``, and every other use reads them from there.  A sixth
 keeps the package free of dead names: every module-level function and
 class, and every method but a dunder, is read somewhere in the package
 outside its own definition, unless ``UNREAD`` gives a reason.  A seventh
-keeps the field interface minimal: sums of scalar multiples go through
-``_combine``, so the per-scalar ``mul`` and ``neg`` are read only in the
-hot loop each serves, and no code reads a field's ``sub``, ``zero`` or
-``one``.  An eighth keeps one checker protocol: every checker returns the
-report of the one evaluator, ``algstruct._check_squares``, the only code
-that builds a ``CheckReport``.  A ninth keeps one route past the check
+keeps the field interface minimal: matrices hold int numerators and every
+sum of scalar multiples goes through ``_combine``, so no code reads a
+field's ``mul``, ``neg``, ``sub``, ``zero`` or ``one``.  An eighth keeps
+one checker protocol: every checker returns the report of the one
+evaluator, ``algstruct._check_squares``, the only code that builds a
+``CheckReport``.  A ninth keeps one route past the check
 that an induced map is well defined: only ``corcat.tensor_map`` reads
 ``free_columns`` outside ``qtensor.descend_columns``, which checks it,
 and only after it has read a module square through ``_module_square``.
 A tenth keeps the README's list of memoised functions honest: its bullet
 "Memoisation has one owner" names exactly the functions that the package
-defines with ``@memoised``.
+defines with ``@memoised``.  An eleventh keeps the ``Fraction`` boundary in
+one module: no module of the package but ``exactlin`` names ``Fraction``.
 """
 
 import ast
@@ -316,10 +317,9 @@ def test_every_definition_is_read():
 
 
 # field member -> the one module-level definition of the package that
-# may read it
-FIELD_MEMBERS = {"mul": "corcat.py: tensor_map",
-                 "neg": "exactlin.py: _null_rows",
-                 "sub": None, "zero": None, "one": None}
+# may read it, or None if none may
+FIELD_MEMBERS = {"mul": None, "neg": None, "sub": None, "zero": None,
+                 "one": None}
 
 
 def field_member_reads(sources: dict) -> list:
@@ -426,3 +426,31 @@ def test_only_tensor_map_skips_the_sweep():
                              for p in sorted(src.glob("*.py"))}) == [
         ("corcat.py: tensor_map", True),
         ("qtensor.py: descend_columns", False)]
+
+
+def fraction_names(sources: dict) -> list:
+    """``file: line`` of each place in ``sources``, a dict file name ->
+    source text, that names ``Fraction``: as a name, an attribute or an
+    import, sorted."""
+    return sorted(f"{file}: {n.lineno}" for file, source in sources.items()
+                  for n in ast.walk(ast.parse(source))
+                  if getattr(n, "id", getattr(n, "attr", None)) == "Fraction"
+                  or isinstance(n, ast.ImportFrom)
+                  and "Fraction" in (a.name for a in n.names))
+
+
+def test_scan_finds_fraction_names():
+    sources = {"a.py": "from fractions import Fraction as F\nx = F(1, 2)\n",
+               "b.py": "import fractions\n\n"
+                       "def f(x):\n    return fractions.Fraction(x)\n",
+               "c.py": "def g(x: 'Fraction'):\n"
+                       "    return isinstance(x, Fraction)\n",
+               "d.py": "fraction = 1\nFractions = 2\n"}
+    assert fraction_names(sources) == ["a.py: 1", "b.py: 4", "c.py: 2"]
+
+
+def test_only_exactlin_names_fraction():
+    src = ROOT / "src" / "entwine"
+    found = fraction_names({p.name: p.read_text(encoding="utf-8")
+                            for p in sorted(src.glob("*.py"))})
+    assert found and {f.split(":")[0] for f in found} == {"exactlin.py"}

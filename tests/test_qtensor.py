@@ -286,7 +286,7 @@ class TestDenseSectionOracle:
         if is_zero(compose(h, rel)):
             g = descend(f, src, tgt)
             assert g == compose(h, section(src))
-            # canonical entries: no integral Fraction is stored
+            # canonical entries: the view shows no integral Fraction
             assert not any(isinstance(x, Fraction) and x.denominator == 1
                            for row in g.entries for x in row)
         else:

@@ -2,14 +2,16 @@
 
 A ``Matrix`` stores only the nonzeros of its columns, and matrices share
 those column dicts.  Every kernel is checked here against a dense oracle
-on nested lists over Q (with fractions), GF(3) and GF(5); the stored
-form is checked to hold no zero and no integral ``Fraction``; and the
-elimination routines are checked to leave their (possibly shared)
-arguments as they found them.
+on nested lists over Q (with fractions over mixed denominators), GF(3)
+and GF(5); the stored form is checked to hold int numerators, no zero,
+over one denominator in lowest terms (1 over GF(p)); and the elimination
+routines are checked to leave their (possibly shared) arguments as they
+found them.
 """
 
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +33,12 @@ def dims():
 
 @st.composite
 def dense(draw, field, rows, cols):
-    """Nested lists of canonical scalars, about half of them zero."""
+    """Nested lists of canonical scalars, about half of them zero; over Q
+    the denominators of one matrix mix, sharing factors or not."""
     nonzero = (st.one_of(st.integers(-3, 3),
-                         st.fractions(-3, 3, max_denominator=4))
+                         st.fractions(-3, 3, max_denominator=4),
+                         st.builds(Fraction, st.integers(-12, 12),
+                                   st.sampled_from([2, 3, 4, 6, 9, 12])))
                if field is QQ else st.integers(1, field.p - 1))
     entry = st.one_of(st.just(0), nonzero)
     rows_ = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
@@ -48,13 +53,18 @@ def reduce_(field, x):
 
 def as_lists(m: Matrix) -> list:
     """The entries of m as nested lists, after checking its stored form:
-    nonzeros only, an int wherever an entry is integral."""
-    for col in m._c:
-        for x in col.values():
-            assert x and (type(x) is int or x.denominator != 1)
-            if m.field is not QQ:
-                assert 0 <= x < m.field.p
-    return [list(row) for row in m.entries]
+    nonzero int numerators over an int den >= 1 in lowest terms, so den 1
+    for the zero matrix, and over GF(p) den 1 and numerators in [0, p);
+    the entries are then canonical, an int wherever one is integral."""
+    nums = [x for col in m._c for x in col.values()]
+    assert all(type(x) is int and x for x in nums)
+    assert type(m.den) is int and m.den >= 1 and gcd(m.den, *nums) == 1
+    if m.field is not QQ:
+        assert m.den == 1 and all(0 <= x < m.field.p for x in nums)
+    rows = [list(row) for row in m.entries]
+    assert all(type(x) is int or x.denominator != 1 for row in rows
+               for x in row)
+    return rows
 
 
 def oracle_compose(field, a, b, cols):
@@ -127,10 +137,12 @@ class TestDenseOracle:
     @SETTINGS
     def test_scale(self, fdm, n, q):
         field, d, m = fdm
-        scalars = [n, q] if field is QQ else [n]
+        scalars = [n, q, 0] if field is QQ else [n, 0]
         for c in scalars:
             assert as_lists(m.scale(c)) == [[reduce_(field, c * x)
                                              for x in row] for row in d]
+        assert (m.scale(0).den, m.scale(0)) == (
+            1, Matrix.zeros(field, m.rows, m.cols))
 
     @given(field_and_matrix(), st.data())
     @SETTINGS
@@ -151,7 +163,8 @@ class TestDenseOracle:
         assert as_lists(m - n) == [[reduce_(field, x - y)
                                     for x, y in zip(a, b)]
                                    for a, b in zip(d, e)]
-        assert m - m == Matrix.zeros(field, m.rows, m.cols)
+        assert as_lists(m - m) == as_lists(Matrix.zeros(field, *m.shape))
+        assert (m - m).den == 1 and m - m == Matrix.zeros(field, *m.shape)
         assert m - (m - n) == n
 
     @given(field_and_matrix(), st.data())
@@ -161,10 +174,15 @@ class TestDenseOracle:
         cells = [(i, j) for i in range(m.rows) for j in range(m.cols)]
         changed = set(data.draw(st.lists(st.sampled_from(cells), max_size=4))
                       if cells else [])
-        e = [[reduce_(field, x + 1) if (i, j) in changed else x
+        # over Q a change may move the denominator of the whole matrix
+        delta = data.draw(st.sampled_from(
+            [1, Fraction(1, 2), Fraction(5, 3)] if field is QQ else [1]))
+        e = [[reduce_(field, x + delta) if (i, j) in changed else x
               for j, x in enumerate(row)] for i, row in enumerate(d)]
         n = Matrix(field, e, cols=m.cols)
+        scan = [(i, j) for i, j in cells if d[i][j] != e[i][j]]
         expected = min(changed) if changed else None
+        assert expected == (scan[0] if scan else None)
         assert m.first_difference(n) == expected
         assert n.first_difference(m) == expected
 
@@ -183,12 +201,17 @@ class TestStoredForm:
     @SETTINGS
     def test_eq_and_hash_ignore_insertion_order_and_int_vs_fraction(
             self, fdm):
+        # the twin stores the numerators in reverse order and, over Q,
+        # over an unreduced denominator: 6 den over 6 den^2
         field, _, m = fdm
+        k = 6 if field is QQ else 1
         twin = _wrap(field, m.rows, [
-            {r: Fraction(x) if field is QQ else x
-             for r, x in reversed(col.items())} for col in m._c])
+            {r: k * m.den * x for r, x in reversed(col.items())}
+            for col in m._c], k * m.den * m.den)
         assert twin == m and hash(twin) == hash(m)
+        assert (twin._c, twin.den) == (m._c, m.den)
         assert twin.first_difference(m) is None
+        assert as_lists(twin) == as_lists(m)
 
     @pytest.mark.parametrize("build", [
         lambda: Matrix.identity(QQ, 4096),
