@@ -10,22 +10,17 @@ is its list of squares, and ``_check_squares`` turns it into its report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
-
 from .errors import (DimensionMismatch, DoesNotFactor, InvalidParameter,
                      NotABialgebra, NotInvertible)
-from .exactlin import FieldSpec, Matrix, compose, expect_shapes, flip, kron
+from .exactlin import (FieldSpec, Matrix, Record, compose, expect_shapes,
+                       flip, kron)
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(Record):
     """One failed axiom: both sides and where they first differ."""
 
-    axiom: str
-    lhs: Optional[Matrix] = None
-    rhs: Optional[Matrix] = None
-    coord: Optional[Tuple[int, int]] = None
+    __slots__ = ("axiom", "lhs", "rhs", "coord")
+    _defaults = {"lhs": None, "rhs": None, "coord": None}
 
     def __str__(self):
         if self.coord is None:
@@ -33,10 +28,11 @@ class Failure:
         return f"{self.axiom} at {self.coord}"
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    failures: Tuple[Failure, ...]
-    axioms: Tuple[str, ...] = ()
+class CheckReport(Record):
+    """The failures of a check, and the axioms it checked."""
+
+    __slots__ = ("failures", "axioms")
+    _defaults = {"axioms": ()}
 
     @property
     def passed(self) -> bool:
@@ -67,13 +63,10 @@ def _check_squares(*squares) -> CheckReport:
     return CheckReport(tuple(failures), tuple(axioms))
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Record):
     """Associative unital algebra: mult is n x n^2, unit is n x 1."""
 
-    dim: int
-    mult: Matrix
-    unit: Matrix
+    __slots__ = ("dim", "mult", "unit")
 
     def __post_init__(self):
         n = self.dim
@@ -85,13 +78,10 @@ class Algebra:
         return self.mult.field
 
 
-@dataclass(frozen=True)
-class Coalgebra:
+class Coalgebra(Record):
     """Coassociative counital coalgebra: comult n^2 x n, counit 1 x n."""
 
-    dim: int
-    comult: Matrix
-    counit: Matrix
+    __slots__ = ("dim", "comult", "counit")
 
     def __post_init__(self):
         n = self.dim
@@ -103,15 +93,10 @@ class Coalgebra:
         return self.comult.field
 
 
-@dataclass(frozen=True)
-class Bimodule:
+class Bimodule(Record):
     """B-A-bimodule: lact is m x (dim B * m), ract is m x (m * dim A)."""
 
-    left: Algebra
-    right: Algebra
-    dim: int
-    lact: Matrix
-    ract: Matrix
+    __slots__ = ("left", "right", "dim", "lact", "ract")
 
     def __post_init__(self):
         m, b, a = self.dim, self.left.dim, self.right.dim

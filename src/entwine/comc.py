@@ -11,7 +11,6 @@ assignment a homomorphism of bicategories in the pseudo sense.
 from __future__ import annotations
 
 from math import lcm
-from typing import Tuple
 
 from .algstruct import Bimodule
 from .corcat import (Coring, CorOneCell, CorTwoCell, identity_cor_one_cell,
@@ -166,7 +165,7 @@ def _solve_squares(maps: list, squares) -> list:
 
 
 def hom_dimension_report(src: EntwOneCell,
-                         dst: EntwOneCell) -> Tuple[int, int, bool, bool]:
+                         dst: EntwOneCell) -> tuple[int, int, bool, bool]:
     """(entw hom dim, coring hom dim, injective, surjective) of comc_two_cell.
 
     Both hom spaces are the solution spaces of the squares the 2-cell

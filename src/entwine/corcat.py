@@ -16,32 +16,28 @@ with the checkers through the memoised ``_module_square``, fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import eq
 
-from .algstruct import (Algebra, Bimodule, CheckReport, _check_squares,
+from .algstruct import (Bimodule, CheckReport, _check_squares,
                         regular_bimodule)
 from .errors import DimensionMismatch, NotComposable, NotParallel
-from .exactlin import (Matrix, _sparse_columns, _wrap, compose,
+from .exactlin import (Matrix, Record, _sparse_columns, _wrap, compose,
                        expect_shapes, inverse, kron, memoised)
-from .qtensor import (QuotientPresentation, _iso_or_raise, descend_columns,
-                      free_columns, tensor_over, unit_coherence)
+from .qtensor import (_iso_or_raise, descend_columns, free_columns,
+                      tensor_over, unit_coherence)
 
 
 # -- tensor words ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TensorWord:
+class TensorWord(Record):
     """x (x)_A y: its two factors, and ``outer``, its presentation over the
     product of x's and y's coordinate spaces.  ``module``, the bimodule in
     its own coordinates, is formed when it is first read: most words
     (those of the rebracketings inside a check) are read only through
     ``outer``."""
 
-    x: Bimodule
-    y: Bimodule
-    outer: QuotientPresentation
+    __slots__ = ("x", "y", "outer")
 
     @property
     def module(self) -> Bimodule:
@@ -146,8 +142,7 @@ def right_unit_iso(x: Bimodule) -> Matrix:
 # -- cells ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Coring:
+class Coring(Record):
     """(carrier, comult, counit) over the base algebra.
 
     ``comult`` maps carrier coordinates into the quotient coordinates of
@@ -155,10 +150,7 @@ class Coring:
     session); ``counit`` maps the carrier to the base algebra.
     """
 
-    base: Algebra
-    carrier: Bimodule
-    comult: Matrix
-    counit: Matrix
+    __slots__ = ("base", "carrier", "comult", "counit")
 
     def __post_init__(self):
         if self.carrier.left != self.base or self.carrier.right != self.base:
@@ -176,18 +168,14 @@ class Coring:
         return wtensor(self.carrier, self.carrier)
 
 
-@dataclass(frozen=True)
-class CorOneCell:
+class CorOneCell(Record):
     """(carrier, zeta) : dom -> cod with carrier a cod.base-dom.base bimodule.
 
     zeta maps the quotient coordinates of cod.carrier (x)_B carrier to
     those of carrier (x)_A dom.carrier.
     """
 
-    dom: Coring
-    cod: Coring
-    carrier: Bimodule
-    zeta: Matrix
+    __slots__ = ("dom", "cod", "carrier", "zeta")
 
     @property
     def field(self):
@@ -203,13 +191,10 @@ class CorOneCell:
                       zeta=(tgt.quotient_dim, src.quotient_dim))
 
 
-@dataclass(frozen=True)
-class CorTwoCell:
+class CorTwoCell(Record):
     """A bimodule map between the carriers of parallel 1-cells."""
 
-    dom: CorOneCell
-    cod: CorOneCell
-    map: Matrix
+    __slots__ = ("dom", "cod", "map")
 
     def __post_init__(self):
         if self.dom.dom != self.cod.dom or self.dom.cod != self.cod.cod:

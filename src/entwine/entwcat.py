@@ -9,23 +9,18 @@ reduces to an exact matrix equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algstruct import (Algebra, Coalgebra, CheckReport, _check_squares,
                         bialgebra_compatibility)
 from .errors import (DimensionMismatch, NotABialgebra, NotAMorphism,
                      NotComposable, NotParallel)
-from .exactlin import (FieldSpec, Matrix, compose, expect_shapes, flip,
-                       kron, memoised)
+from .exactlin import (FieldSpec, Matrix, Record, compose, expect_shapes,
+                       flip, kron, memoised)
 
 
-@dataclass(frozen=True)
-class EntwObj:
+class EntwObj(Record):
     """An entwining psi : C (x) A -> A (x) C."""
 
-    algebra: Algebra
-    coalgebra: Coalgebra
-    psi: Matrix
+    __slots__ = ("algebra", "coalgebra", "psi")
 
     def __post_init__(self):
         a, c = self.algebra.dim, self.coalgebra.dim
@@ -38,19 +33,14 @@ class EntwObj:
         return self.psi.field
 
 
-@dataclass(frozen=True)
-class EntwOneCell:
+class EntwOneCell(Record):
     """A triple (M, alpha, gamma) : dom -> cod.
 
     With dom = (A, C, psi) and cod = (B, D, chi):
     alpha : B (x) M -> M (x) A and gamma : D (x) M -> M (x) C.
     """
 
-    dom: EntwObj
-    cod: EntwObj
-    dimM: int
-    alpha: Matrix
-    gamma: Matrix
+    __slots__ = ("dom", "cod", "dimM", "alpha", "gamma")
 
     def __post_init__(self):
         a, c = self.dom.algebra.dim, self.dom.coalgebra.dim
@@ -64,13 +54,10 @@ class EntwOneCell:
         return self.alpha.field
 
 
-@dataclass(frozen=True)
-class EntwTwoCell:
+class EntwTwoCell(Record):
     """theta : dom => cod between parallel 1-cells, as a map M -> N."""
 
-    dom: EntwOneCell
-    cod: EntwOneCell
-    theta: Matrix
+    __slots__ = ("dom", "cod", "theta")
 
     def __post_init__(self):
         if self.dom.dom != self.cod.dom or self.dom.cod != self.cod.cod:

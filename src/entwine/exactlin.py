@@ -17,7 +17,10 @@ as an ``int``.  ``rank``, ``kernel_basis`` and ``inverse`` all reduce int
 vectors through the one routine ``_echelon``, and every difference,
 scaling and product (``compose``, ``qtensor.descend_columns``) sums int
 columns through the one routine ``_combine``, which ends in the field's
-reduction: mod p over GF(p), dropping zeros over Q.
+reduction: mod p over GF(p), dropping zeros over Q.  ``Record``, the base
+of every cell and structure of the package, is immutable in the same way
+as ``Matrix``: slotted, set once through its slot descriptors, its hash
+cached.
 
 Index convention (normative for the whole package): the basis vector
 ``(i of X, j of Y)`` of ``X (x) Y`` has flat index ``i * dim(Y) + j``.
@@ -27,10 +30,11 @@ Hence ``kron(f, g)[i*rg + j, k*cg + l] = f[i, k] * g[j, l]``.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import wraps
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from operator import attrgetter
 
 from .errors import DimensionMismatch, InvalidParameter, brief
 
@@ -78,7 +82,7 @@ class FieldSpec:
 
     __slots__ = ("p", "_memo")
 
-    def __new__(cls, kind: str = "rational", p: Optional[int] = None):
+    def __new__(cls, kind: str = "rational", p: int | None = None):
         if kind == "rational":
             if p is not None:
                 raise InvalidParameter("rational field takes no modulus")
@@ -226,6 +230,74 @@ def _transposed(vectors, n: int) -> list:
 QQ = FieldSpec("rational")
 
 
+class Record:
+    """An immutable value, the base of every cell and structure.
+
+    A subclass declares ``__slots__``, its field names in constructor order,
+    and ``_defaults``, field name -> default, if a field has one.  Built
+    from positional or keyword fields, it runs ``__post_init__``, which may
+    still set a field through ``object.__setattr__``.  Records of one type
+    with equal fields are equal; the hash, of the field tuple, is cached.
+    """
+
+    __slots__ = ("_hash",)
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        # the slot descriptors' setters, which bypass ``__setattr__``
+        cls._setters = tuple(getattr(cls, name).__set__
+                             for name in cls.__slots__)
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for set_, value in zip(setters, args):
+            set_(self, value)
+        _set_record_hash(self, None)
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The fields of ``type(self)(*args, **kwargs)``, in slot order."""
+        names = self.__slots__
+        fields = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if (len(args) > len(names) or fields.keys() != set(names)
+                or kwargs.keys() & set(names[:len(args)])):
+            raise TypeError(f"{type(self).__name__} takes the fields "
+                            f"{', '.join(names)}")
+        return [fields[name] for name in names]
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self._values(self))
+            _set_record_hash(self, h)
+        return h
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+
+_set_record_hash = Record._hash.__set__
+
+
 class Matrix:
     """Immutable sparse matrix with exact entries over a fixed FieldSpec.
 
@@ -237,7 +309,7 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "_c", "den", "_hash")
 
     def __init__(self, field: FieldSpec, entries: Sequence[Sequence], *,
-                 cols: Optional[int] = None):
+                 cols: int | None = None):
         """The matrix of the dense rows ``entries``, ``cols`` wide."""
         rows = len(entries)
         if cols is None:
@@ -302,7 +374,7 @@ class Matrix:
         if h is None:
             h = hash((self.field, self.rows, self.cols, self.den,
                       tuple(hash(frozenset(c.items())) for c in self._c)))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self):
@@ -370,14 +442,22 @@ def _wrap(field: FieldSpec, rows: int, columns: list, den: int = 1,
         den //= g
         columns = [{r: x // g for r, x in c.items()} for c in columns]
     m = object.__new__(Matrix) if m is None else m
-    for name, value in zip(Matrix.__slots__,
-                           (field, rows, len(columns), columns, den, None)):
-        object.__setattr__(m, name, value)
+    _set_field(m, field)
+    _set_rows(m, rows)
+    _set_cols(m, len(columns))
+    _set_columns(m, columns)
+    _set_den(m, den)
+    _set_hash(m, None)
     return m
 
 
+# the slot descriptors' setters, which bypass ``Matrix.__setattr__``
+_set_field, _set_rows, _set_cols, _set_columns, _set_den, _set_hash = (
+    getattr(Matrix, name).__set__ for name in Matrix.__slots__)
+
+
 def expect_shapes(obj, what: str, **shapes):
-    """Check the named matrix attributes of a frozen dataclass.
+    """Check the named matrix attributes of a ``Record``.
 
     A 0 x 0 matrix where a 0-row shape is expected takes that shape: a
     matrix without rows has no entries, only a width, and a workspace
@@ -533,7 +613,7 @@ def kernel_basis(m: Matrix) -> Matrix:
 
 
 @memoised
-def inverse(m: Matrix) -> Optional[Matrix]:
+def inverse(m: Matrix) -> Matrix | None:
     """Two-sided inverse when square and full-rank, else None."""
     n = m.rows
     if n != m.cols:

@@ -25,21 +25,18 @@ Presentations are reproducible byte for byte, so golden files are stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import DimensionMismatch, DoesNotFactor, NotInvertible
-from .exactlin import (Matrix, _combine, _null_rows, _sparse_columns,
-                       _wrap, kron, memoised, rank)
+from .exactlin import (Matrix, Record, _combine, _null_rows,
+                       _sparse_columns, _wrap, kron, memoised, rank)
 
 
-@dataclass(frozen=True)
-class QuotientPresentation:
+class QuotientPresentation(Record):
     """A quotient of k^ambient: its projection, and ``free[j]``, the ambient
     coordinate onto which the section sends quotient coordinate j."""
 
-    projection: Matrix
-    free: tuple[int, ...]
+    __slots__ = ("projection", "free")
 
     def __post_init__(self):
         if (len(self.free) != self.projection.rows

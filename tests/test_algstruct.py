@@ -1,18 +1,27 @@
-"""Algebra/coalgebra/bimodule checkers, builders, and the duality oracle."""
+"""Algebra/coalgebra/bimodule checkers, builders, the duality oracle, and
+the records every cell and structure is built on."""
+
+from types import SimpleNamespace
 
 import pytest
 
-from entwine.algstruct import (Algebra, Bimodule, _check_squares,
-                               check_algebra,
+from entwine.algstruct import (Algebra, Bimodule, CheckReport, Coalgebra,
+                               Failure, _check_squares, check_algebra,
                                check_coalgebra, bialgebra_compatibility,
                                cyclic_group_bialgebra, dualize_algebra,
                                group_algebra, grouplike_coalgebra,
                                matrix_algebra, matrix_coalgebra,
                                regular_bimodule)
-from entwine.corcat import left_unit_iso, right_unit_iso
+from entwine.comc import comc_obj
+from entwine.corcat import (Coring, CorOneCell, CorTwoCell,
+                            identity_cor_one_cell, left_unit_iso,
+                            right_unit_iso)
+from entwine.entwcat import (EntwObj, EntwOneCell, EntwTwoCell, check_obj,
+                             flip_entwining, identity_one_cell)
 from entwine.errors import (DimensionMismatch, DoesNotFactor,
-                           InvalidParameter, NotInvertible)
+                           InvalidParameter, NotInvertible, NotParallel)
 from entwine.exactlin import FieldSpec, Matrix, QQ, compose, kron
+from entwine.qtensor import QuotientPresentation
 
 GF3 = FieldSpec("prime", 3)
 
@@ -241,3 +250,143 @@ class TestCheckSquares:
 
         with pytest.raises(DimensionMismatch):
             _check_squares(("chase", sides), ("next", self.A, self.A))
+
+
+class TestRecords:
+    """Every cell and structure is an ``exactlin.Record``: an immutable
+    value built from positional or keyword fields, equal and hashed by
+    type and fields, its hash cached."""
+
+    def test_keyword_construction_equals_positional(self):
+        a = group_algebra(QQ, 2)
+        by_name = Algebra(unit=a.unit, dim=2, mult=a.mult)
+        mixed = Algebra(2, a.mult, unit=a.unit)
+        assert by_name == mixed == a and by_name is not a
+        assert hash(by_name) == hash(mixed) == hash(a)
+
+    def test_defaults(self):
+        f = Failure("law")
+        assert (f.axiom, f.lhs, f.rhs, f.coord) == ("law", None, None, None)
+        assert f == Failure("law", None, None, None)
+        assert CheckReport(()).axioms == ()
+        assert CheckReport((f,)) == CheckReport(failures=(f,), axioms=())
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((2,), {}), ((2, None, None, None), {}), ((2, None), {"dim": 2}),
+        ((2, None, None), {"field": 0})])
+    def test_wrong_fields_raise(self, args, kwargs):
+        with pytest.raises(TypeError):
+            Algebra(*args, **kwargs)
+
+    def test_immutable(self):
+        a = group_algebra(QQ, 2)
+        with pytest.raises(AttributeError):
+            a.dim = 3
+        with pytest.raises(AttributeError):
+            del a.unit
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert a.dim == 2
+
+    def test_equality_needs_one_type(self):
+        m, u = Matrix(QQ, [[1]]), Matrix(QQ, [[1]])
+        a, c = Algebra(1, m, u), Coalgebra(1, m, u)
+        assert a != c and not a == c
+        assert len({a, c}) == 2
+
+    def test_cached_hash_is_the_hash_of_the_fields(self):
+        a = group_algebra(QQ, 3)
+        fields = (a.dim, a.mult, a.unit)
+        assert hash(a) == hash(fields)
+        assert hash(a) == hash(fields)     # read from the cache
+
+    def test_repr_names_the_fields(self):
+        assert repr(Failure("law", coord=(1, 2))) == (
+            "Failure(axiom='law', lhs=None, rhs=None, coord=(1, 2))")
+
+    def test_equal_entwinings_share_one_memo_entry(self):
+        field = FieldSpec("rational")
+        e1, e2 = (flip_entwining(group_algebra(field, 2),
+                                 grouplike_coalgebra(field, 2))
+                  for _ in range(2))
+        assert e1 == e2 and e1 is not e2 and e1.psi is not e2.psi
+        assert check_obj(e1) is check_obj(e2)
+        assert [args for fn, args in field._memo
+                if fn is check_obj.__wrapped__] == [(e1,)]
+
+    def test_empty_matrix_takes_its_expected_shape(self):
+        empty = Matrix.zeros(QQ, 0, 0)
+        a = Algebra(0, empty, empty)
+        assert (a.mult.shape, a.unit.shape) == ((0, 0), (0, 1))
+        assert hash(a) == hash((0, empty, Matrix.zeros(QQ, 0, 1)))
+
+
+@pytest.fixture(scope="module")
+def cells():
+    """Valid cells over Q to build invalid records from, and ``z(r, c)``,
+    the r x c zero matrix."""
+    a1, a2 = group_algebra(QQ, 1), group_algebra(QQ, 2)
+    c2 = grouplike_coalgebra(QQ, 2)
+    e = flip_entwining(a2, c2)
+    e1 = flip_entwining(a1, grouplike_coalgebra(QQ, 1))
+    cor = comc_obj(e)
+    return SimpleNamespace(
+        a1=a1, a2=a2, c2=c2, e=e, e1=e1, i=identity_one_cell(e), cor=cor,
+        ic=identity_cor_one_cell(cor), z=lambda r, c: Matrix.zeros(QQ, r, c))
+
+
+# name, a builder of an invalid record from ``cells``, its error and text
+BAD_RECORDS = [
+    ("algebra", lambda c: Algebra(2, c.z(2, 2), c.z(2, 2)), DimensionMismatch,
+     "algebra of dim 2: mult (2, 2), expected (2, 4), unit (2, 2), "
+     "expected (2, 1)"),
+    ("coalgebra", lambda c: Coalgebra(2, c.z(2, 2), c.z(2, 2)),
+     DimensionMismatch, "coalgebra of dim 2: comult (2, 2), expected (4, 2), "
+     "counit (2, 2), expected (1, 2)"),
+    ("bimodule", lambda c: Bimodule(c.a2, c.a1, 2, c.z(2, 2), c.z(2, 3)),
+     DimensionMismatch, "bimodule of dim 2: lact (2, 2), expected (2, 4), "
+     "ract (2, 3), expected (2, 2)"),
+    ("entwining shape", lambda c: EntwObj(c.a2, c.c2, c.z(3, 4)),
+     DimensionMismatch, "entwining: psi (3, 4), expected (4, 4)"),
+    ("entwining fields",
+     lambda c: EntwObj(c.a2, grouplike_coalgebra(GF3, 2), c.z(4, 4)),
+     DimensionMismatch, "algebra and coalgebra fields differ"),
+    ("1-cell", lambda c: EntwOneCell(c.e, c.e, 1, c.z(2, 2), c.z(2, 3)),
+     DimensionMismatch, "1-cell: gamma (2, 3), expected (2, 2)"),
+    ("2-cell ends",
+     lambda c: EntwTwoCell(c.i, identity_one_cell(c.e1), c.z(2, 2)),
+     NotParallel, "2-cell endpoints are not parallel"),
+    ("2-cell shape", lambda c: EntwTwoCell(c.i, c.i, c.z(2, 3)),
+     DimensionMismatch, "2-cell: theta (2, 3), expected (1, 1)"),
+    ("presentation", lambda c: QuotientPresentation(c.z(2, 3), (0,)),
+     DimensionMismatch, "projection (2, 3) vs 1 free coordinates"),
+    ("presentation range", lambda c: QuotientPresentation(c.z(1, 3), (3,)),
+     DimensionMismatch, "projection (1, 3) vs 1 free coordinates"),
+    ("coring carrier",
+     lambda c: Coring(c.a1, c.cor.carrier, c.cor.comult, c.cor.counit),
+     DimensionMismatch, "carrier is not an A-A-bimodule"),
+    ("coring shape",
+     lambda c: Coring(c.cor.base, c.cor.carrier, c.z(1, 1), c.cor.counit),
+     DimensionMismatch, "coring: comult (1, 1), expected (8, 4)"),
+    ("coring 1-cell carrier",
+     lambda c: CorOneCell(c.cor, c.cor, regular_bimodule(c.a1), c.ic.zeta),
+     DimensionMismatch, "carrier sides do not match the corings"),
+    ("coring 1-cell shape",
+     lambda c: CorOneCell(c.cor, c.cor, c.ic.carrier, c.z(1, 1)),
+     DimensionMismatch, "coring 1-cell: zeta (1, 1), expected (4, 4)"),
+    ("coring 2-cell ends",
+     lambda c: CorTwoCell(c.ic, identity_cor_one_cell(comc_obj(c.e1)),
+                          c.z(2, 2)),
+     NotParallel, "2-cell endpoints are not parallel"),
+    ("coring 2-cell shape", lambda c: CorTwoCell(c.ic, c.ic, c.z(1, 1)),
+     DimensionMismatch, "coring 2-cell: map (1, 1), expected (2, 2)"),
+]
+
+
+@pytest.mark.parametrize("build, error, text",
+                         [case[1:] for case in BAD_RECORDS],
+                         ids=[case[0] for case in BAD_RECORDS])
+def test_post_init_errors_keep_their_text(cells, build, error, text):
+    with pytest.raises(error) as info:
+        build(cells)
+    assert str(info.value) == text

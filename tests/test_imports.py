@@ -32,10 +32,17 @@ A tenth keeps the README's list of memoised functions honest: its bullet
 "Memoisation has one owner" names exactly the functions that the package
 defines with ``@memoised``.  An eleventh keeps the ``Fraction`` boundary in
 one module: no module of the package but ``exactlin`` names ``Fraction``.
+A twelfth keeps start-up cheap: no module of the package imports
+``dataclasses``, ``inspect`` or ``typing`` (records are ``exactlin.Record``,
+annotations builtin generics), and a fresh interpreter that imports
+``entwine.cli`` loads neither ``dataclasses`` nor ``inspect``.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -454,3 +461,58 @@ def test_only_exactlin_names_fraction():
     found = fraction_names({p.name: p.read_text(encoding="utf-8")
                             for p in sorted(src.glob("*.py"))})
     assert found and {f.split(":")[0] for f in found} == {"exactlin.py"}
+
+
+# modules whose import costs every ``entwine`` call its start-up time
+SLOW_IMPORTS = ("dataclasses", "inspect", "typing")
+
+
+def slow_imports(sources: dict) -> list:
+    """``file: module`` of each import in ``sources``, a dict file name ->
+    source text, of a module in ``SLOW_IMPORTS`` or a submodule of one,
+    sorted."""
+    found = []
+    for file, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{file}: {name}" for name in names
+                      if name.split(".")[0] in SLOW_IMPORTS]
+    return sorted(found)
+
+
+def test_scan_finds_slow_imports():
+    sources = {"a.py": "import dataclasses\nimport os, inspect as i\n",
+               "b.py": "from typing import Optional\n"
+                       "from .dataclasses import x\n"
+                       "def f():\n    from dataclasses import field\n",
+               "c.py": "import typing_extensions\nx = dataclasses\n"}
+    assert slow_imports(sources) == ["a.py: dataclasses", "a.py: inspect",
+                                     "b.py: dataclasses", "b.py: typing"]
+
+
+def test_package_imports_no_slow_module():
+    src = ROOT / "src" / "entwine"
+    assert slow_imports({p.name: p.read_text(encoding="utf-8")
+                         for p in sorted(src.glob("*.py"))}) == []
+
+
+NEW_MODULES = r"""
+import sys
+before = set(sys.modules)
+import entwine.cli
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    out = subprocess.run([sys.executable, "-c", NEW_MODULES], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    loaded = set(out.stdout.split())
+    assert "entwine.cli" in loaded
+    assert loaded & {"dataclasses", "inspect"} == set()
