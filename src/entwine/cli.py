@@ -18,7 +18,6 @@ failed factorization), 2 input error (unreadable file or unwritable
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from functools import partialmethod
@@ -618,6 +617,8 @@ def cmd_gallery(field_flag: str, out_path: str, out=None) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse     # here, so that importing the library skips it
+
     parser = argparse.ArgumentParser(
         prog="entwine",
         description="exact checkers for entwining structures and corings")

@@ -11,16 +11,17 @@ dicts that matrices share and never mutate, over one denominator ``den``
 > 0 for the whole matrix.  It is kept in lowest terms, gcd(den, every
 numerator) = 1, so the zero matrix has den 1, and ``==`` and ``hash``
 compare ints only; over GF(p) den is 1 and a numerator is in ``[0, p)``.
-A ``Fraction`` is built only at the boundary: ``coerce`` and the dense
-views ``entries``, ``m[i, j]`` and ``repr``, which give an integral entry
-as an ``int``.  ``rank``, ``kernel_basis`` and ``inverse`` all reduce int
-vectors through the one routine ``_echelon``, and every difference,
-scaling and product (``compose``, ``qtensor.descend_columns``) sums int
-columns through the one routine ``_combine``, which ends in the field's
-reduction: mod p over GF(p), dropping zeros over Q.  ``Record``, the base
-of every cell and structure of the package, is immutable in the same way
-as ``Matrix``: slotted, set once through its slot descriptors, its hash
-cached.
+A matrix built from dense entries refuses a den of more than ``DEN_BITS``
+bits.  A ``Fraction`` is built only at the boundary: ``coerce`` and the
+dense views ``entries``, ``m[i, j]`` and ``repr``, which give an integral
+entry as an ``int``.  ``rank``, ``kernel_basis`` and ``inverse`` all
+reduce int vectors through the one routine ``_echelon``, and every
+difference, scaling and product (``compose``, the projection of
+``qtensor._image``) sums int columns through the one routine
+``_combine``, which ends in the field's reduction: mod p over GF(p),
+dropping zeros over Q.  ``Record``, the base of every cell and structure
+of the package, is immutable in the same way as ``Matrix``: slotted, set
+once through its slot descriptors, its hash cached.
 
 Index convention (normative for the whole package): the basis vector
 ``(i of X, j of Y)`` of ``X (x) Y`` has flat index ``i * dim(Y) + j``.
@@ -45,6 +46,9 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_BOUND = 3317044064679887385961981
 # a string scalar: an int or int/int, in ASCII digits
 _SCALAR = re.compile(r"-?[0-9]+(/-?[0-9]+)?")
+# the most bits of a dense matrix's common denominator: every numerator
+# carries it, so every product of the matrix pays for its size
+DEN_BITS = 4096
 
 
 def _is_prime(n: int) -> bool:
@@ -310,7 +314,9 @@ class Matrix:
 
     def __init__(self, field: FieldSpec, entries: Sequence[Sequence], *,
                  cols: int | None = None):
-        """The matrix of the dense rows ``entries``, ``cols`` wide."""
+        """The matrix of the dense rows ``entries``, ``cols`` wide; an
+        InvalidParameter if their common denominator has more than
+        ``DEN_BITS`` bits."""
         rows = len(entries)
         if cols is None:
             cols = len(entries[0]) if rows else 0
@@ -320,6 +326,9 @@ class Matrix:
                 raise DimensionMismatch("ragged rows")
             scalars.append([field.coerce(x) for x in row])
         den = lcm(*[x.denominator for row in scalars for x in row])
+        if den.bit_length() > DEN_BITS:
+            raise InvalidParameter(f"common denominator of "
+                                   f"{den.bit_length()} bits, over {DEN_BITS}")
         c = [{} for _ in range(cols)]
         for i, row in enumerate(scalars):
             for j, x in enumerate(row):

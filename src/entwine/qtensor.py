@@ -5,21 +5,22 @@ computed as a cokernel.  The balancing relations (m.a) (x) n - m (x) (a.n)
 are built as sparse vectors, one per triple of basis vectors (m, a, n),
 read off the columns of the two actions.  They are linear in a and vanish
 at a = 1 on unital actions, so one family, that of a unit coordinate, is
-redundant and not built once unitality has been checked.  An action
-kron(L, v) on N = N' (x) k^v is peeled off first: rel(m, a, n' (x) e_j) =
-rel(m, a, n') (x) e_j, so the span is S (x) k^v with rref {r (x) e_j}, and
-the presentation is the whisker of M (x)_A N''s; kron(v, R) on M mirrors
-it.  No action need be associative or unital for that.  The one
-elimination routine of ``exactlin`` reduces the relations, and the
-quotient is presented by its projection and its free (non-pivot) ambient
-coordinates, whose injection is the section.  A map on the ambient
-induces one on the quotient when it kills the relations; every such map
-(``descend``, the unit coherences, ``corcat.tensor_map``,
-``corcat.word_iso``) is formed by ``free_columns`` at the free
-coordinates alone, and ``descend_columns`` checks that it kills the
-relations by a sweep of the pivot columns.  Only ``corcat.tensor_map``
-skips the sweep, where its factors' module squares prove the map
-descends.  Whisker peels are memoised: shared actions are scanned once.
+redundant and not built once unitality has been checked, as two matrix
+equalities.  An action kron(L, v) on N = N' (x) k^v is peeled off first:
+rel(m, a, n' (x) e_j) = rel(m, a, n') (x) e_j, so the span is S (x) k^v
+with rref {r (x) e_j}, and the presentation is the whisker of
+M (x)_A N''s; kron(v, R) on M mirrors it.  No action need be associative
+or unital for that.  The one elimination routine of ``exactlin`` reduces
+the relations, and the quotient is presented by its projection and its
+free (non-pivot) ambient coordinates, whose injection is the section.  A
+map on the ambient induces one on the quotient when it kills the
+relations; every such map (``descend``, the unit coherences,
+``corcat.tensor_map``, ``corcat.word_iso``) is formed by ``free_columns``
+at the free coordinates alone, and ``descend_columns`` checks that it
+kills the relations by one ``Matrix`` equality at the pivot columns.  Only
+``corcat.tensor_map`` skips that check, where its factors' module squares
+prove the map descends.  Whisker peels are memoised: shared actions are
+scanned once.
 Presentations are reproducible byte for byte, so golden files are stable.
 """
 
@@ -29,7 +30,7 @@ from itertools import product
 
 from .errors import DimensionMismatch, DoesNotFactor, NotInvertible
 from .exactlin import (Matrix, Record, _combine, _null_rows,
-                       _sparse_columns, _wrap, kron, memoised, rank)
+                       _sparse_columns, _wrap, compose, kron, memoised, rank)
 
 
 class QuotientPresentation(Record):
@@ -91,12 +92,10 @@ def tensor_over(ract_m: Matrix, lact_n: Matrix, dim_m: int, unit: Matrix,
     u, r_cols, l_cols = (_sparse_columns(unit)[0], _sparse_columns(ract_m),
                          _sparse_columns(lact_n))
     s, t = ract_m.den, lact_n.den
-    # m_i . 1 = m_i and 1 . n_j = n_j, with 1 = sum u_k a_k; in numerators
-    unital = u and all(
-        _combine({i * dim_a + k: x for k, x in u.items()}, r_cols, field)
-        == {i: unit.den * s} for i in range(dim_m)) and all(
-        _combine({k * dim_n + j: x for k, x in u.items()}, l_cols, field)
-        == {j: unit.den * t} for j in range(dim_n))
+    # m . 1 = m and 1 . n = n; u is falsy on a zero unit, which has no max
+    unital = u and compose(ract_m, kron(dim_m, unit)) == Matrix.identity(
+        field, dim_m) and compose(lact_n, kron(unit, dim_n)) == (
+            Matrix.identity(field, dim_n))
     kept = [k for k in range(dim_a) if not unital or k != max(u)]
 
     def relations():
@@ -137,59 +136,48 @@ def _peel(m: Matrix, right: bool):
     return None
 
 
-def _projected(image, tgt, den: int) -> tuple:
-    """(h, rows, den'): h(c) is the int vector ``image(c)`` over ``den``
-    projected to ``tgt`` (an int n, as in ``kron``, for k^n itself), of
-    length rows, over den'.  Only a projection reduces mod p, so an image
-    to k^n holds canonical numerators itself."""
+def _image(image, cols, tgt, den: int, field) -> Matrix:
+    """The matrix whose columns are ``image(c)`` for c in ``cols``, int
+    vectors over ``den``, projected to ``tgt`` (an int n, as in ``kron``,
+    for k^n itself).  Only a projection reduces mod p, so an image to k^n
+    holds canonical numerators itself."""
     if isinstance(tgt, int):
-        return image, tgt, den
+        return _wrap(field, tgt, [image(c) for c in cols], den)
     p = tgt.projection
-    p_cols, field = _sparse_columns(p), p.field
-    return (lambda c: _combine(image(c), p_cols, field),
-            tgt.quotient_dim, den * p.den)
+    p_cols = _sparse_columns(p)
+    return _wrap(field, tgt.quotient_dim, [
+        _combine(image(c), p_cols, field) for c in cols], den * p.den)
 
 
 def free_columns(image, src: QuotientPresentation, tgt, den: int) -> Matrix:
     """The map whose column j is ``image(free[j])``, an int vector over
-    ``den``, projected to ``tgt`` (as in ``_projected``), unchecked.  As
+    ``den``, projected to ``tgt`` (as in ``_image``), unchecked.  As
     projection[:, free[j]] = e_j, it is the quotient-level map that the
     ambient-level map with columns ``image(c)`` induces whenever that map
     kills src's relations; a caller that has not proven so goes through
     ``descend_columns``."""
-    h, rows, den = _projected(image, tgt, den)
-    return _wrap(src.projection.field, rows, [h(c) for c in src.free], den)
+    return _image(image, src.free, tgt, den, src.projection.field)
 
 
 def descend_columns(image, src: QuotientPresentation, tgt,
                     den: int) -> Matrix:
     """The quotient-level map induced by the ambient-level map whose column
     c is the int vector ``image(c)`` over ``den``, projected to ``tgt`` (as
-    in ``_projected``); DoesNotFactor unless it kills src's relations.  Its
+    in ``_image``); DoesNotFactor unless it kills src's relations.  Its
     columns are ``free_columns``; the relations c - section . projection[:,
-    c] are then checked at the pivot columns c, so no other column of the
-    image is formed."""
-    m = free_columns(image, src, tgt, den)
-    h, _, den = _projected(image, tgt, den)
-    p, kept, free, field = (src.projection, _sparse_columns(m),
-                            set(src.free), m.field)
-    # m . p[:, c] == h(c), both sides in numerators over den * p.den
-    g, s = den // m.den, p.den
-    for c, combo in enumerate(_sparse_columns(p)):
-        if c in free:
-            continue
-        lhs, rhs = _combine(combo, kept, field), h(c)
-        if g != 1 or s != 1:    # over Q only: no int scale makes a zero
-            lhs = {r: g * x for r, x in lhs.items()}
-            rhs = {r: s * x for r, x in rhs.items()}
-        if lhs != rhs:
-            raise DoesNotFactor("map does not vanish on the relation span")
+    c] are then checked at the pivot columns c, as one matrix equality, so
+    no other column of the image is formed."""
+    m, free = free_columns(image, src, tgt, den), set(src.free)
+    pivots = [c for c in range(src.ambient_dim) if c not in free]
+    if compose(m, src.projection.gather(pivots)) != _image(
+            image, pivots, tgt, den, m.field):
+        raise DoesNotFactor("map does not vanish on the relation span")
     return m
 
 
 def descend(f: Matrix, src: QuotientPresentation, tgt) -> Matrix:
     """Quotient-level map induced by the ambient-level map f (``tgt`` as in
-    ``_projected``)."""
+    ``_image``)."""
     rows = tgt if isinstance(tgt, int) else tgt.ambient_dim
     if f.shape != (rows, src.ambient_dim):
         raise DimensionMismatch(f"map {f.shape} vs {rows} x {src.ambient_dim}")

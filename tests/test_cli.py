@@ -94,6 +94,20 @@ MALFORMED.update({f"long-{case}": (edits, "…") for case, edits in {
 }.items()})
 
 
+def _many_denominators(n: int) -> dict:
+    """A workspace of one n-dimensional algebra whose mult entries are 1/p
+    for n^3 distinct primes p above 10^4: not associative."""
+    primes, p = [], 10**4
+    while len(primes) < n ** 3:
+        p += 1
+        if all(p % d for d in range(2, int(p ** 0.5) + 1)):
+            primes.append(p)
+    return {"field": {"kind": "rational"}, "algebras": {"big": {
+        "dim": n, "unit": [["1"]] + [["0"]] * (n - 1),
+        "mult": [[f"1/{primes[i * n * n + j]}" for j in range(n * n)]
+                 for i in range(n)]}}}
+
+
 @pytest.fixture(scope="module")
 def gallery_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("ws") / "gallery.json"
@@ -267,6 +281,20 @@ class TestCheck:
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100000 + "]" * 100000)
         assert cmd_check(str(deep)) == 2
+
+    def test_denominators_past_the_bound_are_input_error(self, tmp_path):
+        # every numerator of a matrix carries its common den: 2,901 bits
+        # at n = 6 is checked to its verdict, 6,960 at n = 8 is refused
+        out, path = io.StringIO(), tmp_path / "dens.json"
+        path.write_text(json.dumps(_many_denominators(6)))
+        assert cmd_check(str(path), out=out) == 1
+        assert "ALGEBRA big associativity FAIL" in out.getvalue()
+        out = io.StringIO()
+        path.write_text(json.dumps(_many_denominators(8)))
+        assert cmd_check(str(path), out=out) == 2
+        assert out.getvalue().splitlines() == [
+            "input error: algebras big: common denominator of 6960 bits, "
+            "over 4096"]
 
 
 class TestReport:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from entwine.algstruct import Algebra
 from entwine.cli import Workspace, serialize
 from entwine.errors import DimensionMismatch, InvalidParameter
-from entwine.exactlin import (FieldSpec, Matrix, QQ, _echelon,
+from entwine.exactlin import (DEN_BITS, FieldSpec, Matrix, QQ, _echelon,
                               _sparse_columns, _transposed, _wrap, compose,
                               flip, inverse, kernel_basis, kron, rank)
 from entwine.qtensor import QuotientPresentation, descend
@@ -308,6 +308,13 @@ class TestMatrixBasics:
         assert q.free == ()
         assert section(q).shape == (3, 0)
         assert inverse(Matrix.zeros(QQ, 0, 0)) == Matrix.zeros(QQ, 0, 0)
+
+    def test_dense_denominator_is_bounded(self):
+        # 2^(DEN_BITS - 1) has DEN_BITS bits, 2^DEN_BITS one more
+        edge = Matrix(QQ, [[Fraction(1, 2 ** (DEN_BITS - 1)), 1]])
+        assert edge.den.bit_length() == DEN_BITS
+        with pytest.raises(InvalidParameter, match="of 4097 bits, over 4096"):
+            Matrix(QQ, [[Fraction(1, 2)], [Fraction(1, 2 ** DEN_BITS)]])
 
     def test_immutable_and_hashable(self):
         m = Matrix(QQ, [[1]])

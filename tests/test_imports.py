@@ -35,7 +35,11 @@ one module: no module of the package but ``exactlin`` names ``Fraction``.
 A twelfth keeps start-up cheap: no module of the package imports
 ``dataclasses``, ``inspect`` or ``typing`` (records are ``exactlin.Record``,
 annotations builtin generics), and a fresh interpreter that imports
-``entwine.cli`` loads neither ``dataclasses`` nor ``inspect``.
+``entwine.cli`` loads none of ``dataclasses``, ``inspect`` and ``argparse``
+(which only ``cli.main`` imports).  A thirteenth keeps denominator
+arithmetic in few places: outside ``exactlin``, only the functions that
+build a matrix from stored columns read a matrix's ``den``, so they are
+all a change to how denominators are stored has to revisit.
 """
 
 import ast
@@ -515,4 +519,41 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     loaded = set(out.stdout.split())
     assert "entwine.cli" in loaded
-    assert loaded & {"dataclasses", "inspect"} == set()
+    assert loaded & {"dataclasses", "inspect", "argparse"} == set()
+
+
+# outside ``exactlin``, the functions that build a matrix from stored
+# columns, which bring their numerators over its ``den`` themselves
+DEN_READERS = ["comc.py: _columns", "comc.py: _solve_squares",
+               "corcat.py: tensor_map", "corcat.py: word_iso",
+               "corcat.py: word_module", "qtensor.py: _image",
+               "qtensor.py: _peel", "qtensor.py: descend",
+               "qtensor.py: tensor_over"]
+
+
+def den_readers(sources: dict) -> list:
+    """``file: owner`` of each module-level function or class of
+    ``sources``, a dict file name -> source text, that reads a ``.den``
+    attribute, once each, sorted; ``<module>`` for a read outside them."""
+    return sorted({f"{file}: {getattr(top, 'name', '<module>')}"
+                   for file, source in sources.items()
+                   for top in ast.parse(source).body
+                   for n in ast.walk(top)
+                   if isinstance(n, ast.Attribute) and n.attr == "den"
+                   and isinstance(n.ctx, ast.Load)})
+
+
+def test_scan_finds_den_readers():
+    sources = {"a.py": "def f(m):\n    return m.den + m.den\n"
+                       "def g(m):\n    m.den = 2\n    return m.dens, den\n"
+                       "class C:\n    def h(self):\n"
+                       "        return self.m.den * 2\n",
+               "b.py": "d = x.den\nden = 3\n"}
+    assert den_readers(sources) == ["a.py: C", "a.py: f", "b.py: <module>"]
+
+
+def test_only_column_builders_read_den():
+    src = ROOT / "src" / "entwine"
+    assert den_readers({p.name: p.read_text(encoding="utf-8")
+                        for p in sorted(src.glob("*.py"))
+                        if p.name != "exactlin.py"}) == DEN_READERS
