@@ -13,9 +13,9 @@ from __future__ import annotations
 from math import lcm
 
 from .algstruct import Bimodule
-from .corcat import (Coring, CorOneCell, CorTwoCell, identity_cor_one_cell,
-                     compose_cor_one_cells, module_map_squares,
-                     wtensor, zeta_square)
+from .corcat import (Coring, CorOneCell, CorTwoCell, _plain_module_square,
+                     identity_cor_one_cell, compose_cor_one_cells,
+                     module_map_squares, wtensor, zeta_square)
 from .entwcat import (EntwObj, EntwOneCell, EntwTwoCell, check_obj,
                       check_two_cell, compose_one_cells, identity_one_cell,
                       two_cell_squares)
@@ -164,13 +164,31 @@ def _solve_squares(maps: list, squares) -> list:
         kb.den * den) for k in _sparse_columns(kb)]
 
 
+def _bimodule_start(x: Bimodule, y: Bimodule, dim_m: int) -> list:
+    """Independent maps spanning every right A-linear x -> y, A = x.right,
+    for composed carriers x = M (x) A, dim M = ``dim_m``, and y = N (x) A:
+    y.ract . (E (x) A), E the dim y x dim M matrix units, if x.ract is the
+    whisker M (x) mult and A is unital (x is then free on M (x) 1), else
+    the matrix units."""
+    a = x.right
+    one = Matrix.identity(a.field, a.dim)
+    if x.ract == kron(dim_m, a.mult) and compose(
+            a.mult, kron(a.unit, a.dim)) == one == compose(
+                a.mult, kron(a.dim, a.unit)):
+        return [compose(y.ract, kron(e, a.dim))
+                for e in _units(a.field, y.dim, dim_m)]
+    return _units(a.field, y.dim, x.dim)
+
+
 def hom_dimension_report(src: EntwOneCell,
                          dst: EntwOneCell) -> tuple[int, int, bool, bool]:
     """(entw hom dim, coring hom dim, injective, surjective) of comc_two_cell.
 
     Both hom spaces are the solution spaces of the squares the 2-cell
-    checkers evaluate, solved as lists of maps from the matrix units; the
-    map between them is ``comc_two_cell`` itself, run on the entwining
+    checkers evaluate, solved as lists of maps from the matrix units, the
+    bimodule maps from ``_bimodule_start`` (their squares kept out of the
+    session memo) and the coring 2-cells from the bimodule maps; the map
+    between them is ``comc_two_cell`` itself, run on the entwining
     solutions.
     """
     if src.dom != dst.dom or src.cod != dst.cod:
@@ -179,9 +197,9 @@ def hom_dimension_report(src: EntwOneCell,
     entw = _solve_squares(_units(field, dst.dimM, src.dimM),
                           lambda t: two_cell_squares(src, dst, t))
     csrc, cdst = comc_one_cell(src), comc_one_cell(dst)
-    bimod = _solve_squares(
-        _units(field, cdst.carrier.dim, csrc.carrier.dim),
-        lambda y: module_map_squares("", y, csrc.carrier, cdst.carrier))
+    x, y = csrc.carrier, cdst.carrier
+    bimod = _solve_squares(_bimodule_start(x, y, src.dimM), lambda f: (
+        module_map_squares("", f, x, y, _plain_module_square)))
     # zeta_square descends y, which is well defined on bimodule maps only
     cor = _solve_squares(bimod, lambda y: [
         ("zeta square", *zeta_square(csrc, cdst, y))])

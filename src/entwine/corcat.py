@@ -9,9 +9,11 @@ memoised ``tensor_over``; it keeps no memo of its own.  The word's actions
 are read only through their presentations and quotient dimensions.  The one
 rebracketing iso is the associator ``word_iso(x, y, z)``, built from its
 three factors; by Mac Lane's coherence theorem every other one is a
-composite of whiskered associators and their inverses.  ``tensor_map``
-sweeps the relations only when the module squares of its factors, shared
-with the checkers through the memoised ``_module_square``, fail.
+composite of whiskered associators and their inverses.  Each sweeps the
+relations only when a checked square fails: ``tensor_map`` the module
+squares of its factors, shared with the checkers through the memoised
+``_module_square``, and ``word_iso`` the bimodule square of its middle
+factor, ``_bimodule_square``.
 """
 
 from __future__ import annotations
@@ -110,8 +112,11 @@ def word_iso(x: Bimodule, y: Bimodule, z: Bimodule) -> Matrix:
 
     It is induced by x (x) p_yz on representatives: column (t, k) of the
     (x (x) y) (x) z ambient, free[t] = (i, j) in x (x) y, goes to
-    e_i (x) p_yz[:, j*dz + k].  Every other rebracketing is a composite of
-    whiskered associators and their inverses (Mac Lane coherence).
+    e_i (x) p_yz[:, j*dz + k].  That map descends when y's actions
+    commute (``_bimodule_square``), and only its free columns are formed;
+    otherwise ``descend_columns`` decides.  Every other rebracketing is a
+    composite of whiskered associators and their inverses (Mac Lane
+    coherence).
     """
     xy, yz = wtensor(x, y), wtensor(y, z)
     dz, dyz, p = z.dim, yz.outer.quotient_dim, yz.outer.projection
@@ -122,9 +127,19 @@ def word_iso(x: Bimodule, y: Bimodule, z: Bimodule) -> Matrix:
         i, j = divmod(xy.outer.free[t], y.dim)
         return {i * dyz + r: a for r, a in p_yz[j * dz + k].items()}
 
-    iso = descend_columns(image, wtensor(xy.module, z).outer,
-                          wtensor(x, yz.module).outer, p.den)
+    proven = _bimodule_square(y)
+    iso = (free_columns if proven else descend_columns)(
+        image, wtensor(xy.module, z).outer, wtensor(x, yz.module).outer, p.den)
     return _iso_or_raise(iso, "bracketings do not present the same module")
+
+
+@memoised
+def _bimodule_square(y: Bimodule) -> bool:
+    """Whether y's actions commute, a.(y.b) = (a.y).b.  Then the left
+    action ``word_module`` forms on y (x) z is the descended one, so every
+    associator x (x) y (x) z descends, whatever x and z are."""
+    return compose(y.lact, kron(y.left.dim, y.ract)) == compose(
+        y.ract, kron(y.lact, y.right.dim))
 
 
 @memoised
@@ -206,8 +221,7 @@ class CorTwoCell(Record):
 # -- checkers -------------------------------------------------------------
 
 
-@memoised
-def _module_square(f: Matrix, x: Bimodule, y: Bimodule, right: bool):
+def _plain_module_square(f: Matrix, x: Bimodule, y: Bimodule, right: bool):
     """(lhs, rhs) of the square making f : x -> y right A-linear, A =
     x.right, if ``right``, else left B-linear, B = x.left."""
     if right:
@@ -215,10 +229,19 @@ def _module_square(f: Matrix, x: Bimodule, y: Bimodule, right: bool):
     return compose(f, x.lact), compose(y.lact, kron(x.left.dim, f))
 
 
-def module_map_squares(prefix: str, f: Matrix, x: Bimodule, y: Bimodule):
-    """(axiom, lhs, rhs) of the squares making f : x -> y a bimodule map."""
-    return ((f"{prefix}left module map", *_module_square(f, x, y, False)),
-            (f"{prefix}right module map", *_module_square(f, x, y, True)))
+@memoised
+def _module_square(f: Matrix, x: Bimodule, y: Bimodule, right: bool):
+    """``_plain_module_square``, kept for ``tensor_map`` to reuse."""
+    return _plain_module_square(f, x, y, right)
+
+
+def module_map_squares(prefix: str, f: Matrix, x: Bimodule, y: Bimodule,
+                       square=_module_square):
+    """(axiom, lhs, rhs) of the squares making f : x -> y a bimodule map,
+    through ``square``: ``_plain_module_square`` keeps them out of the
+    memo."""
+    return ((f"{prefix}left module map", *square(f, x, y, False)),
+            (f"{prefix}right module map", *square(f, x, y, True)))
 
 
 def zeta_square(dom: CorOneCell, cod: CorOneCell, y: Matrix):

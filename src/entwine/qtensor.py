@@ -18,8 +18,9 @@ relations; every such map (``descend``, the unit coherences,
 ``corcat.tensor_map``, ``corcat.word_iso``) is formed by ``free_columns``
 at the free coordinates alone, and ``descend_columns`` checks that it
 kills the relations by one ``Matrix`` equality at the pivot columns.  Only
-``corcat.tensor_map`` skips that check, where its factors' module squares
-prove the map descends.  Whisker peels are memoised: shared actions are
+``corcat.tensor_map`` and ``corcat.word_iso`` skip that check, where their
+factors' module squares, or the middle factor's bimodule square, prove
+the map descends.  Whisker peels are memoised: shared actions are
 scanned once.
 Presentations are reproducible byte for byte, so golden files are stable.
 """

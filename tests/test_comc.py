@@ -8,12 +8,13 @@ from unittest import mock
 
 import pytest
 
-from entwine import comc
-from entwine.algstruct import (Algebra, Coalgebra, cyclic_group_bialgebra,
-                               group_algebra,
+from entwine import comc, corcat
+from entwine.algstruct import (Algebra, Bimodule, Coalgebra, check_algebra,
+                               cyclic_group_bialgebra, group_algebra,
                                grouplike_coalgebra, matrix_algebra,
-                               matrix_coalgebra)
-from entwine.comc import (_columns, _solve_squares, comc_obj, comc_one_cell,
+                               matrix_coalgebra, regular_bimodule)
+from entwine.comc import (_bimodule_start, _columns, _solve_squares, _units,
+                          comc_obj, comc_one_cell,
                           comc_two_cell, composed_carrier, compositor,
                           hom_dimension_report, unitor_comparison,
                           zeta_ambient)
@@ -187,9 +188,13 @@ class TestFractionalBasis:
         assert "E4-counit-triangle" in {f.axiom for f in rep.failures}
 
     def test_hom_solver_on_the_identity_cell(self):
-        # the squares of the fractional cell meet in one system over
-        # several denominators; the dimensions are id_flip_kC2_gl2's
+        # the dimensions are id_flip_kC2_gl2's.  The free start reads every
+        # system of this cell over den 1; from the matrix units, the
+        # fallback start, the module squares of the fractional carrier
+        # meet in one system over several denominators, and span the same
+        # bimodule maps
         f, seen, columns = identity_one_cell(self.twisted()), [], _columns
+        x = comc_one_cell(f).carrier
 
         def recording(field, vecs):
             seen.append({m.den for ms in vecs for m in ms})
@@ -198,7 +203,13 @@ class TestFractionalBasis:
         with mock.patch.object(comc, "_columns", recording):
             assert_hom_bases(f, f, GALLERY_HOM_DIMENSIONS[
                 "id_flip_kC2_gl2", "id_flip_kC2_gl2"], "fractional id")
+            bimod = hom_bases(f, f)[1][1]
+            from_units = _solve_squares(
+                _units(QQ, x.dim, x.dim),
+                lambda y: module_map_squares("", y, x, x))
         assert max(map(len, seen)) > 1
+        assert rank(_columns(QQ, [[y] for y in bimod + from_units])) == len(
+            bimod) == len(from_units)
 
 
 class TestComcOneCell:
@@ -525,14 +536,24 @@ class TestTwoCellFunctor:
                              ids=["q", "gf5"])
     def test_solver_returns_hom_bases(self, field):
         # the solver's lists are the cells themselves: each passes its
-        # checker, and they are independent, as many as the dimension
+        # checker, and they are independent, as many as the dimension; the
+        # bimodule maps are solved from the dim Y * dim M free generators
         cells = {**build_gallery(field).one_cells,
                  **direct_sum_cells(field)}
         dims = {**GALLERY_HOM_DIMENSIONS, **DIRECT_SUM_HOM_DIMENSIONS}
         pairs = list(parallel_pairs(cells))
         assert {names for names, _, _ in pairs} == set(dims)
+        starts, solve = [], comc._solve_squares
+
+        def recording(maps, squares):
+            starts.append(len(maps))
+            return solve(maps, squares)
+
         for names, f1, f2 in pairs:
-            assert_hom_bases(f1, f2, dims[names], names)
+            starts.clear()
+            with mock.patch.object(comc, "_solve_squares", recording):
+                assert_hom_bases(f1, f2, dims[names], names)
+            assert starts[1] == comc_one_cell(f2).carrier.dim * f1.dimM, names
 
     def test_solver_returns_no_maps_for_none(self):
         def squares(y):
@@ -546,6 +567,59 @@ class TestTwoCellFunctor:
             report, bases = hom_bases(src, dst)
             assert report == (0, 0, True, True)
             assert bases == [[], [], []]
+
+
+def projection_algebra(field, keep_right):
+    """k^2 with a.b = b if ``keep_right``, else a.b = a, and unit e_0: an
+    associative algebra with only its left, or only its right, unit law."""
+    return Algebra(2, Matrix(field, [
+        [int((j if keep_right else i) == r) for i in range(2)
+         for j in range(2)] for r in range(2)]), Matrix(field, [[1], [0]]))
+
+
+class TestFreeStart:
+    """The bimodule stage of the hom solver falls back from the free
+    generators y.ract . (E (x) A) to the matrix units when the source
+    carrier's right action is not the whisker M (x) mult or A fails a
+    unit law."""
+
+    def test_only_the_bimodule_maps_have_their_squares_memoised(self):
+        # the start maps are never induced again, so their squares stay
+        # out of the session memo; the zeta squares induce the solutions
+        field = FieldSpec("prime", 5)
+        f = build_gallery(field).one_cells["id_flip_M2_gl3"]
+        bimod = hom_bases(f, f)[1][1]
+        square = corcat._module_square.__wrapped__
+        kept = {args[0] for fn, args in field._memo if fn is square}
+        assert kept and kept <= set(bimod)
+
+    def test_a_carrier_that_is_not_the_whisker_starts_from_the_units(self):
+        f = build_gallery(QQ).one_cells["m_swap"]
+        x = comc_one_cell(f).carrier
+        twisted = Bimodule(x.left, x.right, x.dim, x.lact,
+                           bump(x.ract, 0, 1))
+        assert len(_bimodule_start(x, x, f.dimM)) == x.dim * f.dimM
+        assert _bimodule_start(twisted, x, f.dimM) == _units(QQ, x.dim,
+                                                             x.dim)
+
+    @pytest.mark.parametrize("keep_right", [True, False],
+                             ids=["right-law-fails", "left-law-fails"])
+    def test_an_algebra_failing_a_unit_law_starts_from_the_units(
+            self, keep_right):
+        a = projection_algebra(QQ, keep_right)
+        x = regular_bimodule(a)     # M = k, so x.ract is the whisker
+        assert x.ract == kron(1, a.mult)
+        assert {f.axiom for f in check_algebra(a).failures} == {
+            "right unit" if keep_right else "left unit"}
+        assert _bimodule_start(x, x, 1) == _units(QQ, 2, 2)
+        # what the free start would have solved from
+        free = [compose(x.ract, kron(e, 2)) for e in _units(QQ, 2, 1)]
+        if keep_right:      # dependent: the solver would count a zero map
+            assert rank(_columns(QQ, [[f] for f in free])) < len(free)
+        else:               # too few: they miss right-linear maps
+            right_linear = _solve_squares(_units(QQ, 2, 2), lambda f: [
+                ("right", *corcat._plain_module_square(f, x, x, True))])
+            assert len(right_linear) > len(free)
 
 
 class TestPseudofunctorLaws:

@@ -327,24 +327,78 @@ class TestTensorMap:
 
 
 @contextmanager
-def tensor_map_columns():
-    """Count the pivot columns of the maps ``tensor_map`` induces: under
-    "swept" those it checks, under "skipped" those it proves it need not."""
-    counts, sweep, free = (Counter(), corcat.descend_columns,
-                           corcat.free_columns)
+def induced_columns(owner):
+    """Count the pivot columns of the maps ``owner`` (``tensor_map`` or
+    ``word_iso``) induces: under "swept" those it checks, under "skipped"
+    those it proves it need not."""
+    counts = Counter()
 
-    def sweeping(image, src, tgt, den):
-        if image.__qualname__.startswith("tensor_map."):   # not word_iso
-            counts["swept"] += src.ambient_dim - src.quotient_dim
-        return sweep(image, src, tgt, den)
+    def counting(kind, induce):
+        def counted(image, src, tgt, den):
+            if image.__qualname__.startswith(owner + "."):
+                counts[kind] += src.ambient_dim - src.quotient_dim
+            return induce(image, src, tgt, den)
+        return counted
 
-    def skipping(image, src, tgt, den):
-        counts["skipped"] += src.ambient_dim - src.quotient_dim
-        return free(image, src, tgt, den)
-
-    with mock.patch.object(corcat, "descend_columns", sweeping), \
-            mock.patch.object(corcat, "free_columns", skipping):
+    with mock.patch.object(corcat, "descend_columns",
+                           counting("swept", corcat.descend_columns)), \
+            mock.patch.object(corcat, "free_columns",
+                              counting("skipped", corcat.free_columns)):
         yield counts
+
+
+def c2_bimodule(field, left, right):
+    """k^2 over k[C2], g acting by the matrix ``left`` on the left and by
+    ``right`` on the right."""
+    a = group_algebra(field, 2)
+    one = [[1, 0], [0, 1]]
+    return Bimodule(a, a, 2, Matrix(field, [
+        [(one, left)[b][r][c] for b in range(2) for c in range(2)]
+        for r in range(2)]), Matrix(field, [
+            [(one, right)[k][r][c] for c in range(2) for k in range(2)]
+            for r in range(2)]))
+
+
+class TestAssociatorShortcut:
+    @pytest.mark.parametrize("source", ["gallery", "fresh-basis"])
+    def test_associators_run_no_sweep(self, source):
+        if source == "gallery":
+            triples = checker_triples(FieldSpec("rational"))
+        else:
+            e = deserialize(twisted.Stream(7).request(
+                "flip_kC3_gl2", False)["text"]).entwinings["e"]
+            cell = comc_one_cell(identity_one_cell(e))
+            d, m, c = cell.cod.carrier, cell.carrier, cell.dom.carrier
+            triples = [(c, c, c), (d, d, m), (d, m, c), (m, c, c)]
+        with induced_columns("word_iso") as counts:
+            for x, y, z in triples:
+                assert corcat._bimodule_square(y)
+                word_iso(x, y, z)
+        assert counts["skipped"] > 0
+        assert counts["swept"] == 0
+
+    def test_a_middle_factor_whose_actions_do_not_commute_is_swept(self):
+        # g swaps the coordinates on one side of y and negates the second
+        # on the other, so its actions do not commute, and this associator
+        # does not descend: the sweep refuses it, as the full-width gate does
+        field = FieldSpec("rational")
+        swap, diag = [[0, 1], [1, 0]], [[1, 0], [0, -1]]
+        x, y, z = (c2_bimodule(field, *sides) for sides in (
+            (swap, diag), (diag, swap), (swap, swap)))
+        assert (corcat._bimodule_square(y), corcat._bimodule_square(z)) == (
+            False, True)
+        xy, yz = wtensor(x, y), wtensor(y, z)
+        src, tgt = wtensor(xy.module, z).outer, wtensor(x, yz.module).outer
+        with induced_columns("word_iso") as counts:
+            got = outcome(word_iso, x, y, z)
+        assert counts == {"swept": src.ambient_dim - src.quotient_dim}
+        section = Matrix.build(field, xy.outer.ambient_dim,
+                               xy.outer.quotient_dim,
+                               lambda r, c: int(xy.outer.free[c] == r))
+        ambient = compose(kron(x.dim, yz.outer.projection),
+                          kron(section, z.dim))
+        assert got == outcome(dense_descend, ambient, src, tgt)
+        assert got.startswith("DoesNotFactor")
 
 
 class TestTensorMapShortcut:
@@ -355,7 +409,7 @@ class TestTensorMapShortcut:
         else:
             e = deserialize(twisted.Stream(7).request(
                 "flip_kC3_gl2", False)["text"]).entwinings["e"]
-        with tensor_map_columns() as counts:
+        with induced_columns("tensor_map") as counts:
             assert check_coring(comc_obj(e)).passed
             assert check_cor_one_cell(
                 comc_one_cell(identity_one_cell(e))).passed
@@ -368,7 +422,7 @@ class TestTensorMapShortcut:
         lhs, rhs = corcat._module_square(f, x, x, True)
         assert lhs != rhs
         q = wtensor(x, x).outer
-        with tensor_map_columns() as counts:
+        with induced_columns("tensor_map") as counts:
             got = tensor_map(f, Matrix.zeros(QQ, x.dim, x.dim), (x, x),
                              (x, x))
         assert got == Matrix.zeros(QQ, q.quotient_dim, q.quotient_dim)
@@ -387,7 +441,7 @@ class TestTensorMapShortcut:
             return square(*args)
 
         with mock.patch.object(corcat, "_module_square", recording), \
-                tensor_map_columns() as counts:
+                induced_columns("tensor_map") as counts:
             assert tensor_map(x.dim, y.dim, (x, y), (x, y)) == \
                 Matrix.identity(QQ, wtensor(x, y).module.dim)
             assert calls == [] and counts["swept"] == 0

@@ -25,9 +25,11 @@ field's ``mul``, ``neg``, ``sub``, ``zero`` or ``one``.  An eighth keeps
 one checker protocol: every checker returns the report of the one
 evaluator, ``algstruct._check_squares``, the only code that builds a
 ``CheckReport``.  A ninth keeps one route past the check
-that an induced map is well defined: only ``corcat.tensor_map`` reads
-``free_columns`` outside ``qtensor.descend_columns``, which checks it,
-and only after it has read a module square through ``_module_square``.
+that an induced map is well defined: outside ``qtensor.descend_columns``,
+which checks it, only ``corcat.tensor_map`` and ``corcat.word_iso`` read
+``free_columns``, each only after it has read a checked square, a module
+square through ``_module_square`` or the bimodule square through
+``_bimodule_square``.
 A tenth keeps the README's list of memoised functions honest: its bullet
 "Memoisation has one owner" names exactly the functions that the package
 defines with ``@memoised``.  An eleventh keeps the ``Fraction`` boundary in
@@ -404,13 +406,18 @@ def _loads(node, name: str) -> list:
             and getattr(n, "id", getattr(n, "attr", None)) == name]
 
 
+# the checked squares that prove a map descends
+SQUARES = ("_module_square", "_bimodule_square")
+
+
 def sweep_free_reads(sources: dict) -> list:
-    """(``file: owner``, whether the owner reads ``_module_square`` on an
-    earlier line) of each read of ``free_columns`` in ``sources``, a dict
-    file name -> source text, sorted; the owner is the module-level
-    function or class that holds the read, or ``<module>``."""
+    """(``file: owner``, whether the owner reads a checked square of
+    ``SQUARES`` on an earlier line) of each read of ``free_columns`` in
+    ``sources``, a dict file name -> source text, sorted; the owner is the
+    module-level function or class that holds the read, or ``<module>``."""
     return sorted((f"{file}: {getattr(top, 'name', '<module>')}",
-                   any(s < line for s in _loads(top, "_module_square")))
+                   any(s < line for square in SQUARES
+                       for s in _loads(top, square)))
                   for file, source in sources.items()
                   for top in ast.parse(source).body
                   for line in _loads(top, "free_columns"))
@@ -422,20 +429,24 @@ def test_scan_finds_sweep_free_reads():
                        "    if _module_square(m):\n"
                        "        return free_columns(m)\n"
                        "def g(m):\n    h = q.free_columns\n"
-                       "    return h(m) if c._module_square(m) else 0\n",
+                       "    return h(m) if c._module_square(m) else 0\n"
+                       "def h(y):\n    ok = c._bimodule_square(y)\n"
+                       "    return (free_columns if ok else d)(y)\n"
+                       "def k(y):\n    ok = _square(y)\n"
+                       "    return free_columns(y) if ok else 0\n",
                "b.py": "x = [free_columns]\n"
                        "class C:\n    def m(self):\n"
                        "        return free_columns(self)\n"}
     assert sweep_free_reads(sources) == [
-        ("a.py: f", True), ("a.py: g", False), ("b.py: <module>", False),
-        ("b.py: C", False)]
+        ("a.py: f", True), ("a.py: g", False), ("a.py: h", True),
+        ("a.py: k", False), ("b.py: <module>", False), ("b.py: C", False)]
 
 
-def test_only_tensor_map_skips_the_sweep():
+def test_only_checked_squares_skip_the_sweep():
     src = ROOT / "src" / "entwine"
     assert sweep_free_reads({p.name: p.read_text(encoding="utf-8")
                              for p in sorted(src.glob("*.py"))}) == [
-        ("corcat.py: tensor_map", True),
+        ("corcat.py: tensor_map", True), ("corcat.py: word_iso", True),
         ("qtensor.py: descend_columns", False)]
 
 

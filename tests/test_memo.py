@@ -119,5 +119,8 @@ def test_memory_is_bounded_across_sessions_without_collecting():
     # the collector's own full pass came, and freed the finished memos
     assert n < 199
     assert end - base < 3 * footprint
-    # until it came, finished memos held under half the heap again
-    assert peak < 1.5 * base
+    # until it came, finished memos held under 40 sessions' footprints:
+    # 17-19 on a healthy heap, with or without a bytecode cache, and about
+    # 86 when every session's field is kept alive.  A bound in units
+    # of the whole heap would move with what the interpreter imports.
+    assert peak - base < 40 * footprint
