@@ -359,7 +359,8 @@ def _selected(ws: Workspace, selector: str) -> list:
                 continue
             names.append(name)
             matched.add(token)
-        picks += [(kind, name, checker, entries[name]) for name in names]
+        picks += [(kind, name, checker, entries[name])
+                  for name in dict.fromkeys(names)]
     missing = set(tokens) - matched
     if missing:
         raise EntwineError("selector matched nothing: "

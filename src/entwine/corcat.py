@@ -217,6 +217,10 @@ class CorTwoCell(Record):
         expect_shapes(self, "coring 2-cell",
                       map=(self.cod.carrier.dim, self.dom.carrier.dim))
 
+    @property
+    def field(self):
+        return self.map.field
+
 
 # -- checkers -------------------------------------------------------------
 
@@ -318,6 +322,7 @@ def check_cor_one_cell(f: CorOneCell) -> CheckReport:
                 f.zeta))))
 
 
+@memoised
 def check_cor_two_cell(t: CorTwoCell) -> CheckReport:
     return _check_squares(
         *module_map_squares("", t.map, t.dom.carrier, t.cod.carrier),
@@ -359,12 +364,14 @@ def compose_cor_one_cells(p: CorOneCell, m: CorOneCell) -> CorOneCell:
                      zeta=zeta)
 
 
+@memoised
 def vcomp_cor(t2: CorTwoCell, t1: CorTwoCell) -> CorTwoCell:
     if t1.cod != t2.dom:
         raise NotComposable("vertical composition endpoints differ")
     return CorTwoCell(t1.dom, t2.cod, compose(t2.map, t1.map))
 
 
+@memoised
 def hcomp_cor(t2: CorTwoCell, t1: CorTwoCell) -> CorTwoCell:
     """Horizontal composite; t2 lives over the outer 1-cells."""
     dom = compose_cor_one_cells(t2.dom, t1.dom)

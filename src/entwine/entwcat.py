@@ -64,6 +64,10 @@ class EntwTwoCell(Record):
             raise NotParallel("2-cell endpoints are not parallel")
         expect_shapes(self, "2-cell", theta=(self.cod.dimM, self.dom.dimM))
 
+    @property
+    def field(self) -> FieldSpec:
+        return self.theta.field
+
 
 # -- checkers -------------------------------------------------------------
 
@@ -84,6 +88,7 @@ def check_obj(e: EntwObj) -> CheckReport:
          compose(kron(a.dim, c.counit), e.psi), kron(c.counit, a.dim)))
 
 
+@memoised
 def check_one_cell(f: EntwOneCell) -> CheckReport:
     dom, cod = f.dom, f.cod
     a, c = dom.algebra, dom.coalgebra
@@ -123,6 +128,7 @@ def check_two_cell(t: EntwTwoCell) -> CheckReport:
 # -- identities and compositions ------------------------------------------
 
 
+@memoised
 def identity_one_cell(e: EntwObj) -> EntwOneCell:
     """The 1-dimensional carrier k with identity alpha and gamma."""
     return EntwOneCell(
@@ -136,6 +142,7 @@ def identity_two_cell(f: EntwOneCell) -> EntwTwoCell:
     return EntwTwoCell(f, f, Matrix.identity(f.field, f.dimM))
 
 
+@memoised
 def compose_one_cells(p: EntwOneCell, m: EntwOneCell) -> EntwOneCell:
     """The composite p after m, carrier P (x) M."""
     if m.cod != p.dom:
@@ -146,12 +153,14 @@ def compose_one_cells(p: EntwOneCell, m: EntwOneCell) -> EntwOneCell:
                        alpha=alpha, gamma=gamma)
 
 
+@memoised
 def vcomp(t2: EntwTwoCell, t1: EntwTwoCell) -> EntwTwoCell:
     if t1.cod != t2.dom:
         raise NotComposable("vertical composition endpoints differ")
     return EntwTwoCell(t1.dom, t2.cod, compose(t2.theta, t1.theta))
 
 
+@memoised
 def hcomp(t2: EntwTwoCell, t1: EntwTwoCell) -> EntwTwoCell:
     """Horizontal composite; t2 lives over the outer 1-cells."""
     return EntwTwoCell(

@@ -186,6 +186,16 @@ class TestCheck:
         out = capsys.readouterr().out
         assert all(" bialg_C2 " in line for line in out.splitlines())
 
+    @pytest.mark.parametrize("selector", [
+        "flip_kC2_gl2,flip_kC2_gl2", "flip_kC2_gl2,ENTWINING:flip_kC2_gl2"])
+    def test_repeated_selector_token_checks_its_entry_once(
+            self, gallery_file, selector):
+        once, twice = io.StringIO(), io.StringIO()
+        assert cmd_check(gallery_file, selector="flip_kC2_gl2", out=once) == 0
+        assert cmd_check(gallery_file, selector=selector, out=twice) == 0
+        lines = twice.getvalue().splitlines()
+        assert lines == once.getvalue().splitlines() and len(lines) == 4
+
     def test_unknown_selector_is_input_error(self, gallery_file):
         assert cmd_check(gallery_file, selector="nonexistent") == 2
 

@@ -41,7 +41,12 @@ annotations builtin generics), and a fresh interpreter that imports
 (which only ``cli.main`` imports).  A thirteenth keeps denominator
 arithmetic in few places: outside ``exactlin``, only the functions that
 build a matrix from stored columns read a matrix's ``den``, so they are
-all a change to how denominators are stored has to revisit.
+all a change to how denominators are stored has to revisit.  A
+fourteenth keeps every memo reachable: ``memoised`` finds its memo through
+``args[0].field``, so the first parameter of each ``@memoised`` function
+is annotated with a class of the package that defines ``field`` (``Matrix``
+through its slot), and a cell that lacks it fails here, not on its first
+call.
 """
 
 import ast
@@ -129,14 +134,18 @@ def test_memoisation_has_one_owner():
     assert owners == ["exactlin.py"]
 
 
+def _memoised(node) -> bool:
+    """Whether ``node`` defines a function with ``@memoised`` (or
+    ``@<module>.memoised``)."""
+    return isinstance(node, ast.FunctionDef) and "memoised" in (
+        getattr(d, "id", getattr(d, "attr", "")) for d in node.decorator_list)
+
+
 def memoised_functions(sources: dict) -> list:
-    """The sorted names of the functions defined with ``@memoised`` (or
-    ``@<module>.memoised``) in ``sources``, a dict file name -> source."""
+    """The sorted names of the functions defined with ``@memoised`` in
+    ``sources``, a dict file name -> source."""
     return sorted(node.name for source in sources.values()
-                  for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.FunctionDef)
-                  and "memoised" in (getattr(d, "id", getattr(d, "attr", ""))
-                                     for d in node.decorator_list))
+                  for node in ast.walk(ast.parse(source)) if _memoised(node))
 
 
 def listed_memos(readme: str) -> list:
@@ -169,6 +178,64 @@ def test_readme_lists_the_memoised_functions():
     assert listed_memos((ROOT / "README.md").read_text(encoding="utf-8")) == (
         memoised_functions({p.name: p.read_text(encoding="utf-8")
                             for p in sorted(src.glob("*.py"))}))
+
+
+def _defines_field(node: ast.ClassDef) -> bool:
+    """Whether class ``node`` defines ``field``: as a method or property,
+    or as a name in its ``__slots__``, as ``Matrix`` does."""
+    return any(isinstance(sub, ast.FunctionDef) and sub.name == "field"
+               or isinstance(sub, ast.Assign)
+               and any(getattr(t, "id", None) == "__slots__"
+                       for t in sub.targets)
+               and "field" in (getattr(c, "value", None)
+                               for c in ast.walk(sub.value))
+               for sub in node.body)
+
+
+def memos_without_field(sources: dict) -> list:
+    """``file: name`` of each function of ``sources``, a dict file name ->
+    source text, defined with ``@memoised`` whose first parameter is not
+    annotated with a class of ``sources`` that defines ``field``, sorted:
+    ``memoised`` finds its memo through ``args[0].field``."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    fielded = {node.name for tree in trees.values()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and _defines_field(node)}
+    found = []
+    for file, tree in trees.items():
+        for node in filter(_memoised, ast.walk(tree)):
+            args = node.args.posonlyargs + node.args.args
+            note = args[0].annotation if args else None
+            name = getattr(note, "id", getattr(note, "attr",
+                                               getattr(note, "value", None)))
+            if name not in fielded:
+                found.append(f"{file}: {node.name}")
+    return sorted(found)
+
+
+def test_scan_finds_memoised_functions_without_field():
+    sources = {"a.py": "class M:\n    __slots__ = ('field', 'rows')\n"
+                       "class C:\n    @property\n"
+                       "    def field(self):\n        return 0\n"
+                       "class D:\n    __slots__ = ('fields',)\n"
+                       "    field_of = 0\n",
+               "b.py": "@memoised\ndef f(m: M, d: D):\n    pass\n"
+                       "@x.memoised\ndef g(c: a.C) -> D:\n    pass\n"
+                       "@memoised\ndef h(c: 'C'):\n    pass\n"
+                       "@memoised\ndef i(d: D, c: C):\n    pass\n"
+                       "@memoised\ndef j(n: int):\n    pass\n"
+                       "@memoised\ndef k(c):\n    pass\n"
+                       "@memoised\ndef l():\n    pass\n"
+                       "def n(d: D):\n    pass\n"}
+    assert memos_without_field(sources) == ["b.py: i", "b.py: j", "b.py: k",
+                                            "b.py: l"]
+
+
+def test_every_memoised_function_reaches_its_memo():
+    src = ROOT / "src" / "entwine"
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(src.glob("*.py"))}
+    assert memoised_functions(sources) and memos_without_field(sources) == []
 
 
 
