@@ -21,8 +21,8 @@ kills the relations by one ``Matrix`` equality at the pivot columns.  Only
 ``corcat.tensor_map`` and ``corcat.word_iso`` skip that check, where their
 factors' module squares, or the middle factor's bimodule square, prove
 the map descends.  Whisker peels are memoised: shared actions are
-scanned once.
-Presentations are reproducible byte for byte, so golden files are stable.
+scanned once, and ``inverse`` alone decides a coherence iso: one
+elimination decides and inverts it.  Presentations are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import DimensionMismatch, DoesNotFactor, NotInvertible
-from .exactlin import (Matrix, Record, _combine, _null_rows,
-                       _sparse_columns, _wrap, compose, kron, memoised, rank)
+from .exactlin import (Matrix, Record, _combine, _null_rows, compose,
+                       _sparse_columns, _wrap, inverse, kron, memoised)
 
 
 class QuotientPresentation(Record):
@@ -186,8 +186,8 @@ def descend(f: Matrix, src: QuotientPresentation, tgt) -> Matrix:
 
 
 def _iso_or_raise(u: Matrix, message: str) -> Matrix:
-    """u itself if it is square of full rank, else NotInvertible(message)."""
-    if u.rows != u.cols or rank(u) != u.rows:
+    """u if the memoised ``inverse(u)`` exists, else NotInvertible(message)."""
+    if inverse(u) is None:
         raise NotInvertible(message)
     return u
 

@@ -29,7 +29,7 @@ from entwine.entwcat import (EntwObj, EntwOneCell, EntwTwoCell,
                              compose_one_cells, flip_entwining, hcomp,
                              identity_one_cell, identity_two_cell,
                              morphism_one_cell, scalar_two_cell, vcomp)
-from entwine.errors import DoesNotFactor, InvalidObject
+from entwine.errors import DoesNotFactor, InvalidObject, NotInvertible
 from entwine.exactlin import (FieldSpec, Matrix, QQ, compose, inverse,
                               kron, rank)
 from entwine.qtensor import descend
@@ -655,3 +655,20 @@ class TestPseudofunctorLaws:
                                     compositor(p, m)),
                           compositor(q, compose_one_cells(p, m))))
             assert lhs.map == rhs.map
+
+    @pytest.mark.parametrize("field", [QQ, FieldSpec("prime", 5)],
+                             ids=["Q", "GF5"])
+    def test_a_cell_whose_alpha_is_zero_has_no_compositor(self, field):
+        # alpha = 0 fails the unit triangle alone.  B then acts by 0 on
+        # M (x) A, so (P (x) B) (x)_B (M (x) A) is 0, and the compositor's
+        # map from P (x) M (x) A does not invert.  On a cell that passes,
+        # B acts unitally and the map is the unit iso onto P (x) M (x) A
+        m = build_gallery(field).one_cells["id_flip_kC2_mc2"]
+        zero = EntwOneCell(m.dom, m.cod, m.dimM, m.alpha.scale(0), m.gamma)
+        assert [f.axiom for f in check_one_cell(zero).failures] == [
+            "unit-triangle"]
+        assert wtensor(comc_one_cell(m).carrier,
+                       comc_one_cell(zero).carrier).outer.quotient_dim == 0
+        with pytest.raises(NotInvertible) as err:
+            compositor(m, zero)
+        assert str(err.value) == "compositor is not invertible"

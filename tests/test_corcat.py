@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entwine import corcat
-from entwine.algstruct import (Bimodule, cyclic_group_bialgebra,
+from entwine.algstruct import (Algebra, Bimodule, cyclic_group_bialgebra,
                                group_algebra, grouplike_coalgebra,
                                matrix_algebra, regular_bimodule)
 from entwine.cli import _composable_pairs, build_gallery, deserialize
@@ -23,7 +23,7 @@ from entwine.corcat import (Coring, CorOneCell, CorTwoCell, check_coring,
                             word_iso, wtensor)
 from entwine.entwcat import (bialgebra_entwining, flip_entwining,
                              identity_one_cell)
-from entwine.errors import DoesNotFactor
+from entwine.errors import DoesNotFactor, NotInvertible
 from entwine.exactlin import FieldSpec, Matrix, QQ, compose, inverse, kron
 from entwine.qtensor import descend
 from test_fresh_bases import twisted
@@ -399,6 +399,28 @@ class TestAssociatorShortcut:
                           kron(section, z.dim))
         assert got == outcome(dense_descend, ambient, src, tgt)
         assert got.startswith("DoesNotFactor")
+
+    @pytest.mark.parametrize("field", [FieldSpec("rational"),
+                                       FieldSpec("prime", 5)],
+                             ids=["Q", "GF5"])
+    def test_bracketings_of_different_dimensions_do_not_invert(self, field):
+        # over the ground field k, y's unit acts by e_2 -> e_1 on the left
+        # and by the projection onto e_1 on the right, which do not
+        # commute; x's unit acts by 0 on the right and z's by 1 on the
+        # left.  x (x) y keeps the class of e_2, which z's action kills;
+        # y (x) z keeps that of e_1, which x's action keeps
+        one = Matrix(field, [[1]])
+        k = Algebra(1, one, one)
+        x = Bimodule(k, k, 1, one, Matrix(field, [[0]]))
+        y = Bimodule(k, k, 2, Matrix(field, [[0, 1], [0, 0]]),
+                     Matrix(field, [[1, 0], [0, 0]]))
+        z = Bimodule(k, k, 1, one, one)
+        xy, yz = wtensor(x, y), wtensor(y, z)
+        assert (wtensor(xy.module, z).outer.quotient_dim,
+                wtensor(x, yz.module).outer.quotient_dim) == (0, 1)
+        with pytest.raises(NotInvertible) as err:
+            word_iso(x, y, z)
+        assert str(err.value) == "bracketings do not present the same module"
 
 
 class TestTensorMapShortcut:

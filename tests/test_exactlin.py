@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entwine.algstruct import Algebra
@@ -596,12 +596,18 @@ class TestAgainstSympy:
         for j, v in enumerate(null):
             assert kb.column(j) == from_sympy(v)
 
-    @given(st.integers(0, 4).flatmap(lambda n: mixed_matrices(n, n)))
-    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.integers(0, 4).flatmap(
+        lambda n: mixed_matrices(n, n)), mixed_matrices()))
+    @example(Matrix.zeros(QQ, 2, 0))
+    @example(Matrix.zeros(QQ, 0, 2))
+    @settings(max_examples=200, deadline=None)
     def test_inverse(self, m):
+        # a matrix that is not square has no inverse, whatever its rank
+        # (qtensor._iso_or_raise relies on it, e.g. for a 2 x 0 unit
+        # coherence), and a square one has one exactly at full rank
         sm = to_sympy(m)
         inv = inverse(m)
-        if sm.rank() < m.rows:
+        if m.rows != m.cols or sm.rank() < m.rows:
             assert inv is None
         else:
             assert inv == from_sympy(sm.inv())

@@ -46,7 +46,11 @@ fourteenth keeps every memo reachable: ``memoised`` finds its memo through
 ``args[0].field``, so the first parameter of each ``@memoised`` function
 is annotated with a class of the package that defines ``field`` (``Matrix``
 through its slot), and a cell that lacks it fails here, not on its first
-call.
+call.  A fifteenth keeps one elimination per coherence iso: only
+``qtensor._iso_or_raise`` raises ``NotInvertible``, and it decides through
+the memoised ``inverse``, whose result the chases read again, not through
+``rank``; outside ``exactlin`` only ``comc.hom_dimension_report`` reads
+``rank``.
 """
 
 import ast
@@ -635,3 +639,51 @@ def test_only_column_builders_read_den():
     assert den_readers({p.name: p.read_text(encoding="utf-8")
                         for p in sorted(src.glob("*.py"))
                         if p.name != "exactlin.py"}) == DEN_READERS
+
+
+def invertibility_reads(sources: dict) -> dict:
+    """For ``sources``, a dict file name -> source text: under "raises",
+    ``file: owner`` of each ``raise NotInvertible``; under "rank" and
+    "inverse", that of each read of the name, as a name or attribute.
+    Each list is sorted, an owner once; the owner is the module-level
+    function or class that holds the raise or read, or ``<module>``."""
+    found = {"raises": set(), "rank": set(), "inverse": set()}
+    for file, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = f"{file}: {getattr(top, 'name', '<module>')}"
+            # the class each raise names, bare or called
+            raised = [getattr(n.exc, "func", n.exc) for n in ast.walk(top)
+                      if isinstance(n, ast.Raise)]
+            if "NotInvertible" in (getattr(e, "id", getattr(e, "attr", None))
+                                   for e in raised):
+                found["raises"].add(owner)
+            for name in ("rank", "inverse"):
+                if _loads(top, name):
+                    found[name].add(owner)
+    return {kind: sorted(owners) for kind, owners in found.items()}
+
+
+def test_scan_finds_invertibility_reads():
+    sources = {"a.py": "from .exactlin import rank\n"
+                       "def f(u):\n    if rank(u) < u.rows:\n"
+                       "        raise NotInvertible('no')\n"
+                       "def g(u):\n    return inverse(u) or e.rank(u)\n"
+                       "class C:\n    def h(self):\n"
+                       "        raise errors.NotInvertible\n",
+               "b.py": "x = exactlin.inverse\nrank = 2\n"
+                       "def k():\n    raise ValueError('NotInvertible')\n"}
+    assert invertibility_reads(sources) == {
+        "raises": ["a.py: C", "a.py: f"],
+        "rank": ["a.py: f", "a.py: g"],
+        "inverse": ["a.py: g", "b.py: <module>"]}
+
+
+def test_one_elimination_decides_each_coherence_iso():
+    src = ROOT / "src" / "entwine"
+    found = invertibility_reads({p.name: p.read_text(encoding="utf-8")
+                                 for p in sorted(src.glob("*.py"))})
+    assert found["raises"] == ["qtensor.py: _iso_or_raise"]
+    assert "qtensor.py: _iso_or_raise" in found["inverse"]
+    assert [owner for owner in found["rank"]
+            if not owner.startswith("exactlin.py")] == [
+        "comc.py: hom_dimension_report"]

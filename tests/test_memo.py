@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import entwine
-from entwine import cli, comc, corcat, entwcat
+from entwine import cli, comc, corcat, entwcat, exactlin, qtensor
 from entwine.algstruct import group_algebra, grouplike_coalgebra
 from entwine.cli import (Report, build_gallery, cmd_laws, laws_bicategory,
                          laws_cells, laws_pseudofunctor, load_workspace,
@@ -87,6 +87,30 @@ def test_the_law_suites_build_each_composite_once(gallery_file, monkeypatch):
     # hcomp, of which the 54 repeats are answered from hcomp's own memo
     assert len(calls) == 313 - 2 * 54 and len(set(calls)) == 16
     assert memo_entries(ws.field, compose_one_cells) == 16
+
+
+def test_each_coherence_iso_is_eliminated_once(gallery_file, monkeypatch):
+    """Every associator, unit iso and compositor that ``_iso_or_raise``
+    accepts in the law suites has its inverse in the session memo: the
+    one elimination that decided it also inverted it."""
+    ws = load_workspace(gallery_file)
+    accepted, iso_or_raise = [], qtensor._iso_or_raise
+
+    def recording(u, message):
+        accepted.append(iso_or_raise(u, message))
+        return accepted[-1]
+
+    for module in (qtensor, corcat, comc):
+        monkeypatch.setattr(module, "_iso_or_raise", recording)
+    report = Report(io.StringIO())
+    for suite in (laws_cells, laws_bicategory, laws_pseudofunctor):
+        suite(ws, report)
+    assert report.ok
+    inverted = {key[1][0] for key in ws.field._memo
+                if key[0] is exactlin.inverse.__wrapped__}
+    # 58 associators, 22 unit isos and 16 compositors
+    assert len(accepted) == 96
+    assert [u for u in accepted if u not in inverted] == []
 
 
 def test_a_two_cell_has_its_maps_field(gallery_file):
