@@ -10,8 +10,6 @@ assignment a homomorphism of bicategories in the pseudo sense.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .algstruct import Bimodule
 from .corcat import (Coring, CorOneCell, CorTwoCell, _plain_module_square,
                      identity_cor_one_cell, compose_cor_one_cells,
@@ -20,8 +18,8 @@ from .entwcat import (EntwObj, EntwOneCell, EntwTwoCell, check_obj,
                       check_two_cell, compose_one_cells, identity_one_cell,
                       two_cell_squares)
 from .errors import InvalidObject, InvalidTwoCell, NotParallel
-from .exactlin import (Matrix, _combine, _sparse_columns, _wrap, compose,
-                       kernel_basis, kron, memoised, rank)
+from .exactlin import (Matrix, compose, kernel_basis, kron, memoised, rank,
+                       stack)
 from .qtensor import _iso_or_raise, descend
 
 
@@ -119,29 +117,10 @@ def unitor_comparison(e: EntwObj) -> CorTwoCell:
                       Matrix.identity(e.field, e.algebra.dim))
 
 
-def _columns(field, vecs: list) -> Matrix:
-    """The matrix whose column t holds the entries of the matrices
-    ``vecs[t]``, each read row-major, one after the other.  Their
-    numerators are brought to the lcm of their denominators exactly: a
-    column scaled on its own would scale its kernel coefficients."""
-    den = lcm(*[m.den for ms in vecs for m in ms])
-    cols, n = [], 0
-    for ms in vecs:
-        v, n = {}, 0
-        for m in ms:
-            s = den // m.den
-            for j, col in enumerate(_sparse_columns(m)):
-                for i, x in col.items():
-                    v[n + i * m.cols + j] = s * x
-            n += m.rows * m.cols
-        cols.append(v)
-    return _wrap(field, n, cols, den)
-
-
 def _units(field, rows: int, cols: int) -> list:
     """The rows x cols matrix units, in row-major order."""
-    return [_wrap(field, rows, [{i: 1} if c == j else {} for c in range(cols)])
-            for i in range(rows) for j in range(cols)]
+    one = Matrix.identity(field, rows * cols)
+    return [one.column(t).reshape(rows, cols) for t in range(rows * cols)]
 
 
 def _solve_squares(maps: list, squares) -> list:
@@ -153,15 +132,12 @@ def _solve_squares(maps: list, squares) -> list:
     if not maps:
         return []
     field, (rows, cols) = maps[0].field, maps[0].shape
-    system = _columns(field, [[lhs - rhs for _, lhs, rhs in squares(y)]
-                              for y in maps])
-    cs, kb = [_sparse_columns(y) for y in maps], kernel_basis(system)
-    den = lcm(*[y.den for y in maps])
-    scales = [den // y.den for y in maps]
-    return [_wrap(field, rows, [
-        _combine({t: a * scales[t] for t, a in k.items()},
-                 {t: cs[t][j] for t in k}, field) for j in range(cols)],
-        kb.den * den) for k in _sparse_columns(kb)]
+    system = stack(field, [[lhs - rhs for _, lhs, rhs in squares(y)]
+                           for y in maps])
+    solutions = compose(stack(field, [[y] for y in maps]),
+                        kernel_basis(system))
+    return [solutions.column(j).reshape(rows, cols)
+            for j in range(solutions.cols)]
 
 
 def _bimodule_start(x: Bimodule, y: Bimodule, dim_m: int) -> list:
@@ -203,6 +179,6 @@ def hom_dimension_report(src: EntwOneCell,
     # zeta_square descends y, which is well defined on bimodule maps only
     cor = _solve_squares(bimod, lambda y: [
         ("zeta square", *zeta_square(csrc, cdst, y))])
-    img_rank = rank(_columns(field, [
+    img_rank = rank(stack(field, [
         [comc_two_cell(EntwTwoCell(src, dst, t)).map] for t in entw]))
     return len(entw), len(cor), img_rank == len(entw), img_rank == len(cor)

@@ -6,14 +6,16 @@ deterministic quotient presentations.  ``wtensor`` tensors two bimodules,
 presented over the product of their coordinate spaces only, through the
 memoised ``tensor_over``; it keeps no memo of its own.  The word's actions
 (``word_module``) are formed on first read: the words of a rebracketing
-are read only through their presentations and quotient dimensions.  The one
-rebracketing iso is the associator ``word_iso(x, y, z)``, built from its
-three factors; by Mac Lane's coherence theorem every other one is a
-composite of whiskered associators and their inverses.  Each sweeps the
-relations only when a checked square fails: ``tensor_map`` the module
-squares of its factors, shared with the checkers through the memoised
-``_module_square``, and ``word_iso`` the bimodule square of its middle
-factor, ``_bimodule_square``.
+are read only through their presentations and quotient dimensions.
+Every map on a word is formed through ``kron``'s column selection, so no
+whisker is built at full ambient width and no stored column is read.
+The one rebracketing iso is the associator ``word_iso(x, y, z)``, built
+from its three factors; by Mac Lane's coherence theorem every other one
+is a composite of whiskered associators and their inverses.  Each
+sweeps the relations only when a checked square fails: ``tensor_map`` the
+module squares of its factors, shared with the checkers through the
+memoised ``_module_square``, and ``word_iso`` the bimodule square of its
+middle factor, ``_bimodule_square``.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from operator import eq
 from .algstruct import (Bimodule, CheckReport, _check_squares,
                         regular_bimodule)
 from .errors import DimensionMismatch, NotComposable, NotParallel
-from .exactlin import (Matrix, Record, _sparse_columns, _wrap, compose,
-                       expect_shapes, inverse, kron, memoised)
+from .exactlin import (Matrix, Record, compose, expect_shapes, inverse,
+                       kron, memoised)
 from .qtensor import (_iso_or_raise, descend_columns, free_columns,
                       tensor_over, unit_coherence)
 
@@ -59,16 +61,13 @@ def word_module(xm: Bimodule, ym: Bimodule) -> Bimodule:
     """The bimodule xm (x)_A ym in the coordinates of its presentation."""
     q = wtensor(xm, ym).outer
     dm, dn, dl, dr = xm.dim, ym.dim, xm.left.dim, ym.right.dim
-    # column (l, t) of lact, with free[t] = (i, j), is the sum over i' of
-    # X.lact[i', (l, i)] p[:, (i', j)]; column (t, r) of ract mirrors it
-    ij = [divmod(c, dn) for c in q.free]
-    x_l, y_r = _sparse_columns(xm.lact), _sparse_columns(ym.ract)
-    lact = compose(q.projection, _wrap(xm.field, q.ambient_dim, [
-        {i2 * dn + j: x for i2, x in x_l[l * dm + i].items()}
-        for l in range(dl) for i, j in ij], xm.lact.den))
-    ract = compose(q.projection, _wrap(xm.field, q.ambient_dim, [
-        {i * dn + j2: y for j2, y in y_r[j * dr + r].items()}
-        for i, j in ij for r in range(dr)], ym.ract.den))
+    # column (l, t) of lact, with free[t] = (i, j), is column (l, i, j) of
+    # X.lact (x) N, projected; column (t, r) of ract is column (i, j, r) of
+    # M (x) Y.ract
+    lact = compose(q.projection, kron(xm.lact, dn, [
+        l * dm * dn + c for l in range(dl) for c in q.free]))
+    ract = compose(q.projection, kron(dm, ym.ract, [
+        c * dr + r for c in q.free for r in range(dr)]))
     return Bimodule(xm.left, ym.right, q.quotient_dim, lact, ract)
 
 
@@ -82,28 +81,20 @@ def tensor_map(f, g, src: tuple, tgt: tuple) -> Matrix:
     its two bimodules are equal; if any other factor fails its square,
     the sweep decides."""
     (x, y), (x2, y2) = src, tgt
-    fm, gm = (Matrix.identity(x.field, h) if isinstance(h, int) else h
-              for h in (f, g))
-    if (fm.shape, gm.shape) != ((x2.dim, x.dim), (y2.dim, y.dim)):
-        raise DimensionMismatch(f"whisker {fm.shape} (x) {gm.shape} of words")
-    f_cols, g_cols = _sparse_columns(fm), _sparse_columns(gm)
-    dy, dy2, den = y.dim, y2.dim, fm.den * gm.den
-
-    def image(c):   # column (i, j) of f (x) g is f[:, i] (x) g[:, j]
-        i, j = divmod(c, dy)
-        # over den; unreduced over GF(p) until the target projection
-        return {a * dy2 + b: s * t
-                for a, s in f_cols[i].items() for b, t in g_cols[j].items()}
-
+    one = lambda h: Matrix.identity(x.field, h) if isinstance(h, int) else h
+    shapes = tuple((h, h) if isinstance(h, int) else h.shape for h in (f, g))
+    if shapes != ((x2.dim, x.dim), (y2.dim, y.dim)):
+        raise DimensionMismatch("whisker {} (x) {} of words".format(*shapes))
+    # kron takes an int for at most one factor
+    image = lambda cols: kron(one(f) if isinstance(g, int) else f, g, cols)
     words = wtensor(x, y).outer, wtensor(x2, y2).outer
     # a square is a matrix equation only over one middle dimension
     if x.right.dim == x2.right.dim and all(
             isinstance(h, int) and a == b
-            or eq(*_module_square(hm, a, b, right))
-            for h, hm, a, b, right in ((f, fm, x, x2, True),
-                                       (g, gm, y, y2, False))):
-        return free_columns(image, *words, den)
-    return descend_columns(image, *words, den)
+            or eq(*_module_square(one(h), a, b, right))
+            for h, a, b, right in ((f, x, x2, True), (g, y, y2, False))):
+        return free_columns(image, *words)
+    return descend_columns(image, *words)
 
 
 @memoised
@@ -119,17 +110,13 @@ def word_iso(x: Bimodule, y: Bimodule, z: Bimodule) -> Matrix:
     coherence).
     """
     xy, yz = wtensor(x, y), wtensor(y, z)
-    dz, dyz, p = z.dim, yz.outer.quotient_dim, yz.outer.projection
-    p_yz = _sparse_columns(p)
-
-    def image(c):
-        t, k = divmod(c, dz)
-        i, j = divmod(xy.outer.free[t], y.dim)
-        return {i * dyz + r: a for r, a in p_yz[j * dz + k].items()}
-
+    dz, free = z.dim, xy.outer.free
+    # column (t, k) of the ambient is column (free[t], k) of x (x) p_yz
+    image = lambda cols: kron(x.dim, yz.outer.projection, [
+        free[c // dz] * dz + c % dz for c in cols])
     proven = _bimodule_square(y)
     iso = (free_columns if proven else descend_columns)(
-        image, wtensor(xy.module, z).outer, wtensor(x, yz.module).outer, p.den)
+        image, wtensor(xy.module, z).outer, wtensor(x, yz.module).outer)
     return _iso_or_raise(iso, "bracketings do not present the same module")
 
 

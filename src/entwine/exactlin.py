@@ -14,14 +14,17 @@ compare ints only; over GF(p) den is 1 and a numerator is in ``[0, p)``.
 A matrix built from dense entries refuses a den of more than ``DEN_BITS``
 bits.  A ``Fraction`` is built only at the boundary: ``coerce`` and the
 dense views ``entries``, ``m[i, j]`` and ``repr``, which give an integral
-entry as an ``int``.  ``rank``, ``kernel_basis`` and ``inverse`` all
-reduce int vectors through the one routine ``_echelon``, and every
-difference, scaling and product (``compose``, the projection of
-``qtensor._image``) sums int columns through the one routine
-``_combine``, which ends in the field's reduction: mod p over GF(p),
-dropping zeros over Q.  ``Record``, the base of every cell and structure
-of the package, is immutable in the same way as ``Matrix``: slotted, set
-once through its slot descriptors, its hash cached.
+entry as an ``int``.  This module alone reads that format: the other
+modules build every map through ``kron`` (of selected columns, if asked),
+``unkron``, ``gather``, ``compose``, ``stack``, ``reshape`` and
+``cokernel``.  ``rank``, ``kernel_basis``, ``cokernel`` and ``inverse``
+all reduce int vectors through the one routine ``_echelon``, and every
+difference, scaling and product (``compose``, so every projection to a
+quotient) sums int columns through the one routine ``_combine``, which
+ends in the field's reduction: mod p over GF(p), dropping zeros over Q.
+``Record``, the base of every cell and structure of the package, is
+immutable in the same way as ``Matrix``: slotted, set once through its
+slot descriptors, its hash cached.
 
 Index convention (normative for the whole package): the basis vector
 ``(i of X, j of Y)`` of ``X (x) Y`` has flat index ``i * dim(Y) + j``.
@@ -34,6 +37,7 @@ import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import wraps
+from itertools import product, repeat
 from math import gcd, lcm
 from operator import attrgetter
 
@@ -410,6 +414,19 @@ class Matrix:
         return _wrap(self.field, self.cols, _transposed(self._c, self.rows),
                      self.den)
 
+    def reshape(self, rows: int, cols: int) -> "Matrix":
+        """The rows x cols matrix of self's entries in row-major order; a
+        DimensionMismatch unless it holds as many."""
+        if min(rows, cols) < 0 or rows * cols != self.rows * self.cols:
+            raise DimensionMismatch(
+                f"reshape {self.shape} to {(rows, cols)}")
+        out, w = [{} for _ in range(cols)], self.cols
+        for j, c in enumerate(self._c):
+            for i, x in c.items():
+                r, t = divmod(i * w + j, cols)
+                out[t][r] = x
+        return _wrap(self.field, rows, out, self.den)
+
     def first_difference(self, other: "Matrix"):
         """Coordinates of the first differing entry in row-major order, or
         None if equal."""
@@ -489,7 +506,7 @@ def compose(f: Matrix, g: Matrix, *more: Matrix) -> Matrix:
     are applied first, ``compose(f, g, h) = compose(f, compose(g, h))``."""
     if more:
         g = compose(g, *more)
-    if f.field != g.field:
+    if f.field is not g.field and f.field != g.field:
         raise DimensionMismatch("fields differ")
     if f.cols != g.rows:
         raise DimensionMismatch(
@@ -498,31 +515,81 @@ def compose(f: Matrix, g: Matrix, *more: Matrix) -> Matrix:
                  [_combine(col, f._c, f.field) for col in g._c], f.den * g.den)
 
 
-def kron(f, g) -> Matrix:
-    """Kronecker product under the row-major index convention.
+def kron(f, g, cols: Sequence[int] | None = None) -> Matrix:
+    """Kronecker product under the row-major index convention; given
+    ``cols``, only those of its columns, in that order: ``kron(f, g,
+    cols) == kron(f, g).gather(cols)``, with no other column formed.
 
     Either factor may be an int n, standing for the n x n identity: the
     whisker re-indexes the other factor's columns, with no scalar
-    multiplication.  Two matrices compose their two whiskers.
+    multiplication.  Two matrices compose their two whiskers, the second
+    one selected.  An IndexError if a column is not in range(width).
     """
+    if cols:
+        width = (f if isinstance(f, int) else f.cols) * (
+            g if isinstance(g, int) else g.cols)
+        if not 0 <= min(cols) <= max(cols) < width:
+            raise IndexError(f"kron columns outside range({width})")
     if isinstance(f, int):
-        rg = g.rows
+        rg, cg, g_c = g.rows, g.cols, g._c
+        pairs = (product(range(f), range(cg)) if cols is None
+                 else map(divmod, cols, repeat(cg)))
         return _wrap(g.field, f * rg, [
-            {i * rg + r: x for r, x in c.items()} if i else c
-            for i in range(f) for c in g._c], g.den)
+            {i * rg + r: x for r, x in g_c[k].items()} if i else g_c[k]
+            for i, k in pairs], g.den)
     if isinstance(g, int):
+        f_c = f._c
+        pairs = (product(range(f.cols), range(g)) if cols is None
+                 else map(divmod, cols, repeat(g)))
         return _wrap(f.field, f.rows * g, [
-            {i * g + j: x for i, x in c.items()} if g != 1 else c
-            for c in f._c for j in range(g)], f.den)
+            {i * g + j: x for i, x in f_c[k].items()} if g != 1 else f_c[k]
+            for k, j in pairs], f.den)
     # the interchange law: f (x) g = (f (x) 1) . (1 (x) g)
-    return compose(kron(f, g.rows), kron(f.cols, g))
+    return compose(kron(f, g.rows), kron(f.cols, g, cols))
 
 
-def _sparse_columns(m: Matrix) -> list:
-    """The columns of m as ``{row: value}`` dicts of their nonzero int
-    numerators over ``m.den``: the stored ones, shared, so not to be
-    mutated."""
-    return m._c
+@memoised
+def unkron(m: Matrix, right: bool):
+    """(v, g) for the largest v > 1 with m == kron(v, g) if ``right``, else
+    m == kron(g, v), each candidate compared column by column up to its
+    first mismatch; None if there is none.  v divides both of m's
+    dimensions."""
+    cols = m._c
+    for v in [v for v in range(m.rows, 1, -1)
+              if m.rows % v == 0 and m.cols % v == 0]:
+        rg, cg, g = m.rows // v, m.cols // v, []
+        # (i of g, j of k^v) is j*n + i in kron(v, g), i*v + j in kron(g, v)
+        at = lambda i, j, n: j * n + i if right else i * v + j
+        for c in range(cg):
+            gc = {(r % rg if right else r // v): x
+                  for r, x in cols[at(c, 0, cg)].items()}
+            if not all(len(col := cols[at(c, j, cg)]) == len(gc) and all(
+                    col.get(at(i, j, rg)) == x for i, x in gc.items())
+                    for j in range(v)):
+                break
+            g.append(gc)
+        else:
+            return v, _wrap(m.field, rg, g, m.den)
+    return None
+
+
+def stack(field: FieldSpec, vecs: list) -> Matrix:
+    """The matrix whose column t holds the entries of the matrices
+    ``vecs[t]``, each read row-major, one after the other.  Their
+    numerators are brought to the lcm of their denominators exactly: a
+    column scaled on its own would scale its kernel coefficients."""
+    den = lcm(*[m.den for ms in vecs for m in ms])
+    cols, n = [], 0
+    for ms in vecs:
+        v, n = {}, 0
+        for m in ms:
+            s = den // m.den
+            for j, col in enumerate(m._c):
+                for i, x in col.items():
+                    v[n + i * m.cols + j] = s * x
+            n += m.rows * m.cols
+        cols.append(v)
+    return _wrap(field, n, cols, den)
 
 
 def _combine(coeffs: dict, cols, field: FieldSpec) -> dict:
@@ -596,15 +663,16 @@ def rank(m: Matrix) -> int:
     return len(_echelon(m.transpose()._c, m.field))
 
 
-def _null_rows(vectors: Iterable[dict], ncols: int,
-              field: FieldSpec) -> tuple[Matrix, tuple]:
-    """The free-column basis of the annihilator of sparse vectors in k^ncols.
+def cokernel(m: Matrix) -> tuple[Matrix, tuple]:
+    """The projection of k^rows onto the cokernel of m, and its free
+    (non-pivot) coordinates.
 
-    Returns the basis as the rows of a matrix, and the free (non-pivot)
-    columns: row j is 1 at ``free[j]``, 0 at the other free columns, and
-    minus the echelon entries at the pivots.
+    The projection's rows are the free-column basis of the annihilator of
+    m's columns: row j is 1 at ``free[j]``, 0 at the other free
+    coordinates, and minus the echelon entries at the pivots.
     """
-    ech = _echelon(vectors, field)
+    field, ncols = m.field, m.rows
+    ech = _echelon(m._c, field)
     free = tuple(c for c in range(ncols) if c not in ech)
     where = {c: j for j, c in enumerate(free)}
     den = lcm(*[row[c] for c, row in ech.items()])
@@ -618,7 +686,7 @@ def _null_rows(vectors: Iterable[dict], ncols: int,
 
 def kernel_basis(m: Matrix) -> Matrix:
     """Columns form a basis of the right kernel of m."""
-    return _null_rows(m.transpose()._c, m.cols, m.field)[0].transpose()
+    return cokernel(m.transpose())[0].transpose()
 
 
 @memoised

@@ -13,7 +13,7 @@ from entwine.algstruct import (Algebra, Bimodule, Coalgebra, check_algebra,
                                cyclic_group_bialgebra, group_algebra,
                                grouplike_coalgebra, matrix_algebra,
                                matrix_coalgebra, regular_bimodule)
-from entwine.comc import (_bimodule_start, _columns, _solve_squares, _units,
+from entwine.comc import (_bimodule_start, _solve_squares, _units,
                           comc_obj, comc_one_cell,
                           comc_two_cell, composed_carrier, compositor,
                           hom_dimension_report, unitor_comparison,
@@ -31,7 +31,7 @@ from entwine.entwcat import (EntwObj, EntwOneCell, EntwTwoCell,
                              morphism_one_cell, scalar_two_cell, vcomp)
 from entwine.errors import DoesNotFactor, InvalidObject, NotInvertible
 from entwine.exactlin import (FieldSpec, Matrix, QQ, compose, inverse,
-                              kron, rank)
+                              kron, rank, stack)
 from entwine.qtensor import descend
 
 
@@ -193,14 +193,14 @@ class TestFractionalBasis:
         # fallback start, the module squares of the fractional carrier
         # meet in one system over several denominators, and span the same
         # bimodule maps
-        f, seen, columns = identity_one_cell(self.twisted()), [], _columns
+        f, seen, columns = identity_one_cell(self.twisted()), [], stack
         x = comc_one_cell(f).carrier
 
         def recording(field, vecs):
             seen.append({m.den for ms in vecs for m in ms})
             return columns(field, vecs)
 
-        with mock.patch.object(comc, "_columns", recording):
+        with mock.patch.object(comc, "stack", recording):
             assert_hom_bases(f, f, GALLERY_HOM_DIMENSIONS[
                 "id_flip_kC2_gl2", "id_flip_kC2_gl2"], "fractional id")
             bimod = hom_bases(f, f)[1][1]
@@ -208,7 +208,7 @@ class TestFractionalBasis:
                 _units(QQ, x.dim, x.dim),
                 lambda y: module_map_squares("", y, x, x))
         assert max(map(len, seen)) > 1
-        assert rank(_columns(QQ, [[y] for y in bimod + from_units])) == len(
+        assert rank(stack(QQ, [[y] for y in bimod + from_units])) == len(
             bimod) == len(from_units)
 
 
@@ -361,7 +361,7 @@ def assert_hom_bases(f1, f2, dims, names):
     for y in cor:
         assert check_cor_two_cell(CorTwoCell(c1, c2, y)).passed, names
     for basis in (entw, bimod, cor):
-        assert rank(_columns(f1.field, [[y] for y in basis])) == len(
+        assert rank(stack(f1.field, [[y] for y in basis])) == len(
             basis), names
     assert (len(entw), len(cor)) == dims[:2], names
     assert report == dims, names
@@ -615,7 +615,7 @@ class TestFreeStart:
         # what the free start would have solved from
         free = [compose(x.ract, kron(e, 2)) for e in _units(QQ, 2, 1)]
         if keep_right:      # dependent: the solver would count a zero map
-            assert rank(_columns(QQ, [[f] for f in free])) < len(free)
+            assert rank(stack(QQ, [[f] for f in free])) < len(free)
         else:               # too few: they miss right-linear maps
             right_linear = _solve_squares(_units(QQ, 2, 2), lambda f: [
                 ("right", *corcat._plain_module_square(f, x, x, True))])

@@ -334,10 +334,10 @@ def induced_columns(owner):
     counts = Counter()
 
     def counting(kind, induce):
-        def counted(image, src, tgt, den):
+        def counted(image, src, tgt):
             if image.__qualname__.startswith(owner + "."):
                 counts[kind] += src.ambient_dim - src.quotient_dim
-            return induce(image, src, tgt, den)
+            return induce(image, src, tgt)
         return counted
 
     with mock.patch.object(corcat, "descend_columns",

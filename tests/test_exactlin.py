@@ -12,8 +12,8 @@ from entwine.algstruct import Algebra
 from entwine.cli import Workspace, serialize
 from entwine.errors import DimensionMismatch, InvalidParameter
 from entwine.exactlin import (DEN_BITS, FieldSpec, Matrix, QQ, _echelon,
-                              _sparse_columns, _transposed, _wrap, compose,
-                              flip, inverse, kernel_basis, kron, rank)
+                              _transposed, _wrap, cokernel, compose, flip,
+                              inverse, kernel_basis, kron, rank)
 from entwine.qtensor import QuotientPresentation, descend
 from test_qtensor import is_zero, quotient_by, section
 
@@ -94,7 +94,7 @@ def from_sympy(s):
 def rref(m):
     """(reduced, pivots, rank) of m, read off the int rows ``_echelon``
     keeps, each divided by its pivot entry."""
-    ech = _echelon(_sparse_columns(m.transpose()), m.field)
+    ech = _echelon(m.transpose()._c, m.field)
     pivots = tuple(sorted(ech))
     for p in pivots:
         assert all(type(x) is int and x for x in ech[p].values())
@@ -408,6 +408,40 @@ class TestKronConvention:
         assert kron(f, n) == kron(f, ident)
 
 
+    @given(st.sampled_from([QQ, GF5]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_selected_columns_are_gathered(self, field, data):
+        # an int on either side or none, factors of 0..3 rows and columns,
+        # and any list of columns: repeated, unordered or empty
+        def factor(is_int):
+            if is_int:
+                return data.draw(st.integers(0, 3))
+            return data.draw(matrices(
+                data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3)),
+                field, denominated(6, 4, 5)))
+
+        ints = data.draw(st.sampled_from([(True, False), (False, True),
+                                          (False, False)]))
+        f, g = map(factor, ints)
+        full = kron(f, g)
+        cols = data.draw(st.lists(st.integers(0, full.cols - 1), max_size=8)
+                         if full.cols else st.just([]))
+        got = kron(f, g, cols)
+        assert got == full.gather(cols) and stored_canonically(got)
+
+
+    @pytest.mark.parametrize("f, g", [
+        (2, Matrix(QQ, [[1, 2, 3]])), (Matrix(QQ, [[1, 2, 3]]), 2),
+        (Matrix(QQ, [[1], [2]]), Matrix(QQ, [[1, 2, 3]]))],
+        ids=["int-left", "int-right", "matrices"])
+    def test_a_column_outside_the_product_is_refused(self, f, g):
+        # a past-the-end or negative index would place entries outside
+        # the product's rows
+        for cols in ([kron(f, g).cols], [0, -1]):
+            with pytest.raises(IndexError):
+                kron(f, g, cols)
+
+
 class TestComposition:
     @given(matrices(2, 3), matrices(3, 2), matrices(2, 2))
     @settings(max_examples=40, deadline=None)
@@ -434,6 +468,28 @@ class TestComposition:
         select = Matrix.build(QQ, width, len(cols),
                               lambda i, j: int(cols[j] == i))
         assert m.gather(cols) == compose(m, select)
+
+
+class TestReshape:
+    @given(st.sampled_from([QQ, GF5]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_row_major_round_trip(self, field, data):
+        m = data.draw(matrices(data.draw(st.integers(0, 4)),
+                               data.draw(st.integers(0, 4)), field,
+                               denominated(6, 4, 5)))
+        n = m.rows * m.cols
+        rows = data.draw(st.sampled_from(
+            [d for d in range(1, n + 1) if n % d == 0] if n else [0, 3]))
+        cols = n // rows if rows else data.draw(st.integers(0, 3))
+        out = m.reshape(rows, cols)
+        flat = [x for row in m.entries for x in row]
+        assert out == Matrix.build(field, rows, cols,
+                                   lambda i, j: flat[i * cols + j])
+        assert stored_canonically(out) and out.reshape(*m.shape) == m
+        if field == QQ:
+            assert out == from_sympy(to_sympy(m).reshape(rows, cols))
+        with pytest.raises(DimensionMismatch):
+            m.reshape(rows + 1, max(cols, 1))
 
 
 class TestRrefRankKernel:
@@ -595,6 +651,21 @@ class TestAgainstSympy:
         assert kb.shape == (m.cols, len(null))
         for j, v in enumerate(null):
             assert kb.column(j) == from_sympy(v)
+
+    @given(st.sampled_from([QQ, GF5]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cokernel(self, field, data):
+        # the projection kills m, has one row per dimension of the
+        # cokernel, and is the identity at its free coordinates
+        m = data.draw(matrices(data.draw(st.integers(0, 5)),
+                               data.draw(st.integers(0, 5)), field,
+                               denominated(6, 4, 5)))
+        projection, free = cokernel(m)
+        assert is_zero(compose(projection, m))
+        assert projection.shape == (m.rows - rank(m), m.rows)
+        assert projection.gather(free) == Matrix.identity(field, len(free))
+        if field == QQ:
+            assert m.rows - len(free) == to_sympy(m).rank()
 
     @given(st.one_of(st.integers(0, 4).flatmap(
         lambda n: mixed_matrices(n, n)), mixed_matrices()))

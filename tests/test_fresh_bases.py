@@ -21,7 +21,7 @@ from entwine.cli import build_gallery, deserialize
 from entwine.corcat import check_cor_one_cell, check_coring
 from entwine.entwcat import check_obj, identity_one_cell
 from entwine.errors import InvalidObject
-from entwine.exactlin import FieldSpec, _sparse_columns, kron
+from entwine.exactlin import FieldSpec, kron, unkron
 from test_qtensor import quotient_by
 
 SPEC = importlib.util.spec_from_file_location(
@@ -45,7 +45,7 @@ def test_a_fresh_basis_passes(requests, name):
     assert request["expect"] == "PASS"
     e = deserialize(request["text"]).entwinings["e"]
     # the unit is no basis vector, so tensor_over drops a dense family
-    assert len(_sparse_columns(e.algebra.unit)[0]) > 1
+    assert len(e.algebra.unit._c[0]) > 1
     assert check_obj(e).passed
     cor = comc.comc_obj(e)
     assert check_coring(cor).passed
@@ -78,7 +78,7 @@ def check_images(e):
 def relation_path(args):
     """tensor_over(*args) with no whisker peeled, past the memo: the
     balancing relations eliminated over the full ambient."""
-    with mock.patch.object(qtensor, "_peel", lambda m, right: None):
+    with mock.patch.object(qtensor, "unkron", lambda m, right: None):
         return qtensor.tensor_over.__wrapped__(*args)
 
 
@@ -97,7 +97,7 @@ def test_every_checked_word_is_presented_as_its_relations(requests, source):
 
     with mock.patch.object(corcat, "tensor_over", recording):
         check_images(e)
-    peeled = [qtensor._peel(ract, True) or qtensor._peel(lact, False)
+    peeled = [unkron(ract, True) or unkron(lact, False)
               for ract, lact, *_ in words]
     assert sum(map(bool, peeled)) > len(words) // 2
     for args in words:
@@ -107,14 +107,13 @@ def test_every_checked_word_is_presented_as_its_relations(requests, source):
 def test_flip_m2_gl3_eliminates_only_unwhiskered_words():
     # the relation path builds 4,656 vectors, on ambients up to 432
     e = build_gallery(FieldSpec("rational")).entwinings["flip_M2_gl3"]
-    built, null_rows = [], qtensor._null_rows
+    built, real = [], qtensor.cokernel
 
-    def counting(vectors, ncols, field):
-        vectors = list(vectors)
-        built.append((len(vectors), ncols))
-        return null_rows(vectors, ncols, field)
+    def counting(relations):
+        built.append((relations.cols, relations.rows))
+        return real(relations)
 
-    with mock.patch.object(qtensor, "_null_rows", counting):
+    with mock.patch.object(qtensor, "cokernel", counting):
         check_images(e)
     assert sum(n for n, _ in built) == 48
     assert max(ncols for _, ncols in built) == 12

@@ -38,10 +38,11 @@ A twelfth keeps start-up cheap: no module of the package imports
 ``dataclasses``, ``inspect`` or ``typing`` (records are ``exactlin.Record``,
 annotations builtin generics), and a fresh interpreter that imports
 ``entwine.cli`` loads none of ``dataclasses``, ``inspect`` and ``argparse``
-(which only ``cli.main`` imports).  A thirteenth keeps denominator
-arithmetic in few places: outside ``exactlin``, only the functions that
-build a matrix from stored columns read a matrix's ``den``, so they are
-all a change to how denominators are stored has to revisit.  A
+(which only ``cli.main`` imports).  A thirteenth keeps the matrix
+format behind one module: outside ``exactlin``, no code reads a matrix's
+``den`` or stored columns ``_c``, or imports or reads a private name of
+``exactlin``, so a change to how matrices are stored touches ``exactlin``
+alone.  A
 fourteenth keeps every memo reachable: ``memoised`` finds its memo through
 ``args[0].field``, so the first parameter of each ``@memoised`` function
 is annotated with a class of the package that defines ``field`` (``Matrix``
@@ -340,8 +341,7 @@ def test_cli_names_image_functions_in_its_table_only():
 
 
 # ``file: name`` -> why the package keeps it though no code of it reads it
-UNREAD = {"exactlin.py: Matrix.column": "the demos read structure maps "
-                                        "one column at a time"}
+UNREAD = {}
 
 
 def _reads(node) -> Counter:
@@ -604,25 +604,30 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert loaded & {"dataclasses", "inspect", "argparse"} == set()
 
 
-# outside ``exactlin``, the functions that build a matrix from stored
-# columns, which bring their numerators over its ``den`` themselves
-DEN_READERS = ["comc.py: _columns", "comc.py: _solve_squares",
-               "corcat.py: tensor_map", "corcat.py: word_iso",
-               "corcat.py: word_module", "qtensor.py: _image",
-               "qtensor.py: _peel", "qtensor.py: descend",
-               "qtensor.py: tensor_over"]
+# outside ``exactlin``, the code that knows the matrix format: none
+DEN_READERS = []
 
 
 def den_readers(sources: dict) -> list:
     """``file: owner`` of each module-level function or class of
-    ``sources``, a dict file name -> source text, that reads a ``.den``
-    attribute, once each, sorted; ``<module>`` for a read outside them."""
-    return sorted({f"{file}: {getattr(top, 'name', '<module>')}"
-                   for file, source in sources.items()
-                   for top in ast.parse(source).body
-                   for n in ast.walk(top)
-                   if isinstance(n, ast.Attribute) and n.attr == "den"
-                   and isinstance(n.ctx, ast.Load)})
+    ``sources``, a dict file name -> source text, that reads a matrix's
+    ``.den`` or ``._c`` or a private attribute of ``exactlin``, once each;
+    ``<module>`` for a read outside them; and ``file: import _name`` for
+    each private name it imports from ``exactlin``; sorted."""
+    found = set()
+    for file, source in sources.items():
+        for top in ast.parse(source).body:
+            for n in ast.walk(top):
+                if isinstance(n, ast.ImportFrom) and (
+                        n.module or "").split(".")[-1] == "exactlin":
+                    found |= {f"{file}: import {a.name}" for a in n.names
+                              if a.name.startswith("_")}
+                elif isinstance(n, ast.Attribute) and isinstance(
+                        n.ctx, ast.Load) and (n.attr in ("den", "_c") or (
+                            n.attr.startswith("_")
+                            and getattr(n.value, "id", "") == "exactlin")):
+                    found.add(f"{file}: {getattr(top, 'name', '<module>')}")
+    return sorted(found)
 
 
 def test_scan_finds_den_readers():
@@ -630,8 +635,16 @@ def test_scan_finds_den_readers():
                        "def g(m):\n    m.den = 2\n    return m.dens, den\n"
                        "class C:\n    def h(self):\n"
                        "        return self.m.den * 2\n",
-               "b.py": "d = x.den\nden = 3\n"}
-    assert den_readers(sources) == ["a.py: C", "a.py: f", "b.py: <module>"]
+               "b.py": "d = x.den\nden = 3\n",
+               "c.py": "from .exactlin import Matrix, _wrap\n"
+                       "from entwine.exactlin import _echelon as e\n"
+                       "from .other import _x\n"
+                       "def k(m):\n    return m._c[0], m.c, m._cols\n"
+                       "def n(m):\n    return exactlin.kron, other._c2\n",
+               "d.py": "from . import exactlin\ny = exactlin._combine\n"}
+    assert den_readers(sources) == [
+        "a.py: C", "a.py: f", "b.py: <module>", "c.py: import _echelon",
+        "c.py: import _wrap", "c.py: k", "d.py: <module>"]
 
 
 def test_only_column_builders_read_den():

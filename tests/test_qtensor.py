@@ -15,8 +15,8 @@ from entwine.cli import build_gallery
 from entwine.comc import comc_obj, comc_one_cell
 from entwine.corcat import check_coring, word_iso, word_module, wtensor
 from entwine.errors import DimensionMismatch, DoesNotFactor, NotInvertible
-from entwine.exactlin import (FieldSpec, Matrix, QQ, _null_rows,
-                              _sparse_columns, compose, inverse, kron, rank)
+from entwine.exactlin import (FieldSpec, Matrix, QQ, cokernel, compose,
+                              inverse, kron, rank, unkron)
 from entwine.qtensor import (QuotientPresentation, descend, tensor_over,
                              unit_coherence)
 
@@ -24,8 +24,7 @@ from entwine.qtensor import (QuotientPresentation, descend, tensor_over,
 def quotient_by(relations):
     """The presentation of k^d by the column span of ``relations`` (d x r)
     that ``tensor_over`` builds from its balancing relations."""
-    return QuotientPresentation(*_null_rows(
-        _sparse_columns(relations), relations.rows, relations.field))
+    return QuotientPresentation(*cokernel(relations))
 
 
 def section(q):
@@ -412,14 +411,13 @@ def diagonal_family(draw, field, da, m):
 def counted_tensor_over(ract, lact, dm, unit, dn):
     """(tensor_over's presentation, the number of relations it built, the
     ambient it eliminated them on)."""
-    built, null_rows = [], qtensor._null_rows
+    built, real = [], qtensor.cokernel
 
-    def counting(vectors, ncols, field):
-        vectors = list(vectors)
-        built.append((len(vectors), ncols))
-        return null_rows(vectors, ncols, field)
+    def counting(relations):
+        built.append((relations.cols, relations.rows))
+        return real(relations)
 
-    with mock.patch.object(qtensor, "_null_rows", counting):
+    with mock.patch.object(qtensor, "cokernel", counting):
         q = tensor_over(ract, lact, dm, unit, dn)
     assert len(built) == 1, "a fresh field's memo cannot hold the result"
     return (q, *built[0])
@@ -438,7 +436,7 @@ class TestDroppedUnitFamily:
         da, dm, dn = (draw(st.integers(lo, 3)) for lo in (2, 1, 1))
         s = matrix(draw, field, da, da)
         s_inv, unit = inverse(s), s.gather((0,))
-        assume(s_inv is not None and len(_sparse_columns(unit)[0]) > 1)
+        assume(s_inv is not None and len(unit._c[0]) > 1)
         t, u = (diagonal_family(draw, field, da, d) for d in (dm, dn))
         ract = Matrix.build(field, dm, dm * da,
                             lambda r, ik: t[ik % da][r, ik // da])
@@ -562,6 +560,31 @@ class TestWhiskeredActions:
         q, built, ncols = counted_tensor_over(ract, lact, dm, unit, dn)
         assert q == quotient_by(kron(ract, dn) - kron(dm, lact))
         assert ncols == (dm // wm) * (dn // wn)
+
+    @given(st.data(), st.sampled_from([("rational",), ("prime", 5)]),
+           st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_unkron_peels_the_largest_whisker(self, data, kind, right):
+        field = FieldSpec(*kind)
+        v = data.draw(st.integers(1, 4))
+        g = matrix(data.draw, field, data.draw(st.integers(0, 2)),
+                   data.draw(st.integers(0, 3)))
+        m = kron(v, g) if right else kron(g, v)
+        peeled = unkron(m, right)
+        if peeled is None:
+            assert largest_whisker(m, right) == 1
+        else:
+            w, h = peeled
+            assert w == largest_whisker(m, right) >= v
+            assert (kron(w, h) if right else kron(h, w)) == m
+
+    @pytest.mark.parametrize("right", [True, False], ids=["right", "left"])
+    def test_unkron_needs_v_to_divide_the_width(self, right):
+        # v divides the 2 or 4 rows but not the 3 columns, so no kron of
+        # k^v has this shape, whatever the entries
+        for m in (Matrix(QQ, [[1, 0, 5], [0, 1, 7]]),
+                  Matrix(QQ, [[1, 1, 5], [0, 0, 7], [1, 1, 0], [0, 0, 0]])):
+            assert unkron(m, right) is None
 
     @pytest.mark.parametrize("kind", [("rational",), ("prime", 5)],
                              ids=["q", "gf5"])
