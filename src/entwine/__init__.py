@@ -6,9 +6,9 @@ quotient presentations with deterministic sections, so every coherence
 law in sight is a literal matrix equality.
 """
 
-from .errors import (EntwineError, DimensionMismatch, InvalidParameter,
-                     DoesNotFactor, NotInvertible, NotComposable,
-                     NotParallel, NotABialgebra, NotAMorphism,
+from .errors import (EntwineError, InputError, DimensionMismatch,
+                     InvalidParameter, DoesNotFactor, NotInvertible,
+                     NotComposable, NotParallel, NotABialgebra, NotAMorphism,
                      InvalidObject, InvalidTwoCell)
 from .exactlin import (FieldSpec, QQ, Matrix, compose, kron, flip, rank,
                        kernel_basis, inverse)

@@ -10,10 +10,10 @@ Kronecker convention of :mod:`entwine.exactlin`.  Output is canonical
 JSON (sorted keys, two-space indent, trailing newline), so serialization
 round-trips byte for byte and files diff cleanly.
 
-Verbs: check | compose | comc | laws | gallery.  Exit codes: 0 all
-checks pass, 1 semantic failure (axiom violation, non-composable cells,
-failed factorization), 2 input error (unreadable file or unwritable
---out, malformed field, unresolved name).
+Verbs: check | compose | comc | laws | gallery, the rows of ``_VERBS``.
+``_run`` sets every exit code: 2 for an ``InputError`` (unreadable,
+malformed or unknown-keyed file, unwritable --out, unresolved name), 1
+for any other ``EntwineError`` or a FAIL line, else 0.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .entwcat import (EntwObj, EntwOneCell, EntwTwoCell, bialgebra_entwining,
                       compose_one_cells, flip_entwining, hcomp,
                       identity_one_cell, identity_two_cell, scalar_two_cell,
                       morphism_one_cell, vcomp)
-from .errors import EntwineError, brief
+from .errors import EntwineError, InputError, brief
 from .exactlin import FieldSpec, Matrix
 
 
@@ -139,6 +139,7 @@ def field_to_json(field: FieldSpec):
 def field_from_json(data) -> FieldSpec:
     if not isinstance(data, dict) or "kind" not in data:
         raise EntwineError("malformed field spec")
+    _known(data, ("kind", "p"), "field: ")
     return FieldSpec(data["kind"], data.get("p"))
 
 
@@ -146,13 +147,15 @@ def parse_field_flag(text: str) -> FieldSpec:
     """--field values: 'rational' or 'prime:<p>'."""
     if text == "rational":
         return FieldSpec("rational")
-    if text.startswith("prime:"):
-        try:
-            p = int(text.split(":", 1)[1])
-        except ValueError:
-            raise EntwineError(f"malformed field flag {brief(repr(text))}")
-        return FieldSpec("prime", p)
-    raise EntwineError(f"malformed field flag {brief(repr(text))}")
+    kind, _, p = text.partition(":")
+    try:
+        if kind == "prime":
+            return FieldSpec("prime", int(p))
+    except ValueError:
+        pass
+    except EntwineError as exc:
+        raise InputError(exc) from None
+    raise InputError(f"malformed field flag {brief(repr(text))}")
 
 
 def _to_json(obj, path: str):
@@ -184,10 +187,20 @@ def _object(data, what: str) -> dict:
     return data
 
 
+def _known(data: dict, keys, where: str = ""):
+    """Refuse ``data`` if it holds a key outside ``keys``, naming the
+    smallest such key."""
+    unknown = data.keys() - keys
+    if unknown:
+        raise EntwineError(f"{where}unknown key {brief(repr(min(unknown)))}")
+
+
 def _parse_entry(ws: Workspace, row, d: dict) -> tuple:
     """(reference names, keyword arguments of the builder) of one entry."""
     _, _, _, ref_keys, ints, mats, _ = row
-    missing = [k for k in (*ref_keys, *ints, *mats) if k not in d]
+    keys = (*ref_keys, *ints, *mats)
+    _known(d, keys)
+    missing = [k for k in keys if k not in d]
     if missing:
         raise EntwineError(f"missing {', '.join(missing)}")
     kwargs = {}
@@ -220,6 +233,7 @@ def _parse_entry(ws: Workspace, row, d: dict) -> tuple:
 def deserialize(text: str) -> Workspace:
     """Parse a workspace: JSON types are checked here, shapes by the cells."""
     doc = _object(json.loads(text), "workspace document")
+    _known(doc, ("field", "provenance", *_ROWS))
     ws = Workspace(field_from_json(doc.get("field")))
     for row in _CHECKERS:
         section, build = row[0], row[-1]
@@ -234,14 +248,32 @@ def deserialize(text: str) -> Workspace:
     return ws
 
 
+def _input_error(exc: Exception) -> InputError:
+    """``exc`` as an InputError.  An OSError quotes its file name as
+    briefly as any other input."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        exc = f"{exc.strerror}: {brief(repr(exc.filename))}"
+    return InputError(exc)
+
+
 def load_workspace(path: str) -> Workspace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return deserialize(fh.read())
+    """The workspace in file ``path``: an InputError if the file cannot be
+    read, is not JSON, is nested too deeply or is malformed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return deserialize(fh.read())
+    except (OSError, ValueError, RecursionError, KeyError,
+            EntwineError) as exc:
+        raise _input_error(exc) from None
 
 
 def save_workspace(ws: Workspace, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(ws))
+    """Write ``ws`` to file ``path``: an InputError if it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize(ws))
+    except OSError as exc:
+        raise _input_error(exc) from None
 
 
 # -- the gallery -----------------------------------------------------------
@@ -352,7 +384,7 @@ def _selected(ws: Workspace, selector: str) -> list:
                 if tkind != kind:
                     continue
                 if name not in entries:
-                    raise EntwineError(f"no {kind} named {brief(repr(name))}")
+                    raise InputError(f"no {kind} named {brief(repr(name))}")
             elif token in entries:
                 name = token
             else:
@@ -363,8 +395,8 @@ def _selected(ws: Workspace, selector: str) -> list:
                   for name in dict.fromkeys(names)]
     missing = set(tokens) - matched
     if missing:
-        raise EntwineError("selector matched nothing: "
-                           + brief(", ".join(map(repr, sorted(missing)))))
+        raise InputError("selector matched nothing: "
+                         + brief(", ".join(map(repr, sorted(missing)))))
     return picks
 
 
@@ -489,132 +521,120 @@ _LEVELS = {"cells": (laws_cells,),
 
 # -- commands --------------------------------------------------------------
 
-# unreadable, undecodable, too deeply nested or malformed input
-_INPUT_ERRORS = (OSError, ValueError, RecursionError, KeyError, EntwineError)
 
-
-def _fail(out, kind: str, exc, code: int) -> int:
-    """Print the one-line ``<kind> error: <exc>`` message; return ``code``.
-    An OSError quotes its file name as briefly as any other input."""
-    if isinstance(exc, OSError) and exc.filename is not None:
-        exc = f"{exc.strerror}: {brief(repr(exc.filename))}"
-    print(f"{kind} error: {exc}", file=out or sys.stderr)
-    return code
-
-
-def _save(ws: Workspace, path: str, out) -> int:
-    """Write ``ws`` to ``path``: exit code 0, or 2 if it cannot be written."""
-    try:
-        save_workspace(ws, path)
-    except OSError as exc:
-        return _fail(out, "input", exc, 2)
-    return 0
-
-
-def cmd_check(path: str, selector: str = "all", out=None) -> int:
-    try:
-        ws = load_workspace(path)
-    except _INPUT_ERRORS as exc:
-        return _fail(out, "input", exc, 2)
+def _run(out, verb) -> int:
+    """Run ``verb(report)``, its report printed to ``out`` (standard output
+    when None), and return the exit code: 2 for an InputError, 1 for any
+    other EntwineError or a FAIL line, else 0.  An error ends the run with
+    one ``<kind> error: <message>`` line on ``out`` (standard error when
+    None)."""
     report = Report(out)
     try:
-        run_checks(ws, selector, report)
+        verb(report)
     except EntwineError as exc:
-        return _fail(out, "input", exc, 2)
+        kind, code = (("input", 2) if isinstance(exc, InputError)
+                      else ("semantic", 1))
+        print(f"{kind} error: {exc}", file=out or sys.stderr)
+        return code
     return report.exit_code
 
 
+def cmd_check(path: str, selector: str = "all", out=None) -> int:
+    return _run(out, lambda report: run_checks(load_workspace(path),
+                                               selector, report))
+
+
 def cmd_compose(path: str, selector: str, out_path: str, out=None) -> int:
-    try:
+    def compose(report):
         ws = load_workspace(path)
         names = [t.strip() for t in selector.split(",")]
         if len(names) != 2:
-            raise EntwineError("compose needs --selector outer,inner")
+            raise InputError("compose needs --selector outer,inner")
         for name in names:
             if name not in ws.one_cells:
-                raise EntwineError(f"no 1-cell named {brief(repr(name))}")
+                raise InputError(f"no 1-cell named {brief(repr(name))}")
         pn, mn = names
-        p, m = ws.one_cells[pn], ws.one_cells[mn]
-    except _INPUT_ERRORS as exc:
-        return _fail(out, "input", exc, 2)
-    report = Report(out)
-    try:
-        comp = compose_one_cells(p, m)
-    except EntwineError as exc:
-        return _fail(out, "semantic", exc, 1)
-    report.add("ONECELL", "composite", check_one_cell(comp))
-    if not report.ok:
-        return 1
-    sub = Workspace(ws.field)
-    dom_name = ws.refs["one_cells", mn][0]
-    cod_name = ws.refs["one_cells", pn][1]
-    for en in (dom_name, cod_name):
-        _copy(ws, sub, "entwinings", en)
-    sub.add_one_cell("composite", dom_name, cod_name, comp,
-                     origin=f"compose({pn},{mn})")
-    return _save(sub, out_path, out)
+        comp = compose_one_cells(ws.one_cells[pn], ws.one_cells[mn])
+        report.add("ONECELL", "composite", check_one_cell(comp))
+        if report.ok:
+            sub = Workspace(ws.field)
+            dom_name = ws.refs["one_cells", mn][0]
+            cod_name = ws.refs["one_cells", pn][1]
+            for en in (dom_name, cod_name):
+                _copy(ws, sub, "entwinings", en)
+            sub.add_one_cell("composite", dom_name, cod_name, comp,
+                             origin=f"compose({pn},{mn})")
+            save_workspace(sub, out_path)
+    return _run(out, compose)
 
 
 def cmd_comc(path: str, selector: str, out_path: str, out=None) -> int:
-    try:
+    def comc(report):
         ws = load_workspace(path)
         name = selector.strip()
         section = next((s for s in _IMAGES if name in getattr(ws, s)), None)
         if section is None:
-            raise EntwineError(
-                f"no entwining entry named {brief(repr(name))}")
-    except _INPUT_ERRORS as exc:
-        return _fail(out, "input", exc, 2)
-    report = Report(out)
-    sub = Workspace(ws.field)
+            raise InputError(f"no entwining entry named {brief(repr(name))}")
+        sub = Workspace(ws.field)
 
-    def emit(section, name):
-        """Add an entry's image after its references; return its name.
-        An entry shared by several references is emitted once."""
-        image, target = _IMAGES[section]
-        if f"comc_{name}" in getattr(sub, target):
+        def emit(section, name):
+            """Add an entry's image after its references; return its name.
+            An entry shared by several references is emitted once."""
+            image, target = _IMAGES[section]
+            if f"comc_{name}" in getattr(sub, target):
+                return f"comc_{name}"
+            obj = image(getattr(ws, section)[name])
+            # the entry's references, cut to the number of the image's
+            refs = [emit(s, ref) if s in _IMAGES else _copy(ws, sub, s, ref)
+                    for s, ref, _ in zip(_ROWS[section][3].values(),
+                                         ws.refs[section, name],
+                                         _ROWS[target][3])]
+            sub.add(target, f"comc_{name}", *refs, obj,
+                    origin=f"comc({name})")
+            _, kind, checker, *_ = _ROWS[target]
+            report.add(kind, f"comc_{name}", checker(obj))
             return f"comc_{name}"
-        obj = image(getattr(ws, section)[name])
-        # the entry's references, cut to the number of the image's
-        refs = [emit(s, ref) if s in _IMAGES else _copy(ws, sub, s, ref)
-                for s, ref, _ in zip(_ROWS[section][3].values(),
-                                     ws.refs[section, name], _ROWS[target][3])]
-        sub.add(target, f"comc_{name}", *refs, obj, origin=f"comc({name})")
-        _, kind, checker, *_ = _ROWS[target]
-        report.add(kind, f"comc_{name}", checker(obj))
-        return f"comc_{name}"
 
-    try:
         emit(section, name)
-    except EntwineError as exc:
-        return _fail(out, "semantic", exc, 1)
-    if not report.ok:
-        return 1
-    return _save(sub, out_path, out)
+        if report.ok:
+            save_workspace(sub, out_path)
+    return _run(out, comc)
 
 
 def cmd_laws(path: str, level: str = "pseudofunctor", out=None) -> int:
-    if level not in _LEVELS:
-        return _fail(out, "input", f"unknown level {brief(repr(level))}", 2)
-    try:
+    def laws(report):
+        if level not in _LEVELS:
+            raise InputError(f"unknown level {brief(repr(level))}")
         ws = load_workspace(path)
-    except _INPUT_ERRORS as exc:
-        return _fail(out, "input", exc, 2)
-    report = Report(out)
-    try:
         for suite in _LEVELS[level]:
             suite(ws, report)
-    except EntwineError as exc:
-        return _fail(out, "semantic", exc, 1)
-    return report.exit_code
+    return _run(out, laws)
 
 
 def cmd_gallery(field_flag: str, out_path: str, out=None) -> int:
-    try:
-        field = parse_field_flag(field_flag)
-    except EntwineError as exc:
-        return _fail(out, "input", exc, 2)
-    return _save(build_gallery(field), out_path, out)
+    return _run(out, lambda report: save_workspace(
+        build_gallery(parse_field_flag(field_flag)), out_path))
+
+
+# verb -> (help, command, the command's arguments in the order of its
+# parameters, each with the keywords of its ``add_argument``)
+_VERBS = {
+    "check": ("run every applicable checker", cmd_check,
+              {"file": {}, "--selector": {"default": "all"}}),
+    "compose": ("compose two named 1-cells", cmd_compose,
+                {"file": {}, "--selector": {
+                    "required": True, "help": "outer,inner 1-cell names"},
+                 "--out": {"required": True}}),
+    "comc": ("coring image of a named entry", cmd_comc,
+             {"file": {}, "--selector": {"required": True},
+              "--out": {"required": True}}),
+    "laws": ("run the law suites", cmd_laws,
+             {"file": {}, "--level": {"default": "pseudofunctor",
+                                      "choices": sorted(_LEVELS)}}),
+    "gallery": ("emit the example workspace", cmd_gallery,
+                {"--field": {"default": "rational"},
+                 "--out": {"required": True}}),
+}
 
 
 def main(argv=None) -> int:
@@ -624,45 +644,16 @@ def main(argv=None) -> int:
         prog="entwine",
         description="exact checkers for entwining structures and corings")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p_check = sub.add_parser("check", help="run every applicable checker")
-    p_check.add_argument("file")
-    p_check.add_argument("--selector", default="all")
-
-    p_comp = sub.add_parser("compose", help="compose two named 1-cells")
-    p_comp.add_argument("file")
-    p_comp.add_argument("--selector", required=True,
-                        help="outer,inner 1-cell names")
-    p_comp.add_argument("--out", required=True)
-
-    p_comc = sub.add_parser("comc",
-                            help="coring image of a named entry")
-    p_comc.add_argument("file")
-    p_comc.add_argument("--selector", required=True)
-    p_comc.add_argument("--out", required=True)
-
-    p_laws = sub.add_parser("laws", help="run the law suites")
-    p_laws.add_argument("file")
-    p_laws.add_argument("--level", default="pseudofunctor",
-                        choices=sorted(_LEVELS))
-
-    p_gal = sub.add_parser("gallery", help="emit the example workspace")
-    p_gal.add_argument("--field", default="rational")
-    p_gal.add_argument("--out", required=True)
-
+    for verb, (text, _, arguments) in _VERBS.items():
+        p = sub.add_parser(verb, help=text)
+        for name, options in arguments.items():
+            p.add_argument(name, **options)
     try:
-        args = parser.parse_args(argv)
+        args = vars(parser.parse_args(argv))
     except SystemExit as exc:
         return 2 if exc.code else 0
-    if args.verb == "check":
-        return cmd_check(args.file, args.selector)
-    if args.verb == "compose":
-        return cmd_compose(args.file, args.selector, args.out)
-    if args.verb == "comc":
-        return cmd_comc(args.file, args.selector, args.out)
-    if args.verb == "laws":
-        return cmd_laws(args.file, args.level)
-    return cmd_gallery(args.field, args.out)
+    _, command, arguments = _VERBS[args["verb"]]
+    return command(*(args[name.lstrip("-")] for name in arguments))
 
 
 if __name__ == "__main__":

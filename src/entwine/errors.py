@@ -14,6 +14,11 @@ class EntwineError(Exception):
     pass
 
 
+class InputError(EntwineError):
+    """The input is at fault: a file that cannot be read, written or
+    parsed, or an argument that names nothing."""
+
+
 class DimensionMismatch(EntwineError):
     """Shapes of matrices or structure maps do not line up."""
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entwine import InputError
 from entwine.algstruct import CheckReport, Failure
 from entwine.cli import (Report, build_gallery, cmd_check, cmd_comc,
                          cmd_compose, cmd_gallery, cmd_laws, deserialize,
@@ -61,6 +62,14 @@ MALFORMED = {
                           "not an int or int/int"),
     "padded-scalar": ([(["algebras", "kC2", "mult", 0, 0], " 3 ")],
                       "not an int or int/int"),
+    # a key outside the schema is refused, never skipped or dropped
+    "unknown-section": ([(["one_cell"], {})], "unknown key 'one_cell'"),
+    "unknown-entry-key": ([(["algebras", "kC2", "mutl"], [])],
+                          "algebras kC2: unknown key 'mutl'"),
+    "unknown-keys": ([(["zeta"], {}), (["alpha"], {})],
+                     "unknown key 'alpha'"),
+    "unknown-field-key": ([(["field"], {"kind": "rational", "q": 5})],
+                          "field: unknown key 'q'"),
 }
 # over 0-dimensional algebras every matrix is [] or rows of [], so no
 # matrix attests a carrier's dimension: a 1-cell's dimM alone would set
@@ -91,6 +100,7 @@ MALFORMED.update({f"long-{case}": (edits, "…") for case, edits in {
     "scalar-mod-p": [(["field"], {"kind": "prime", "p": 7}),
                      (["algebras", "kC2", "mult", 0, 0], "1/" + LONG)],
     "entry-name": [(["algebras", LONG], {})],
+    "unknown-key": [([LONG], {})],
 }.items()})
 
 
@@ -279,7 +289,7 @@ class TestCheck:
     @pytest.mark.parametrize("flag", ["prime:" + LONG, LONG],
                              ids=["modulus", "junk"])
     def test_long_field_flag_is_quoted_briefly(self, flag):
-        with pytest.raises(EntwineError) as exc:
+        with pytest.raises(InputError) as exc:
             parse_field_flag(flag)
         assert len(str(exc.value)) < 200 and "…" in str(exc.value)
 
@@ -350,6 +360,9 @@ class TestCompose:
         out = tmp_path / "c3.json"
         assert cmd_compose(gallery_file, "m_swap,id_bialg_C2",
                            str(out)) == 1
+        assert capsys.readouterr() == ("", "semantic error: cod of inner "
+                                       "cell differs from dom of outer\n")
+        assert not out.exists()
 
     def test_missing_name_is_input_error(self, gallery_file, tmp_path,
                                          capsys):
@@ -535,6 +548,21 @@ class TestLaws:
     def test_unknown_level(self, gallery_file):
         assert cmd_laws(gallery_file, "monoidal") == 2
 
+    def test_map_that_does_not_factor_ends_the_run(self, gallery_file,
+                                                   tmp_path):
+        # alpha = diag(1, 2) breaks m_swap's squares: its coring image
+        # does not factor, so the run stops where that image is checked
+        doc = json.loads(Path(gallery_file).read_text(encoding="utf-8"))
+        doc["one_cells"]["m_swap"]["alpha"] = [["1", "0"], ["0", "2"]]
+        bad = tmp_path / "alpha.json"
+        bad.write_text(json.dumps(doc))
+        out = io.StringIO()
+        assert cmd_laws(str(bad), "pseudofunctor", out) == 1
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 187 and lines[-2:] == [
+            "CORONECELL comc(m_aug) counit compatibility PASS",
+            "semantic error: map does not vanish on the relation span"]
+
     @pytest.mark.parametrize("name", ["q", "gf5"])
     def test_gallery_report_is_the_recorded_one(self, tmp_path, name):
         # the benchmark's recorded report, read only: any change in a
@@ -609,6 +637,42 @@ class TestMain:
 
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestInputError:
+    """Library callers get a typed error carrying the CLI's message."""
+
+    def test_is_exported_as_an_entwine_error(self):
+        assert issubclass(InputError, EntwineError)
+
+    @pytest.mark.parametrize("case", ["missing", "garbled", "malformed"])
+    def test_load_raises_it_with_the_line_tail(self, gallery_file, tmp_path,
+                                               case):
+        path = tmp_path / f"{case}.json"
+        doc = json.loads(Path(gallery_file).read_text(encoding="utf-8"))
+        doc["algebras"]["kC2"]["dim"] = "2"
+        text = {"garbled": "{not json", "malformed": json.dumps(doc)}
+        if case in text:
+            path.write_text(text[case])
+        message = {
+            "missing": f"No such file or directory: {brief(repr(str(path)))}",
+            "garbled": "Expecting property name enclosed in double quotes: "
+                       "line 1 column 2 (char 1)",
+            "malformed": "algebras kC2: dim must be a non-negative integer",
+        }[case]
+        with pytest.raises(InputError) as exc:
+            load_workspace(str(path))
+        assert str(exc.value) == message
+        out = io.StringIO()
+        assert cmd_check(str(path), out=out) == 2
+        assert out.getvalue() == f"input error: {message}\n"
+
+    def test_save_raises_it_for_an_unwritable_path(self, tmp_path):
+        with pytest.raises(InputError) as exc:
+            save_workspace(build_gallery(QQ), str(tmp_path))
+        assert str(exc.value) == \
+            f"Is a directory: {brief(repr(str(tmp_path)))}"
+        assert list(tmp_path.iterdir()) == []
 
 
 # values swapped in by the fuzz: wrong JSON types, bad scalars, edge ints

@@ -51,7 +51,9 @@ call.  A fifteenth keeps one elimination per coherence iso: only
 ``qtensor._iso_or_raise`` raises ``NotInvertible``, and it decides through
 the memoised ``inverse``, whose result the chases read again, not through
 ``rank``; outside ``exactlin`` only ``comc.hom_dimension_report`` reads
-``rank``.
+``rank``.  A sixteenth keeps one exit-code rule: no ``cmd_*`` verb holds a
+``try``, and only ``cli._run``, which decides every verb's exit code,
+formats the one-line ``<kind> error: <message>``.
 """
 
 import ast
@@ -700,3 +702,54 @@ def test_one_elimination_decides_each_coherence_iso():
     assert [owner for owner in found["rank"]
             if not owner.startswith("exactlin.py")] == [
         "comc.py: hom_dimension_report"]
+
+
+def error_policy(sources: dict) -> dict:
+    """For ``sources``, a dict file name -> source text: under "try",
+    ``file: name`` of each module-level ``cmd_*`` function that holds a
+    ``try`` (in a nested function too); under "format", ``file: owner`` of
+    each module-level function or class, or ``<module>``, holding a string
+    other than a docstring that contains ``error: ``.  Each sorted."""
+    found = {"try": set(), "format": set()}
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        docstrings = {id(n.body[0].value) for n in ast.walk(tree)
+                      if isinstance(n, (ast.Module, ast.FunctionDef,
+                                        ast.ClassDef))
+                      and n.body and isinstance(n.body[0], ast.Expr)}
+        for top in tree.body:
+            name = getattr(top, "name", "<module>")
+            nodes = list(ast.walk(top))
+            if name.startswith("cmd_") and any(
+                    isinstance(n, (ast.Try, ast.TryStar)) for n in nodes):
+                found["try"].add(f"{file}: {name}")
+            if any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                   and "error: " in n.value and id(n) not in docstrings
+                   for n in nodes):
+                found["format"].add(f"{file}: {name}")
+    return {kind: sorted(owners) for kind, owners in found.items()}
+
+
+def test_scan_finds_split_error_policy():
+    sources = {"a.py": '"""A module-level error: a docstring."""\n'
+                       "def cmd_x(out):\n    try:\n        f()\n"
+                       "    except E:\n        pass\n"
+                       "def cmd_y():\n    def inner():\n"
+                       "        try:\n            pass\n"
+                       "        finally:\n            pass\n"
+                       "def g(kind, exc):\n"
+                       '    """Print one error: line."""\n'
+                       '    print(f"{kind} error: {exc}")\n',
+               "b.py": "def h(exc):\n    return 'input error: ' + str(exc)\n"
+                       "def cmd_z():\n    return 'no error here'\n"
+                       "try:\n    import x\nexcept ImportError:\n"
+                       "    pass\n"}
+    assert error_policy(sources) == {"try": ["a.py: cmd_x", "a.py: cmd_y"],
+                                     "format": ["a.py: g", "b.py: h"]}
+
+
+def test_one_runner_decides_every_exit_code():
+    src = ROOT / "src" / "entwine"
+    assert error_policy({p.name: p.read_text(encoding="utf-8")
+                         for p in sorted(src.glob("*.py"))}) == {
+        "try": [], "format": ["cli.py: _run"]}
