@@ -63,7 +63,7 @@ def _check_squares(*squares) -> CheckReport:
     return CheckReport(tuple(failures), tuple(axioms))
 
 
-class Algebra(Record):
+class Algebra(Record, field="mult"):
     """Associative unital algebra: mult is n x n^2, unit is n x 1."""
 
     __slots__ = ("dim", "mult", "unit")
@@ -73,12 +73,8 @@ class Algebra(Record):
         expect_shapes(self, f"algebra of dim {n}", mult=(n, n * n),
                       unit=(n, 1))
 
-    @property
-    def field(self) -> FieldSpec:
-        return self.mult.field
 
-
-class Coalgebra(Record):
+class Coalgebra(Record, field="comult"):
     """Coassociative counital coalgebra: comult n^2 x n, counit 1 x n."""
 
     __slots__ = ("dim", "comult", "counit")
@@ -88,12 +84,8 @@ class Coalgebra(Record):
         expect_shapes(self, f"coalgebra of dim {n}", comult=(n * n, n),
                       counit=(1, n))
 
-    @property
-    def field(self) -> FieldSpec:
-        return self.comult.field
 
-
-class Bimodule(Record):
+class Bimodule(Record, field="lact"):
     """B-A-bimodule: lact is m x (dim B * m), ract is m x (m * dim A)."""
 
     __slots__ = ("left", "right", "dim", "lact", "ract")
@@ -102,10 +94,6 @@ class Bimodule(Record):
         m, b, a = self.dim, self.left.dim, self.right.dim
         expect_shapes(self, f"bimodule of dim {m}", lact=(m, b * m),
                       ract=(m, m * a))
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.lact.field
 
 
 def check_algebra(a: Algebra) -> CheckReport:

@@ -144,7 +144,7 @@ def right_unit_iso(x: Bimodule) -> Matrix:
 # -- cells ----------------------------------------------------------------
 
 
-class Coring(Record):
+class Coring(Record, field="comult"):
     """(carrier, comult, counit) over the base algebra.
 
     ``comult`` maps carrier coordinates into the quotient coordinates of
@@ -161,16 +161,12 @@ class Coring(Record):
         expect_shapes(self, "coring", comult=(q2, n),
                       counit=(self.base.dim, n))
 
-    @property
-    def field(self):
-        return self.comult.field
-
     def square_word(self) -> TensorWord:
         """carrier (x)_A carrier with its presentation."""
         return wtensor(self.carrier, self.carrier)
 
 
-class CorOneCell(Record):
+class CorOneCell(Record, field="zeta"):
     """(carrier, zeta) : dom -> cod with carrier a cod.base-dom.base bimodule.
 
     zeta maps the quotient coordinates of cod.carrier (x)_B carrier to
@@ -178,10 +174,6 @@ class CorOneCell(Record):
     """
 
     __slots__ = ("dom", "cod", "carrier", "zeta")
-
-    @property
-    def field(self):
-        return self.zeta.field
 
     def __post_init__(self):
         if (self.carrier.left != self.cod.base
@@ -193,7 +185,7 @@ class CorOneCell(Record):
                       zeta=(tgt.quotient_dim, src.quotient_dim))
 
 
-class CorTwoCell(Record):
+class CorTwoCell(Record, field="map"):
     """A bimodule map between the carriers of parallel 1-cells."""
 
     __slots__ = ("dom", "cod", "map")
@@ -203,10 +195,6 @@ class CorTwoCell(Record):
             raise NotParallel("2-cell endpoints are not parallel")
         expect_shapes(self, "coring 2-cell",
                       map=(self.cod.carrier.dim, self.dom.carrier.dim))
-
-    @property
-    def field(self):
-        return self.map.field
 
 
 # -- checkers -------------------------------------------------------------
@@ -328,7 +316,7 @@ def identity_cor_one_cell(c: Coring) -> CorOneCell:
 
 
 def identity_cor_two_cell(f: CorOneCell) -> CorTwoCell:
-    return CorTwoCell(f, f, Matrix.identity(f.zeta.field, f.carrier.dim))
+    return CorTwoCell(f, f, Matrix.identity(f.field, f.carrier.dim))
 
 
 @memoised

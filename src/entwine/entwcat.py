@@ -13,11 +13,11 @@ from .algstruct import (Algebra, Coalgebra, CheckReport, _check_squares,
                         bialgebra_compatibility)
 from .errors import (DimensionMismatch, NotABialgebra, NotAMorphism,
                      NotComposable, NotParallel)
-from .exactlin import (FieldSpec, Matrix, Record, compose, expect_shapes,
-                       flip, kron, memoised)
+from .exactlin import (Matrix, Record, compose, expect_shapes, flip, kron,
+                       memoised)
 
 
-class EntwObj(Record):
+class EntwObj(Record, field="psi"):
     """An entwining psi : C (x) A -> A (x) C."""
 
     __slots__ = ("algebra", "coalgebra", "psi")
@@ -28,12 +28,8 @@ class EntwObj(Record):
         if self.algebra.field != self.coalgebra.field:
             raise DimensionMismatch("algebra and coalgebra fields differ")
 
-    @property
-    def field(self) -> FieldSpec:
-        return self.psi.field
 
-
-class EntwOneCell(Record):
+class EntwOneCell(Record, field="alpha"):
     """A triple (M, alpha, gamma) : dom -> cod.
 
     With dom = (A, C, psi) and cod = (B, D, chi):
@@ -49,12 +45,8 @@ class EntwOneCell(Record):
         expect_shapes(self, "1-cell", alpha=(m * a, b * m),
                       gamma=(m * c, d * m))
 
-    @property
-    def field(self) -> FieldSpec:
-        return self.alpha.field
 
-
-class EntwTwoCell(Record):
+class EntwTwoCell(Record, field="theta"):
     """theta : dom => cod between parallel 1-cells, as a map M -> N."""
 
     __slots__ = ("dom", "cod", "theta")
@@ -63,10 +55,6 @@ class EntwTwoCell(Record):
         if self.dom.dom != self.cod.dom or self.dom.cod != self.cod.cod:
             raise NotParallel("2-cell endpoints are not parallel")
         expect_shapes(self, "2-cell", theta=(self.cod.dimM, self.dom.dimM))
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.theta.field
 
 
 # -- checkers -------------------------------------------------------------

@@ -5,12 +5,12 @@ Q and GF(p), and owns the session memo of ``memoised`` functions: a
 fresh ``FieldSpec`` starts a fresh memo.  Memo and field are a reference
 cycle (a memoised result holds matrices, a matrix its field), so the
 cyclic garbage collector, not reference counting, frees a finished session.
-A matrix is immutable, hashable (the memo keys on it) and fraction-free:
-it stores int numerators, only its columns' nonzeros, as ``{row: value}``
-dicts that matrices share and never mutate, over one denominator ``den``
-> 0 for the whole matrix.  It is kept in lowest terms, gcd(den, every
-numerator) = 1, so the zero matrix has den 1, and ``==`` and ``hash``
-compare ints only; over GF(p) den is 1 and a numerator is in ``[0, p)``.
+A matrix is a ``Record``, so immutable and hashable (the memo keys on it),
+and fraction-free: it stores int numerators, only its columns' nonzeros, as
+``{row: value}`` dicts that matrices share and never mutate, over one
+common denominator ``den`` > 0 in lowest terms (gcd(den, every numerator)
+= 1, so the zero matrix has den 1): ``==`` and ``hash`` compare ints only;
+over GF(p) den is 1 and a numerator is in ``[0, p)``.
 A matrix built from dense entries refuses a den of more than ``DEN_BITS``
 bits.  A ``Fraction`` is built only at the boundary: ``coerce`` and the
 dense views ``entries``, ``m[i, j]`` and ``repr``, which give an integral
@@ -22,9 +22,9 @@ all reduce int vectors through the one routine ``_echelon``, and every
 difference, scaling and product (``compose``, so every projection to a
 quotient) sums int columns through the one routine ``_combine``, which
 ends in the field's reduction: mod p over GF(p), dropping zeros over Q.
-``Record``, the base of every cell and structure of the package, is
-immutable in the same way as ``Matrix``: slotted, set once through its
-slot descriptors, its hash cached.
+``Record`` is the one immutable value base, of ``Matrix`` and every cell
+and structure: slotted, set once, equal by type and fields, hash cached;
+``class R(Record, field="psi")`` gives R the field of its matrix ``psi``.
 
 Index convention (normative for the whole package): the basis vector
 ``(i of X, j of Y)`` of ``X (x) Y`` has flat index ``i * dim(Y) + j``.
@@ -78,6 +78,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _quote(x, text=repr) -> str:
+    """``brief(text(x))``; a number past ``str``'s digit limit by its size."""
+    try:
+        return brief(text(x))
+    except ValueError:      # ``sys.get_int_max_str_digits()``
+        if not isinstance(x, (int, Fraction)):
+            return f"<{type(x).__name__}>"
+        return f"<{type(x).__name__} of {abs(x.numerator).bit_length()} bits>"
+
+
 class FieldSpec:
     """Either the rationals or GF(p) for a prime p.
 
@@ -98,20 +108,21 @@ class FieldSpec:
         elif kind == "prime":
             if type(p) is int and p >= _PRIME_BOUND:
                 raise InvalidParameter(
-                    f"modulus {brief(str(p))} is past {_PRIME_BOUND}, "
+                    f"modulus {_quote(p)} is past {_PRIME_BOUND}, "
                     f"the bound of the exact primality test")
             if type(p) is not int or not _is_prime(p):
-                raise InvalidParameter(f"{brief(repr(p))} is not a prime")
+                raise InvalidParameter(f"{_quote(p)} is not a prime")
             cls = _PrimeField
         else:
-            raise InvalidParameter(f"unknown field kind {brief(repr(kind))}")
+            raise InvalidParameter(f"unknown field kind {_quote(kind)}")
         self = object.__new__(cls)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_memo", {})
         return self
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("FieldSpec is immutable")
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)
@@ -163,7 +174,7 @@ class _Rationals(FieldSpec):
             return x
         if type(x) is int:
             return Fraction(x)
-        raise InvalidParameter(f"cannot coerce {brief(repr(x))} to a rational")
+        raise InvalidParameter(f"cannot coerce {_quote(x)} to a rational")
 
     @staticmethod
     def _reduce(v: dict) -> dict:
@@ -190,11 +201,10 @@ class _PrimeField(FieldSpec):
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise InvalidParameter(
-                    f"{brief(str(x))} has no value in GF({self.p})")
+                    f"{_quote(x, str)} has no value in GF({self.p})")
             inv = pow(x.denominator, self.p - 2, self.p)
             return x.numerator * inv % self.p
-        raise InvalidParameter(
-            f"cannot coerce {brief(repr(x))} to GF({self.p})")
+        raise InvalidParameter(f"cannot coerce {_quote(x)} to GF({self.p})")
 
     def _reduce(self, v: dict) -> dict:
         """The int vector v reduced mod p, zeros dropped."""
@@ -239,23 +249,26 @@ QQ = FieldSpec("rational")
 
 
 class Record:
-    """An immutable value, the base of every cell and structure.
+    """An immutable value, the base of ``Matrix``, every cell and structure.
 
     A subclass declares ``__slots__``, its field names in constructor order,
     and ``_defaults``, field name -> default, if a field has one.  Built
     from positional or keyword fields, it runs ``__post_init__``, which may
     still set a field through ``object.__setattr__``.  Records of one type
     with equal fields are equal; the hash, of the field tuple, is cached.
+    ``class R(Record, field="psi")`` gives R the ``field`` of its ``psi``.
     """
 
     __slots__ = ("_hash",)
     _defaults = {}
 
-    def __init_subclass__(cls):
+    def __init_subclass__(cls, field: str | None = None):
         # the slot descriptors' setters, which bypass ``__setattr__``
         cls._setters = tuple(getattr(cls, name).__set__
                              for name in cls.__slots__)
         cls._values = attrgetter(*cls.__slots__)
+        if field is not None:
+            cls.field = property(attrgetter(field + ".field"))
 
     def __init__(self, *args, **kwargs):
         setters = self._setters
@@ -279,11 +292,9 @@ class Record:
     def __post_init__(self):
         pass
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -306,7 +317,7 @@ class Record:
 _set_record_hash = Record._hash.__set__
 
 
-class Matrix:
+class Matrix(Record):
     """Immutable sparse matrix with exact entries over a fixed FieldSpec.
 
     Column j is stored as ``_c[j]``, the ``{row: value}`` dict of its
@@ -314,7 +325,7 @@ class Matrix:
     these dicts, so none is ever mutated.
     """
 
-    __slots__ = ("field", "rows", "cols", "_c", "den", "_hash")
+    __slots__ = ("field", "rows", "cols", "den", "_c")
 
     def __init__(self, field: FieldSpec, entries: Sequence[Sequence], *,
                  cols: int | None = None):
@@ -339,9 +350,6 @@ class Matrix:
                 if x:
                     c[j][i] = x.numerator * (den // x.denominator)
         _wrap(field, rows, c, den, m=self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     # -- constructors -----------------------------------------------------
 
@@ -377,17 +385,12 @@ class Matrix:
         i, j = ij
         return _scalar(self._c[j].get(range(self.rows)[i], 0), self.den)
 
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and (
-            (self.field, self.rows, self.cols, self.den, self._c)
-            == (other.field, other.rows, other.cols, other.den, other._c))
-
     def __hash__(self):
         h = self._hash
         if h is None:
             h = hash((self.field, self.rows, self.cols, self.den,
                       tuple(hash(frozenset(c.items())) for c in self._c)))
-            _set_hash(self, h)
+            _set_record_hash(self, h)
         return h
 
     def __repr__(self):
@@ -471,15 +474,13 @@ def _wrap(field: FieldSpec, rows: int, columns: list, den: int = 1,
     _set_field(m, field)
     _set_rows(m, rows)
     _set_cols(m, len(columns))
-    _set_columns(m, columns)
     _set_den(m, den)
-    _set_hash(m, None)
+    _set_columns(m, columns)
+    _set_record_hash(m, None)
     return m
 
 
-# the slot descriptors' setters, which bypass ``Matrix.__setattr__``
-_set_field, _set_rows, _set_cols, _set_columns, _set_den, _set_hash = (
-    getattr(Matrix, name).__set__ for name in Matrix.__slots__)
+_set_field, _set_rows, _set_cols, _set_den, _set_columns = Matrix._setters
 
 
 def expect_shapes(obj, what: str, **shapes):

@@ -13,7 +13,7 @@ from entwine.algstruct import (Algebra, Bimodule, CheckReport, Coalgebra,
                                matrix_algebra, matrix_coalgebra,
                                regular_bimodule)
 from entwine.comc import comc_obj
-from entwine.corcat import (Coring, CorOneCell, CorTwoCell,
+from entwine.corcat import (Coring, CorOneCell, CorTwoCell, TensorWord,
                             identity_cor_one_cell, left_unit_iso,
                             right_unit_iso)
 from entwine.entwcat import (EntwObj, EntwOneCell, EntwTwoCell, check_obj,
@@ -313,6 +313,20 @@ class TestRecords:
         assert check_obj(e1) is check_obj(e2)
         assert [args for fn, args in field._memo
                 if fn is check_obj.__wrapped__] == [(e1,)]
+
+    def test_field_keyword_names_the_matrix_of_the_session(self):
+        # ``field=`` in the class header: the field of that matrix slot
+        field = FieldSpec("prime", 5)
+        e = flip_entwining(group_algebra(field, 2),
+                           grouplike_coalgebra(field, 2))
+        f = identity_one_cell(e)
+        for record in (e, e.algebra, e.coalgebra, f):
+            assert record.field is field
+        for cls in (Algebra, Coalgebra, Bimodule, EntwObj, EntwOneCell,
+                    EntwTwoCell, Coring, CorOneCell, CorTwoCell):
+            assert isinstance(vars(cls)["field"], property)
+        for cls in (Failure, CheckReport, QuotientPresentation, TensorWord):
+            assert not hasattr(cls, "field")
 
     def test_empty_matrix_takes_its_expected_shape(self):
         empty = Matrix.zeros(QQ, 0, 0)

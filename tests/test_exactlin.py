@@ -210,6 +210,33 @@ class TestFieldSpec:
             with pytest.raises(AttributeError):
                 field.p = 7
 
+    def test_deletion_is_refused(self):
+        field = FieldSpec("prime", 5)
+        for name in ("p", "_memo"):
+            with pytest.raises(AttributeError, match="FieldSpec is immutable"):
+                delattr(field, name)
+        assert field == GF5 and field._memo == {}
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: FieldSpec("prime", 10**5000),
+         "modulus <int of 16610 bits> is past"),
+        (lambda: FieldSpec("prime", -10**5000),
+         "<int of 16610 bits> is not a prime"),
+        (lambda: FieldSpec("prime", [10**5000]), "<list> is not a prime"),
+        (lambda: FieldSpec(10**5000),
+         "unknown field kind <int of 16610 bits>"),
+        (lambda: Matrix(GF5, [[Fraction(10**5000 + 1, 5)]]),
+         "<Fraction of 16610 bits> has no value in GF(5)")],
+        ids=["modulus-past-bound", "negative-modulus", "list-modulus", "kind",
+             "scalar"])
+    def test_number_past_the_digit_limit_is_quoted_by_its_size(self, build,
+                                                               message):
+        # str() refuses an int of more than 4,300 digits
+        with pytest.raises(InvalidParameter) as exc:
+            build()
+        assert str(exc.value).startswith(message)
+        assert exc.value.__context__ is None
+
 
 def difference(a, b):
     """a - b over Q, through the 1 x 1 ``Matrix`` subtraction."""
@@ -318,8 +345,12 @@ class TestMatrixBasics:
 
     def test_immutable_and_hashable(self):
         m = Matrix(QQ, [[1]])
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="^Matrix is immutable$"):
             m.rows = 2
+        for name in ("den", "_c", "field"):
+            with pytest.raises(AttributeError, match="^Matrix is immutable$"):
+                delattr(m, name)
+        assert m == Matrix(QQ, [[1]]) and m.den == 1
         assert hash(m) == hash(Matrix(QQ, [[1]]))
         # a selection of columns is brought back to lowest terms
         wide = Matrix(QQ, [[Fraction(1, 2), Fraction(1, 4)]])
@@ -328,6 +359,23 @@ class TestMatrixBasics:
         for c in (wide.column(0), wide.gather((0, 0))):
             assert c.den == 2 and stored_canonically(c)
         assert wide.column(0) == half and hash(wide.column(0)) == hash(half)
+
+    def test_equal_across_sessions(self):
+        # equal fields of two sessions: equal matrices, equal hashes, and
+        # one dict entry
+        f, g = FieldSpec("prime", 5), FieldSpec("prime", 5)
+        a, b = Matrix(f, [[1, 2], [3, 4]]), Matrix(g, [[6, 7], [8, 9]])
+        assert f is not g and a.field is f and b.field is g
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert {a: "a"}[b] == "a" and len({a, b}) == 1
+        assert a != Matrix(f, [[1, 2], [3, 3]]) != Matrix(QQ, [[1, 2], [3, 4]])
+
+    def test_not_equal_to_other_types(self):
+        m, zero = Matrix(QQ, [[1]]), Matrix.zeros(QQ, 1, 1)
+        for other in (0, 1, [[1]], ((1,),), Fraction(1)):
+            assert m != other and not m == other
+            assert zero != other and not zero == other
+        assert m.entries == ((1,),) and m[0, 0] == 1
 
     def test_first_difference(self):
         a = Matrix(QQ, [[1, 2], [3, 4]])

@@ -46,14 +46,19 @@ alone.  A
 fourteenth keeps every memo reachable: ``memoised`` finds its memo through
 ``args[0].field``, so the first parameter of each ``@memoised`` function
 is annotated with a class of the package that defines ``field`` (``Matrix``
-through its slot), and a cell that lacks it fails here, not on its first
-call.  A fifteenth keeps one elimination per coherence iso: only
+through its slot, a cell or structure through the ``field=`` keyword of its
+``Record`` class header), and a cell that lacks it fails here, not on its
+first call.  A fifteenth keeps one elimination per coherence iso: only
 ``qtensor._iso_or_raise`` raises ``NotInvertible``, and it decides through
 the memoised ``inverse``, whose result the chases read again, not through
 ``rank``; outside ``exactlin`` only ``comc.hom_dimension_report`` reads
 ``rank``.  A sixteenth keeps one exit-code rule: no ``cmd_*`` verb holds a
 ``try``, and only ``cli._run``, which decides every verb's exit code,
-formats the one-line ``<kind> error: <message>``.
+formats the one-line ``<kind> error: <message>``.  A seventeenth keeps one
+owner of immutability and equality: outside ``exactlin.Record`` and
+``FieldSpec``, no class of the package defines ``__setattr__``,
+``__delattr__`` or ``__eq__``, so ``Matrix`` and every cell and structure
+are immutable, and equal, in the one way ``Record`` decides.
 """
 
 import ast
@@ -188,15 +193,16 @@ def test_readme_lists_the_memoised_functions():
 
 
 def _defines_field(node: ast.ClassDef) -> bool:
-    """Whether class ``node`` defines ``field``: as a method or property,
-    or as a name in its ``__slots__``, as ``Matrix`` does."""
-    return any(isinstance(sub, ast.FunctionDef) and sub.name == "field"
-               or isinstance(sub, ast.Assign)
-               and any(getattr(t, "id", None) == "__slots__"
-                       for t in sub.targets)
-               and "field" in (getattr(c, "value", None)
-                               for c in ast.walk(sub.value))
-               for sub in node.body)
+    """Whether class ``node`` defines ``field``: through the ``field=``
+    class keyword that ``Record`` reads, as a method or property, or as a
+    name in its ``__slots__``, as ``Matrix`` does."""
+    return any(k.arg == "field" for k in node.keywords) or any(
+        isinstance(sub, ast.FunctionDef) and sub.name == "field"
+        or isinstance(sub, ast.Assign)
+        and any(getattr(t, "id", None) == "__slots__" for t in sub.targets)
+        and "field" in (getattr(c, "value", None)
+                        for c in ast.walk(sub.value))
+        for sub in node.body)
 
 
 def memos_without_field(sources: dict) -> list:
@@ -225,7 +231,10 @@ def test_scan_finds_memoised_functions_without_field():
                        "class C:\n    @property\n"
                        "    def field(self):\n        return 0\n"
                        "class D:\n    __slots__ = ('fields',)\n"
-                       "    field_of = 0\n",
+                       "    field_of = 0\n"
+                       "class R(Record, field='psi'):\n"
+                       "    __slots__ = ('psi',)\n"
+                       "class S(Record, fields='psi'):\n    pass\n",
                "b.py": "@memoised\ndef f(m: M, d: D):\n    pass\n"
                        "@x.memoised\ndef g(c: a.C) -> D:\n    pass\n"
                        "@memoised\ndef h(c: 'C'):\n    pass\n"
@@ -233,9 +242,11 @@ def test_scan_finds_memoised_functions_without_field():
                        "@memoised\ndef j(n: int):\n    pass\n"
                        "@memoised\ndef k(c):\n    pass\n"
                        "@memoised\ndef l():\n    pass\n"
-                       "def n(d: D):\n    pass\n"}
+                       "def n(d: D):\n    pass\n"
+                       "@memoised\ndef o(r: R):\n    pass\n"
+                       "@memoised\ndef q(s: S):\n    pass\n"}
     assert memos_without_field(sources) == ["b.py: i", "b.py: j", "b.py: k",
-                                            "b.py: l"]
+                                            "b.py: l", "b.py: q"]
 
 
 def test_every_memoised_function_reaches_its_memo():
@@ -753,3 +764,50 @@ def test_one_runner_decides_every_exit_code():
     assert error_policy({p.name: p.read_text(encoding="utf-8")
                          for p in sorted(src.glob("*.py"))}) == {
         "try": [], "format": ["cli.py: _run"]}
+
+
+IMMUTABILITY_OWNERS = ("exactlin.py: Record", "exactlin.py: FieldSpec")
+
+
+def immutability_owners(sources: dict) -> list:
+    """``file: class`` of each class of ``sources``, a dict file name ->
+    source text, whose body defines ``__setattr__``, ``__delattr__`` or
+    ``__eq__``, sorted."""
+    found = set()
+    for file, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(sub, ast.FunctionDef) and sub.name in (
+                        "__setattr__", "__delattr__", "__eq__")
+                    or isinstance(sub, ast.Assign) and any(
+                        getattr(t, "id", None) in ("__setattr__",
+                                                   "__delattr__", "__eq__")
+                        for t in sub.targets)
+                    for sub in node.body):
+                found.add(f"{file}: {node.name}")
+    return sorted(found)
+
+
+def test_scan_finds_immutability_owners():
+    sources = {"a.py": "class A:\n    def __setattr__(self, n, v):\n"
+                       "        pass\n"
+                       "class B:\n    def __eq__(self, other):\n"
+                       "        return True\n"
+                       "class C:\n    __delattr__ = object.__delattr__\n"
+                       "class D:\n    def __hash__(self):\n"
+                       "        return 0\n"
+                       "    def setattr(self):\n        pass\n",
+               "b.py": "def f():\n    class E:\n"
+                       "        def __delattr__(self, n):\n"
+                       "            pass\n"
+                       "    return E\n"
+                       "def __eq__(a, b):\n    return True\n"}
+    assert immutability_owners(sources) == ["a.py: A", "a.py: B", "a.py: C",
+                                            "b.py: E"]
+
+
+def test_one_base_owns_immutability_and_equality():
+    src = ROOT / "src" / "entwine"
+    assert immutability_owners({p.name: p.read_text(encoding="utf-8")
+                                for p in sorted(src.glob("*.py"))}) == sorted(
+        IMMUTABILITY_OWNERS)
